@@ -33,9 +33,7 @@ from .distributions import (
     DistributionSpec,
     format_spec,
     parse_spec,
-    quantile,
     sample,
-    survival,
     tail_class,
 )
 from .power import (
@@ -93,13 +91,11 @@ __all__ = [
     "parse_plan_file",
     "parse_spec",
     "partition",
-    "quantile",
     "recommend_blocks",
     "run_plan",
     "sample",
     "shift_sample",
     "simulate_bryson_quantiles",
-    "survival",
     "tail_class",
     "tail_test",
 ]

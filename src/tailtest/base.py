@@ -19,6 +19,15 @@ class TailClass(str, enum.Enum):
         return self.value
 
 
+def decide(stat: float, lower: float, upper: float) -> TailClass:
+    """Short below `lower`, Long above `upper`, Medium on or between them."""
+    if stat < lower:
+        return TailClass.SHORT
+    if stat > upper:
+        return TailClass.LONG
+    return TailClass.MEDIUM
+
+
 class MaxNotAboveOneError(ValueError):
     """Sample maximum <= 1, so ln X_(n) <= 0 and the statistic is undefined.
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import BlockTooSmallError, TailClass
+from .base import BlockTooSmallError, TailClass, decide
 from .rng import erlang_criticals, gamma_cdf, make_stream
 from .tail_test import Sample, as_sample, tail_test
 
@@ -95,12 +95,6 @@ def blocked_test(
 
     total = float(sum(stats))
     lower, upper = erlang_criticals(alpha, k)
-    if total < lower:
-        decision = TailClass.SHORT
-    elif total > upper:
-        decision = TailClass.LONG
-    else:
-        decision = TailClass.MEDIUM
     p_short = gamma_cdf(max(total, 0.0), k)
     return BlockedTestResult(
         k=k,
@@ -108,7 +102,7 @@ def blocked_test(
         sum_stat=total,
         lower_crit=lower,
         upper_crit=upper,
-        decision=decision,
+        decision=decide(total, lower, upper),
         block_sizes=tuple(b.n for b in blocks),
         alpha=float(alpha),
         p_short=p_short,

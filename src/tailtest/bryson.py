@@ -11,9 +11,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# np.quantile imports numpy.ma on first use; load it here so the cost falls at import
+import numpy.ma  # noqa: F401
 
-from .base import TableMismatchError, TailClass
-from .distributions import DistributionSpec, format_spec, sample as draw_sample
+from .base import TableMismatchError, TailClass, decide
+from .distributions import DistributionSpec, format_spec, nonnegative, sample as draw_sample
 from .rng import SeedSpec, make_stream
 from .tail_test import as_sample
 
@@ -80,8 +82,13 @@ def simulate_bryson_quantiles(
     """Empirical T* quantiles over seeded replicates, with bootstrap stderrs.
 
     Quantiles use linear interpolation of order statistics; standard errors
-    come from 200 bootstrap resamples of the replicate statistics.
+    come from 200 bootstrap resamples of the replicate statistics. Only laws
+    on [0, inf) are accepted, since T* needs nonnegative data.
     """
+    if not nonnegative(spec):
+        raise ValueError(
+            f"{format_spec(spec)} takes negative values; T* needs nonnegative data"
+        )
     if reps < 1000:
         raise ValueError(f"reps must be >= 1000 for a usable table, got {reps}")
     for p in probs:
@@ -146,16 +153,10 @@ def bryson_test(
         )
     lower = null_table.quantile_at(lo_p)
     upper = null_table.quantile_at(hi_p)
-    if t_star < lower:
-        decision = TailClass.SHORT
-    elif t_star > upper:
-        decision = TailClass.LONG
-    else:
-        decision = TailClass.MEDIUM
     return BrysonResult(
         t_star=t_star,
         n=s.n,
-        decision=decision,
+        decision=decide(t_star, lower, upper),
         alpha=float(alpha),
         lower_crit=lower,
         upper_crit=upper,

@@ -8,6 +8,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+# argparse's gettext imports locale at the first parser build; load it with this module
+import locale  # noqa: F401
 import math
 import sys
 
@@ -15,7 +17,7 @@ import numpy as np
 
 from .base import DatasetError, TailClass
 from .blocking import blocked_test
-from .bryson import bryson_statistic, bryson_test, simulate_bryson_quantiles
+from .bryson import bryson_test, simulate_bryson_quantiles
 from .distributions import parse_spec
 from .power import (
     SimulationPlan,
@@ -102,21 +104,16 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _text(value) -> str:
+    if isinstance(value, list):
+        return " ".join(_text(v) for v in value)
+    return _fmt(value) if isinstance(value, float) else str(value)
+
+
 def _cmd_test(args) -> int:
     values, skipped = read_dataset(args.path)
     values = _preprocess(values, args.negate, args.abs)
     sample = shift_sample(values, _parse_shift(args.shift))
-
-    payload = {
-        "command": "test",
-        "path": args.path,
-        "n": sample.n,
-        "skipped_lines": skipped,
-        "shift": sample.shift,
-        "negate": bool(args.negate),
-        "abs": bool(args.abs),
-        "alpha": args.alpha,
-    }
 
     if args.blocks != 1:
         res = blocked_test(
@@ -126,70 +123,50 @@ def _cmd_test(args) -> int:
             strategy=args.block_strategy,
             seed=args.block_seed,
         )
-        payload.update(
-            {
-                "mode": "blocked",
-                "k": res.k,
-                "block_sizes": list(res.block_sizes),
-                "block_stats": list(res.block_stats),
-                "sum_stat": res.sum_stat,
-                "lower_crit": res.lower_crit,
-                "upper_crit": res.upper_crit,
-                "p_short": res.p_short,
-                "p_long": res.p_long,
-                "decision": str(res.decision),
-            }
-        )
-        if args.json:
-            print(json.dumps(payload, sort_keys=True))
-        else:
-            _print_kv(
-                [
-                    ("n", sample.n),
-                    ("shift", _fmt(sample.shift)),
-                    ("k", res.k),
-                    ("block_sizes", " ".join(str(s) for s in res.block_sizes)),
-                    ("block_stats", " ".join(_fmt(t) for t in res.block_stats)),
-                    ("sum_stat", _fmt(res.sum_stat)),
-                    ("lower_crit", _fmt(res.lower_crit)),
-                    ("upper_crit", _fmt(res.upper_crit)),
-                    ("p_short", _fmt(res.p_short)),
-                    ("p_long", _fmt(res.p_long)),
-                    ("decision", f"{res.decision} (alpha={args.alpha:g})"),
-                ]
-            )
-        return _EXIT_CODE[res.decision]
-
-    res = tail_test(sample, alpha=args.alpha)
-    payload.update(
-        {
+        fields = {
+            "mode": "blocked",
+            "k": res.k,
+            "block_sizes": list(res.block_sizes),
+            "block_stats": list(res.block_stats),
+            "sum_stat": res.sum_stat,
+            "lower_crit": res.lower_crit,
+            "upper_crit": res.upper_crit,
+        }
+    else:
+        res = tail_test(sample, alpha=args.alpha)
+        fields = {
             "mode": "plain",
             "t_stat": res.t_stat,
             "theta_hat": res.theta_hat,
             "spacing": res.spacing,
             "surv_at_log_max": res.surv_at_log_max,
-            "p_short": res.p_short,
-            "p_long": res.p_long,
             "tied_max": res.tied_max,
-            "decision": str(res.decision),
         }
-    )
+    fields.update(p_short=res.p_short, p_long=res.p_long)
+
     if args.json:
+        payload = {
+            "command": "test",
+            "path": args.path,
+            "n": sample.n,
+            "skipped_lines": skipped,
+            "shift": sample.shift,
+            "negate": bool(args.negate),
+            "abs": bool(args.abs),
+            "alpha": args.alpha,
+            "decision": str(res.decision),
+            **fields,
+        }
         print(json.dumps(payload, sort_keys=True))
     else:
-        rows = [
-            ("n", sample.n),
-            ("shift", _fmt(sample.shift)),
-            ("T", _fmt(res.t_stat)),
-            ("theta_hat", _fmt(res.theta_hat)),
-            ("spacing", _fmt(res.spacing)),
-            ("surv_at_log_max", _fmt(res.surv_at_log_max)),
-            ("p_short", _fmt(res.p_short)),
-            ("p_long", _fmt(res.p_long)),
-            ("decision", f"{res.decision} (alpha={args.alpha:g})"),
-        ]
-        if res.tied_max:
-            rows.insert(3, ("warning", "top two order statistics tie; T forced to 0"))
+        rows = [("n", sample.n), ("shift", _fmt(sample.shift))]
+        for key, value in fields.items():
+            if key in ("mode", "tied_max"):
+                continue
+            rows.append(("T" if key == "t_stat" else key, _text(value)))
+            if key == "t_stat" and res.tied_max:
+                rows.append(("warning", "top two order statistics tie; T forced to 0"))
+        rows.append(("decision", f"{res.decision} (alpha={args.alpha:g})"))
         _print_kv(rows)
     return _EXIT_CODE[res.decision]
 

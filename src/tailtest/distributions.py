@@ -1,7 +1,7 @@
 """The distribution catalogue used by the simulations and the CLI.
 
-Each family carries a sampler, a survival function, a quantile function, and
-its known tail class. Specs parse from strings of the form
+Each family carries a sampler, its known tail class, and whether its support
+is nonnegative. Specs parse from strings of the form
 ``family:param[,param]`` (e.g. ``pareto:2``, ``weibull:0.5``, ``exp:100``,
 ``loggamma:0.5,1``).
 """
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from .base import TailClass
 from .rng import SeedSpec, make_stream
@@ -53,8 +52,7 @@ class _Family:
     param_names: tuple[str, ...]
     tail: Callable[[tuple[float, ...]], TailClass]
     sample: Callable[[np.random.Generator, int, tuple[float, ...]], np.ndarray]
-    survival: Callable[[float, tuple[float, ...]], float]
-    quantile: Callable[[float, tuple[float, ...]], float]
+    nonnegative: bool  # support lies in [0, inf)
 
 
 def _const(cls: TailClass) -> Callable[[tuple[float, ...]], TailClass]:
@@ -70,171 +68,66 @@ def _weibull_tail(params: tuple[float, ...]) -> TailClass:
     return TailClass.LONG
 
 
-# Survival/quantile pairs. Scalar in, scalar out; supports are one-sided
-# where the catalogue's laws are (values at or below the support return
-# survival 1).
-
-
-def _exp_surv(x, p):
-    return math.exp(-p[0] * x) if x > 0 else 1.0
-
-
-def _exp_quant(u, p):
-    return -math.log1p(-u) / p[0]
-
-
-def _logistic_surv(x, p):
-    return float(special.expit(-x))
-
-
-def _logistic_quant(u, p):
-    return math.log(u) - math.log1p(-u)
-
-
-def _gamma_surv(x, p):
-    return float(special.gammaincc(p[0], x)) if x > 0 else 1.0
-
-
-def _gamma_quant(u, p):
-    return float(special.gammaincinv(p[0], u))
-
-
-def _uniform_surv(x, p):
-    if x <= 0:
-        return 1.0
-    return 1.0 - x if x < 1 else 0.0
-
-
-def _uniform_quant(u, p):
-    return u
-
-
-def _normal_surv(x, p):
-    return float(special.ndtr(-x))
-
-
-def _normal_quant(u, p):
-    return float(special.ndtri(u))
-
-
-def _lognormal_surv(x, p):
-    return float(special.ndtr(-math.log(x))) if x > 0 else 1.0
-
-
-def _lognormal_quant(u, p):
-    return math.exp(float(special.ndtri(u)))
-
-
-def _gumbel_surv(x, p):
-    return math.exp(-math.exp(x - _EULER))
-
-
-def _gumbel_quant(u, p):
-    return _EULER + math.log(-math.log1p(-u))
-
-
-def _cauchy_surv(x, p):
-    return 0.5 - math.atan(x) / math.pi
-
-
-def _cauchy_quant(u, p):
-    return math.tan(math.pi * (u - 0.5))
-
-
-def _t_surv(x, p):
-    return float(special.stdtr(p[0], -x))
-
-
-def _t_quant(u, p):
-    return float(special.stdtrit(p[0], u))
-
-
-def _pareto_surv(x, p):
-    return 1.0 / (1.0 + x ** p[0]) if x > 0 else 1.0
-
-
-def _pareto_quant(u, p):
-    return (u / (1.0 - u)) ** (1.0 / p[0])
-
-
-def _weibull_surv(x, p):
-    return math.exp(-(x ** p[0])) if x > 0 else 1.0
-
-
-def _weibull_quant(u, p):
-    return (-math.log1p(-u)) ** (1.0 / p[0])
-
-
-def _loggamma_surv(x, p):
-    shape, scale = p
-    return float(special.gammaincc(shape, math.log(x) / scale)) if x > 1 else 1.0
-
-
-def _loggamma_quant(u, p):
-    shape, scale = p
-    return math.exp(scale * float(special.gammaincinv(shape, u)))
-
-
 _CATALOGUE = (
     _Family(
         "exp", ("exponential",), ("theta",), _const(TailClass.MEDIUM),
         lambda g, n, p: g.standard_exponential(n) / p[0],
-        _exp_surv, _exp_quant,
+        nonnegative=True,
     ),
     _Family(
         "logistic", (), (), _const(TailClass.MEDIUM),
         lambda g, n, p: g.logistic(0.0, 1.0, n),
-        _logistic_surv, _logistic_quant,
+        nonnegative=False,
     ),
     _Family(
         "gamma", (), ("shape",), _const(TailClass.MEDIUM),
         lambda g, n, p: g.standard_gamma(p[0], n),
-        _gamma_surv, _gamma_quant,
+        nonnegative=True,
     ),
     _Family(
         "uniform", ("unif", "uniform01"), (), _const(TailClass.SHORT),
         lambda g, n, p: g.random(n),
-        _uniform_surv, _uniform_quant,
+        nonnegative=True,
     ),
     _Family(
         "normal", ("norm",), (), _const(TailClass.SHORT),
         lambda g, n, p: g.standard_normal(n),
-        _normal_surv, _normal_quant,
+        nonnegative=False,
     ),
     _Family(
         "lognormal", ("lnorm",), (), _const(TailClass.LONG),
         lambda g, n, p: np.exp(g.standard_normal(n)),
-        _lognormal_surv, _lognormal_quant,
+        nonnegative=True,
     ),
     _Family(
         "gumbel", ("extval", "extreme-value"), (), _const(TailClass.SHORT),
         lambda g, n, p: _EULER - g.gumbel(0.0, 1.0, n),
-        _gumbel_surv, _gumbel_quant,
+        nonnegative=False,
     ),
     _Family(
         "cauchy", (), (), _const(TailClass.LONG),
         lambda g, n, p: g.standard_cauchy(n),
-        _cauchy_surv, _cauchy_quant,
+        nonnegative=False,
     ),
     _Family(
         "t", ("student", "studentt"), ("df",), _const(TailClass.LONG),
         lambda g, n, p: g.standard_t(p[0], n),
-        _t_surv, _t_quant,
+        nonnegative=False,
     ),
     _Family(
         "pareto", ("paretoshifted",), ("gamma",), _const(TailClass.LONG),
         lambda g, n, p: _pareto_sample(g, n, p),
-        _pareto_surv, _pareto_quant,
+        nonnegative=True,
     ),
     _Family(
         "weibull", (), ("gamma",), _weibull_tail,
         lambda g, n, p: _weibull_sample(g, n, p),
-        _weibull_surv, _weibull_quant,
+        nonnegative=True,
     ),
     _Family(
         "loggamma", (), ("shape", "scale"), _const(TailClass.LONG),
         lambda g, n, p: np.exp(p[1] * g.standard_gamma(p[0], n)),
-        _loggamma_surv, _loggamma_quant,
+        nonnegative=True,
     ),
 )
 
@@ -302,19 +195,11 @@ def sample(
     return _lookup(spec.family).sample(stream, int(n), spec.params)
 
 
-def survival(spec: DistributionSpec, x: float) -> float:
-    """P(X > x) under the spec'd law."""
-    return _lookup(spec.family).survival(float(x), spec.params)
-
-
-def quantile(spec: DistributionSpec, u: float) -> float:
-    """Inverse CDF at u, u in (0, 1)."""
-    u = float(u)
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"u must lie in (0, 1), got {u}")
-    return _lookup(spec.family).quantile(u, spec.params)
-
-
 def tail_class(spec: DistributionSpec) -> TailClass:
     """The catalogue's known tail class for the spec."""
     return _lookup(spec.family).tail(spec.params)
+
+
+def nonnegative(spec: DistributionSpec) -> bool:
+    """Whether the spec'd law puts all its mass on [0, inf)."""
+    return _lookup(spec.family).nonnegative

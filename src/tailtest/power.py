@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import TailClass
+from .base import TailClass, decide
 from .blocking import block_sizes
 from .distributions import (
     DistributionSpec,
@@ -139,11 +139,7 @@ def _replicate_outcome(values, offsets, lower, upper, policy):
             theta = -math.log(exceed / size) / log_max
             t_j = theta * (mx - second)
         total += t_j
-    if total < lower:
-        return TailClass.SHORT, None
-    if total > upper:
-        return TailClass.LONG, None
-    return TailClass.MEDIUM, None
+    return decide(total, lower, upper), None
 
 
 def _run_chunk(plan, n, offsets, lower, upper, start, stop):

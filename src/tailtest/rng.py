@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# numpy loads numpy.random lazily; load it here so the cost falls at import
+import numpy.random  # noqa: F401
 
 _UINT64_MAX = 2**64 - 1
 
@@ -152,37 +154,3 @@ def erlang_criticals(alpha: float, k: int) -> tuple[float, float]:
     if k == 1:
         return -math.log1p(-alpha), -math.log(alpha)
     return gamma_quantile(alpha, k), gamma_quantile(1.0 - alpha, k)
-
-
-# ---------------------------------------------------------------------------
-# Samplers. These wrap the stream's own methods; the exponential is keyed by
-# its rate theta (mean 1/theta) to match the convention of the tail test.
-# ---------------------------------------------------------------------------
-
-
-def draw_uniform(stream: np.random.Generator, size: int | None = None):
-    return stream.random(size)
-
-
-def draw_exponential(stream: np.random.Generator, theta: float, size: int | None = None):
-    """Exponential with rate theta, i.e. mean 1/theta."""
-    if not theta > 0:
-        raise ValueError(f"theta must be > 0, got {theta}")
-    return stream.standard_exponential(size) / theta
-
-
-def draw_normal(stream: np.random.Generator, size: int | None = None):
-    return stream.standard_normal(size)
-
-
-def draw_gamma(stream: np.random.Generator, shape: float, size: int | None = None):
-    """Gamma(shape, scale 1); valid for shape below and above 1."""
-    if not shape > 0:
-        raise ValueError(f"shape must be > 0, got {shape}")
-    return stream.standard_gamma(shape, size)
-
-
-def draw_student_t(stream: np.random.Generator, df: float, size: int | None = None):
-    if not df > 0:
-        raise ValueError(f"df must be > 0, got {df}")
-    return stream.standard_t(df, size)

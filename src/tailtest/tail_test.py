@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import DegenerateSampleError, MaxNotAboveOneError, TailClass
+from .base import DegenerateSampleError, MaxNotAboveOneError, TailClass, decide
 from .rng import erlang_criticals
 
 
@@ -105,10 +105,8 @@ def extreme_spacing(sample) -> float:
     return float(s.sorted[-1] - s.sorted[-2])
 
 
-def estimate_theta(sample) -> float:
-    """Rate estimate -ln F_n(ln X_(n)) / ln X_(n); 0 when nothing is at or
-    below ln X_(n) (survival exactly 1, the concentrated boundary case)."""
-    s = as_sample(sample)
+def _theta_and_survival(s: Sample) -> tuple[float, float]:
+    """The rate estimate and the empirical survival F_n(ln X_(n)) it rests on."""
     mx = s.maximum
     if mx <= 1.0:
         raise MaxNotAboveOneError(
@@ -118,8 +116,14 @@ def estimate_theta(sample) -> float:
     log_max = math.log(mx)
     surv = empirical_survival(s, log_max)
     if surv == 1.0:
-        return 0.0
-    return -math.log(surv) / log_max
+        return 0.0, surv
+    return -math.log(surv) / log_max, surv
+
+
+def estimate_theta(sample) -> float:
+    """Rate estimate -ln F_n(ln X_(n)) / ln X_(n); 0 when nothing is at or
+    below ln X_(n) (survival exactly 1, the concentrated boundary case)."""
+    return _theta_and_survival(as_sample(sample))[0]
 
 
 def _check_alpha(alpha: float) -> float:
@@ -131,12 +135,7 @@ def _check_alpha(alpha: float) -> float:
 
 def classify(t_stat: float, alpha: float) -> TailClass:
     """Map a statistic to Short/Medium/Long at level alpha (one-sided each way)."""
-    short_crit, long_crit = erlang_criticals(_check_alpha(alpha), 1)
-    if t_stat < short_crit:
-        return TailClass.SHORT
-    if t_stat > long_crit:
-        return TailClass.LONG
-    return TailClass.MEDIUM
+    return decide(t_stat, *erlang_criticals(_check_alpha(alpha), 1))
 
 
 def tail_test(sample, alpha: float = 0.05) -> TailTestResult:
@@ -148,12 +147,9 @@ def tail_test(sample, alpha: float = 0.05) -> TailTestResult:
     if s.sorted[0] == s.sorted[-1]:
         raise DegenerateSampleError("all sample values are equal")
 
-    theta = estimate_theta(s)  # raises MaxNotAboveOneError when max <= 1
+    theta, surv = _theta_and_survival(s)  # raises MaxNotAboveOneError when max <= 1
     spacing = extreme_spacing(s)
-    tied = spacing == 0.0
     t_stat = theta * spacing
-    log_max = math.log(s.maximum)
-    surv = empirical_survival(s, log_max)
     p_long = math.exp(-t_stat)
     return TailTestResult(
         t_stat=t_stat,
@@ -165,5 +161,5 @@ def tail_test(sample, alpha: float = 0.05) -> TailTestResult:
         decision=classify(t_stat, alpha),
         alpha=alpha,
         n=s.n,
-        tied_max=tied,
+        tied_max=spacing == 0.0,
     )

@@ -110,6 +110,22 @@ class TestQuantileTables:
         t = simulate_bryson_quantiles(parse_spec("gamma:2"), 30, reps=1500, seed=5)
         assert t.dist == "gamma:2"
 
+    @pytest.mark.parametrize("text", ["normal", "logistic", "gumbel", "cauchy", "t:3"])
+    def test_rejects_laws_with_negative_support(self, text, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew before rejecting the law")
+
+        monkeypatch.setattr("tailtest.bryson.draw_sample", no_draws)
+        with pytest.raises(ValueError, match=f"{text} takes negative values.*nonnegative"):
+            simulate_bryson_quantiles(parse_spec(text), 30, reps=1000)
+
+    @pytest.mark.parametrize("text", [
+        "exp:1", "gamma:2", "uniform", "lognormal", "pareto:1", "weibull:2", "loggamma:0.5,1",
+    ])
+    def test_nonnegative_laws_simulate(self, text):
+        t = simulate_bryson_quantiles(parse_spec(text), 20, reps=1000, seed=1)
+        assert all(math.isfinite(q) for q in t.quantiles)
+
     def test_null_quantiles_shrink_with_n(self):
         # the exponential null concentrates as n grows: upper quantiles fall
         small = exponential_null_table(50, reps=4000, seed=9)

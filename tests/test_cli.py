@@ -3,6 +3,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,6 +307,14 @@ class TestBrysonCommands:
         assert len(rows) == 3
         assert rows[1][0] == "gamma:2"
 
+    @pytest.mark.parametrize("dist", ["normal", "logistic", "gumbel", "cauchy", "t:3"])
+    def test_bryson_quantiles_negative_support_exits_one(self, dist, capsys):
+        code = main(["bryson-quantiles", "--dist", dist, "--n", "30", "--reps", "1000"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert f"{dist} takes negative values; T* needs nonnegative data" in captured.err
+
 
 class TestUsageErrors:
     def test_no_subcommand(self, capsys):
@@ -328,3 +340,16 @@ class TestUsageErrors:
         from tailtest.cli import _EXIT_CODE
 
         assert set(_EXIT_CODE.values()) == {0, 2, 3}
+
+
+def test_cli_import_leaves_scipy_out():
+    # numpy is the only runtime dependency; a fresh interpreter shows what the CLI loads
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, tailtest.cli; sys.exit('scipy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr or "importing tailtest.cli loaded scipy"

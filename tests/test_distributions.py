@@ -1,27 +1,20 @@
-"""The distribution catalogue: parsing, known values, samplers versus CDFs."""
-import math
-
+"""The distribution catalogue: parsing, tail classes, samplers versus CDFs."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from tailtest import TailClass
 from tailtest.distributions import (
     FAMILIES,
     DistributionSpec,
     format_spec,
+    nonnegative,
     parse_spec,
-    quantile,
     sample,
-    survival,
     tail_class,
 )
 from tailtest.rng import SeedSpec, make_stream
 
 from . import oracles
-
-E = math.e
 
 
 class TestParseFormat:
@@ -121,79 +114,6 @@ class TestTailClasses:
         assert tail_class(parse_spec(text)) is cls
 
 
-class TestKnownValues:
-    def test_pareto_median_is_one(self):
-        # F-bar(1) = 1/2 for every gamma
-        assert quantile(parse_spec("pareto:1"), 0.5) == pytest.approx(1.0, abs=1e-15)
-        assert quantile(parse_spec("pareto:5"), 0.5) == pytest.approx(1.0, abs=1e-15)
-        assert survival(parse_spec("pareto:3"), 1.0) == pytest.approx(0.5, abs=1e-15)
-
-    def test_pareto_quantile(self):
-        # u = 0.9 gives (0.9/0.1)^(1/gamma) = 9^(1/5)
-        assert quantile(parse_spec("pareto:5"), 0.9) == pytest.approx(9.0 ** 0.2, rel=1e-12)
-
-    def test_weibull_unit_values(self):
-        assert quantile(parse_spec("weibull:1"), -math.expm1(-1.0)) == pytest.approx(1.0, rel=1e-12)
-        assert survival(parse_spec("weibull:2"), 1.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
-        assert survival(parse_spec("weibull:0.5"), 4.0) == pytest.approx(math.exp(-2.0), rel=1e-12)
-
-    def test_exponential_rate_convention(self):
-        # exp:theta has survival e^(-theta x): mean 1/theta
-        assert survival(parse_spec("exp:2"), 1.0) == pytest.approx(math.exp(-2.0), rel=1e-12)
-        assert quantile(parse_spec("exp:100"), 0.5) == pytest.approx(math.log(2.0) / 100.0, rel=1e-12)
-
-    def test_uniform_is_identity(self):
-        assert quantile(parse_spec("uniform"), 0.25) == 0.25
-        assert survival(parse_spec("uniform"), 0.25) == 0.75
-        assert survival(parse_spec("uniform"), 2.0) == 0.0
-
-    def test_normal_symmetry(self):
-        assert survival(parse_spec("normal"), 0.0) == pytest.approx(0.5, abs=1e-15)
-        assert quantile(parse_spec("normal"), 0.975) == pytest.approx(1.959963985, abs=1e-8)
-
-    def test_lognormal_median(self):
-        assert quantile(parse_spec("lognormal"), 0.5) == pytest.approx(1.0, rel=1e-12)
-
-    def test_cauchy_quartiles(self):
-        assert quantile(parse_spec("cauchy"), 0.75) == pytest.approx(1.0, rel=1e-12)
-        assert survival(parse_spec("cauchy"), 1.0) == pytest.approx(0.25, rel=1e-12)
-
-    def test_gumbel_is_short_form(self):
-        # survival exp(-e^(x - gamma_E)); mean zero
-        g = oracles.EULER_GAMMA
-        assert survival(parse_spec("gumbel"), g) == pytest.approx(math.exp(-1.0), rel=1e-12)
-        x = sample(parse_spec("gumbel"), 400_000, SeedSpec(3))
-        assert abs(x.mean()) < 0.01
-
-    def test_loggamma_support_above_one(self):
-        assert survival(parse_spec("loggamma:0.5,1"), 1.0) == 1.0
-        assert quantile(parse_spec("loggamma:2,1"), 0.5) > 1.0
-
-    def test_support_boundaries_return_survival_one(self):
-        for text in ("exp:1", "gamma:2", "weibull:2", "pareto:1", "lognormal"):
-            assert survival(parse_spec(text), 0.0) == 1.0
-            assert survival(parse_spec(text), -3.0) == 1.0
-
-
-class TestQuantileSurvivalInverse:
-    @pytest.mark.parametrize("text", [
-        "exp:1", "exp:100", "logistic", "gamma:0.7", "gamma:2", "uniform",
-        "normal", "lognormal", "gumbel", "cauchy", "t:3", "pareto:1",
-        "pareto:5", "weibull:0.5", "weibull:5", "loggamma:0.5,1",
-    ])
-    def test_survival_of_quantile(self, text):
-        spec = parse_spec(text)
-        for u in (0.001, 0.05, 0.25, 0.5, 0.75, 0.95, 0.999):
-            assert survival(spec, quantile(spec, u)) == pytest.approx(1.0 - u, abs=1e-9)
-
-    @pytest.mark.parametrize("text", ["exp:1", "pareto:2", "weibull:0.5", "normal"])
-    def test_quantile_rejects_bad_u(self, text):
-        spec = parse_spec(text)
-        for u in (0.0, 1.0, -0.5, 2.0):
-            with pytest.raises(ValueError):
-                quantile(spec, u)
-
-
 class TestSampling:
     def test_deterministic_by_seed(self):
         spec = parse_spec("pareto:2")
@@ -247,11 +167,37 @@ class TestSampling:
         x = sample(parse_spec(text), 4000, SeedSpec(2026, 9))
         assert oracles.ks_distance(x, cdf) < oracles.ks_critical(4000)
 
-    @given(u=st.floats(min_value=1e-6, max_value=1 - 1e-6))
-    @settings(max_examples=60)
-    def test_pareto_quantile_survival_property(self, u):
-        spec = DistributionSpec("pareto", (2.0,))
-        assert survival(spec, quantile(spec, u)) == pytest.approx(1.0 - u, abs=1e-12)
+    def test_exponential_rate_convention(self):
+        # exp:theta is keyed by its rate: mean 1/theta
+        x = sample(parse_spec("exp:100"), 200_000, SeedSpec(1))
+        assert abs(x.mean() - 0.01) < 5e-5
+        y = sample(parse_spec("exp:0.01"), 200_000, SeedSpec(1))
+        assert abs(y.mean() - 100.0) < 0.5
+
+    def test_uniform_range(self):
+        u = sample(parse_spec("uniform"), 10_000, SeedSpec(2))
+        assert 0.0 <= u.min() and u.max() < 1.0
+
+    def test_gumbel_has_mean_zero(self):
+        # the short-tailed form gamma_E - G, G standard Gumbel
+        x = sample(parse_spec("gumbel"), 400_000, SeedSpec(3))
+        assert abs(x.mean()) < 0.01
+
+    @pytest.mark.parametrize(
+        "family,bad", [("exp", 0.0), ("exp", -1.0), ("gamma", 0.0), ("t", -2.0)]
+    )
+    def test_rejects_nonpositive_parameters(self, family, bad):
+        with pytest.raises(ValueError):
+            DistributionSpec(family, (bad,))
+
+    @pytest.mark.parametrize("text", [
+        "exp:1", "logistic", "gamma:0.7", "uniform", "normal", "lognormal",
+        "gumbel", "cauchy", "t:3", "pareto:1", "weibull:0.5", "loggamma:0.5,1",
+    ])
+    def test_support_flag_matches_sampler(self, text):
+        spec = parse_spec(text)
+        x = sample(spec, 10_000, SeedSpec(4))
+        assert nonnegative(spec) == bool(x.min() >= 0.0)
 
 
 def test_families_constant_lists_catalogue():

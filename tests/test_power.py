@@ -4,18 +4,25 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tailtest import (
     SimulationPlan,
+    blocked_test,
     consistency_scan,
     emit_table,
     parse_plan_file,
     run_plan,
+    tail_test,
 )
 from tailtest.base import BlockTooSmallError
+from tailtest.blocking import block_sizes
 from tailtest.distributions import parse_spec
-from tailtest.power import CSV_HEADER
+from tailtest.power import CSV_HEADER, _replicate_outcome
+from tailtest.rng import erlang_criticals
 
 
 def small_plan(dist="exp:1", n=(50,), **kw):
@@ -129,6 +136,43 @@ class TestSmallMaxPolicies:
         row = run_plan(small_plan("exp:100", n=(50,), smallmax_policy="raw")).rows[0]
         assert row.error_count == 0
         assert row.short_count + row.medium_count + row.long_count == 400
+
+
+@st.composite
+def engine_replicates(draw):
+    """(k, values): n not always divisible by k, and a few repeated values so
+    that the top two order statistics of a block often tie."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=3 * k, max_value=3 * k + 13))
+    value = st.one_of(
+        st.sampled_from([0.5, 1.5, 2.0, 3.0, 7.5]),
+        st.floats(min_value=0.0, max_value=100.0),
+    )
+    return k, np.array(draw(st.lists(value, min_size=n, max_size=n)))
+
+
+class TestEngineMatchesSingleSampleTests:
+    @given(case=engine_replicates())
+    @settings(max_examples=300, deadline=None)
+    def test_replicate_class_matches(self, case):
+        # the engine's per-replicate class equals the public tests' decision
+        # whenever every sequential block has max > 1 and is not constant
+        k, values = case
+        offsets, pos = [], 0
+        for size in block_sizes(len(values), k):
+            offsets.append((pos, size))
+            pos += size
+        for start, size in offsets:
+            block = values[start : start + size]
+            assume(block.max() > 1.0 and block.min() < block.max())
+        lower, upper = erlang_criticals(0.05, k)
+        got, err = _replicate_outcome(values, offsets, lower, upper, "error")
+        assert err is None
+        if k == 1:
+            expected = tail_test(values).decision
+        else:
+            expected = blocked_test(values, k, strategy="sequential").decision
+        assert got is expected
 
 
 class TestEmitters:

@@ -8,11 +8,6 @@ from hypothesis import strategies as st
 
 from tailtest.rng import (
     SeedSpec,
-    draw_exponential,
-    draw_gamma,
-    draw_normal,
-    draw_student_t,
-    draw_uniform,
     erlang_criticals,
     gamma_cdf,
     gamma_quantile,
@@ -166,28 +161,3 @@ class TestErlangCriticals:
         with pytest.raises(ValueError):
             erlang_criticals(bad, 1)
 
-
-class TestDrawHelpers:
-    def test_deterministic(self):
-        a = draw_normal(make_stream(9), 32)
-        b = draw_normal(make_stream(9), 32)
-        assert np.array_equal(a, b)
-
-    def test_exponential_rate_convention(self):
-        # rate theta means mean 1/theta
-        x = draw_exponential(make_stream(1), 100.0, 200_000)
-        assert abs(x.mean() - 0.01) < 5e-5
-        y = draw_exponential(make_stream(1), 0.01, 200_000)
-        assert abs(y.mean() - 100.0) < 0.5
-
-    def test_uniform_range(self):
-        u = draw_uniform(make_stream(2), 10_000)
-        assert 0.0 <= u.min() and u.max() < 1.0
-
-    @pytest.mark.parametrize(
-        "fn,bad",
-        [(draw_exponential, 0.0), (draw_exponential, -1.0), (draw_gamma, 0.0), (draw_student_t, -2.0)],
-    )
-    def test_rejects_nonpositive_parameters(self, fn, bad):
-        with pytest.raises(ValueError):
-            fn(make_stream(0), bad, 10)
