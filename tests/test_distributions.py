@@ -1,11 +1,12 @@
-"""The distribution catalogue: parsing, tail classes, samplers versus CDFs."""
+"""The distribution catalogue: parsing, known values, samplers versus CDFs."""
+import math
+
 import numpy as np
 import pytest
 
 from tailtest import TailClass
 from tailtest.distributions import (
     FAMILIES,
-    DistributionSpec,
     format_spec,
     nonnegative,
     parse_spec,
@@ -114,6 +115,67 @@ class TestTailClasses:
         assert tail_class(parse_spec(text)) is cls
 
 
+def _empirical_survival(text, x, n=200_000, seed=5):
+    """Share of n draws from the law above x."""
+    draws = sample(parse_spec(text), n, SeedSpec(seed))
+    return float(np.mean(draws > x))
+
+
+class TestKnownValues:
+    # survival shares of 2e5 draws; tolerance 0.005 is over four standard errors
+    TOL = 0.005
+
+    def test_pareto_median_is_one(self):
+        # F-bar(1) = 1/2 for every gamma
+        for text in ("pareto:1", "pareto:3", "pareto:5"):
+            assert _empirical_survival(text, 1.0) == pytest.approx(0.5, abs=self.TOL)
+
+    def test_pareto_quantile(self):
+        # u = 0.9 gives (0.9/0.1)^(1/gamma) = 9^(1/5)
+        assert _empirical_survival("pareto:5", 9.0 ** 0.2) == pytest.approx(0.1, abs=self.TOL)
+
+    def test_weibull_unit_values(self):
+        assert _empirical_survival("weibull:1", 1.0) == pytest.approx(math.exp(-1.0), abs=self.TOL)
+        assert _empirical_survival("weibull:2", 1.0) == pytest.approx(math.exp(-1.0), abs=self.TOL)
+        assert _empirical_survival("weibull:0.5", 4.0) == pytest.approx(math.exp(-2.0), abs=self.TOL)
+
+    def test_exponential_rate_convention(self):
+        # exp:theta has survival e^(-theta x): mean 1/theta
+        assert _empirical_survival("exp:2", 1.0) == pytest.approx(math.exp(-2.0), abs=self.TOL)
+        assert _empirical_survival("exp:100", math.log(2.0) / 100.0) == pytest.approx(0.5, abs=self.TOL)
+
+    def test_uniform_is_identity(self):
+        assert _empirical_survival("uniform", 0.25) == pytest.approx(0.75, abs=self.TOL)
+        assert _empirical_survival("uniform", 1.0) == 0.0
+
+    def test_normal_symmetry(self):
+        assert _empirical_survival("normal", 0.0) == pytest.approx(0.5, abs=self.TOL)
+        assert _empirical_survival("normal", 1.959963985) == pytest.approx(0.025, abs=self.TOL)
+
+    def test_lognormal_median(self):
+        assert _empirical_survival("lognormal", 1.0) == pytest.approx(0.5, abs=self.TOL)
+
+    def test_cauchy_quartiles(self):
+        assert _empirical_survival("cauchy", 1.0) == pytest.approx(0.25, abs=self.TOL)
+        assert _empirical_survival("cauchy", -1.0) == pytest.approx(0.75, abs=self.TOL)
+
+    def test_gumbel_is_short_form(self):
+        # survival exp(-e^(x - gamma_E)); mean zero
+        g = oracles.EULER_GAMMA
+        assert _empirical_survival("gumbel", g) == pytest.approx(math.exp(-1.0), abs=self.TOL)
+        x = sample(parse_spec("gumbel"), 400_000, SeedSpec(3))
+        assert abs(x.mean()) < 0.01
+
+    def test_loggamma_support_above_one(self):
+        assert _empirical_survival("loggamma:0.5,1", 1.0) == 1.0
+        assert np.median(sample(parse_spec("loggamma:2,1"), 10_000, SeedSpec(5))) > 1.0
+
+    def test_support_boundaries_return_survival_one(self):
+        for text in ("exp:1", "gamma:2", "weibull:2", "pareto:1", "lognormal"):
+            assert _empirical_survival(text, 0.0, n=10_000) == 1.0
+            assert _empirical_survival(text, -3.0, n=10_000) == 1.0
+
+
 class TestSampling:
     def test_deterministic_by_seed(self):
         spec = parse_spec("pareto:2")
@@ -166,29 +228,6 @@ class TestSampling:
         # mpmath reference is slow, so fewer points and the matching critical value
         x = sample(parse_spec(text), 4000, SeedSpec(2026, 9))
         assert oracles.ks_distance(x, cdf) < oracles.ks_critical(4000)
-
-    def test_exponential_rate_convention(self):
-        # exp:theta is keyed by its rate: mean 1/theta
-        x = sample(parse_spec("exp:100"), 200_000, SeedSpec(1))
-        assert abs(x.mean() - 0.01) < 5e-5
-        y = sample(parse_spec("exp:0.01"), 200_000, SeedSpec(1))
-        assert abs(y.mean() - 100.0) < 0.5
-
-    def test_uniform_range(self):
-        u = sample(parse_spec("uniform"), 10_000, SeedSpec(2))
-        assert 0.0 <= u.min() and u.max() < 1.0
-
-    def test_gumbel_has_mean_zero(self):
-        # the short-tailed form gamma_E - G, G standard Gumbel
-        x = sample(parse_spec("gumbel"), 400_000, SeedSpec(3))
-        assert abs(x.mean()) < 0.01
-
-    @pytest.mark.parametrize(
-        "family,bad", [("exp", 0.0), ("exp", -1.0), ("gamma", 0.0), ("t", -2.0)]
-    )
-    def test_rejects_nonpositive_parameters(self, family, bad):
-        with pytest.raises(ValueError):
-            DistributionSpec(family, (bad,))
 
     @pytest.mark.parametrize("text", [
         "exp:1", "logistic", "gamma:0.7", "uniform", "normal", "lognormal",

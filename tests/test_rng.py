@@ -1,4 +1,4 @@
-"""Seeded streams and the hand-rolled Erlang distribution functions."""
+"""Seeded streams, draws from them, and the hand-rolled Erlang distribution functions."""
 import math
 
 import numpy as np
@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tailtest.distributions import DistributionSpec, parse_spec, sample
 from tailtest.rng import (
     SeedSpec,
     erlang_criticals,
@@ -161,3 +162,33 @@ class TestErlangCriticals:
         with pytest.raises(ValueError):
             erlang_criticals(bad, 1)
 
+
+
+class TestDrawHelpers:
+    """Draws from a seeded stream, through the catalogue's sampler."""
+
+    def test_deterministic(self):
+        a = sample(parse_spec("normal"), 32, make_stream(9))
+        b = sample(parse_spec("normal"), 32, make_stream(9))
+        assert np.array_equal(a, b)
+
+    def test_exponential_rate_convention(self):
+        # rate theta means mean 1/theta
+        x = sample(parse_spec("exp:100"), 200_000, make_stream(1))
+        assert abs(x.mean() - 0.01) < 5e-5
+        y = sample(parse_spec("exp:0.01"), 200_000, make_stream(1))
+        assert abs(y.mean() - 100.0) < 0.5
+
+    def test_uniform_range(self):
+        u = sample(parse_spec("uniform"), 10_000, make_stream(2))
+        assert 0.0 <= u.min() and u.max() < 1.0
+
+    @pytest.mark.parametrize(
+        "family,bad",
+        [("exp", 0.0), ("exp", -1.0), ("gamma", 0.0), ("t", -2.0)],
+        # ids of the per-law draw_* helpers these checks first covered
+        ids=["draw_exponential-0.0", "draw_exponential--1.0", "draw_gamma-0.0", "draw_student_t--2.0"],
+    )
+    def test_rejects_nonpositive_parameters(self, family, bad):
+        with pytest.raises(ValueError):
+            DistributionSpec(family, (bad,))
