@@ -49,9 +49,6 @@ from .rng import SeedSpec, gamma_cdf, gamma_quantile, make_stream
 from .tail_test import (
     Sample,
     TailTestResult,
-    empirical_survival,
-    estimate_theta,
-    extreme_spacing,
     shift_sample,
     tail_test,
 )
@@ -80,10 +77,7 @@ __all__ = [
     "bryson_test",
     "consistency_scan",
     "emit_table",
-    "empirical_survival",
-    "estimate_theta",
     "exponential_null_table",
-    "extreme_spacing",
     "format_spec",
     "gamma_cdf",
     "gamma_quantile",

@@ -65,9 +65,7 @@ def partition(sample, k: int, strategy: str = "shuffle", seed: int = 0) -> list[
     for size in sizes:
         chunk = np.array(values[offset : offset + size])
         chunk.setflags(write=False)
-        srt = np.sort(chunk)
-        srt.setflags(write=False)
-        blocks.append(Sample(values=chunk, sorted=srt, shift=s.shift, n=size))
+        blocks.append(Sample(values=chunk, shift=s.shift, n=size))
         offset += size
     return blocks
 

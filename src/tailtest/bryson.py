@@ -31,7 +31,7 @@ def bryson_statistic(sample) -> float:
     values = s.values
     mx = s.maximum
     shift = mx / (s.n - 1)
-    lowest = float(s.sorted[0]) + shift
+    lowest = float(values.min()) + shift
     if lowest <= 0.0:
         raise ValueError(
             f"smallest value plus max/(n-1) is {lowest:g}; "

@@ -281,7 +281,13 @@ def build_parser() -> _Parser:
         "--smallmax-policy", choices=("error", "short", "raw"), default="raw"
     )
     p_sim.add_argument("--strategy", choices=("sequential", "shuffle"), default="sequential")
-    p_sim.add_argument("--threads", type=int, default=1)
+    p_sim.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="must be >= 1; replicates run in one thread and the output never "
+        "depends on this value",
+    )
     p_sim.add_argument("--format", choices=("csv", "json", "md"), default="csv")
     p_sim.add_argument("--out", help="write the table here instead of stdout")
     p_sim.set_defaults(func=_cmd_simulate)

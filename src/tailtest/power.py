@@ -1,8 +1,7 @@
 """Monte Carlo engine: rejection-rate tables for the plain and blocked tail test.
 
 Each replicate draws its own stream keyed by (base_seed, replicate index), so
-results are identical no matter how many threads run the plan or in what
-order replicates finish.
+a row's counts depend only on the plan, never on the order replicates run in.
 """
 from __future__ import annotations
 
@@ -10,12 +9,9 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-
-from .base import TailClass, decide
+from .base import DegenerateSampleError, TailClass, decide
 from .blocking import block_sizes
 from .distributions import (
     DistributionSpec,
@@ -25,6 +21,7 @@ from .distributions import (
     tail_class,
 )
 from .rng import SeedSpec, erlang_criticals, make_stream
+from .tail_test import spacing_statistic
 
 SMALLMAX_POLICIES = ("error", "short", "raw")
 _MAX_ERROR_NOTES = 10
@@ -118,10 +115,10 @@ def _replicate_outcome(values, offsets, lower, upper, policy):
     """Classify one replicate. Returns (TailClass or None, error message or None)."""
     total = 0.0
     for start, size in offsets:
-        block = values[start : start + size]
-        part = np.partition(block, (size - 2, size - 1))
-        mx = float(part[-1])
-        second = float(part[-2])
+        try:
+            t_j, _, _, _, mx = spacing_statistic(values[start : start + size])
+        except DegenerateSampleError as exc:
+            return None, str(exc)
         if mx <= 0.0:
             return None, f"block maximum {mx:g} <= 0, statistic undefined"
         if mx <= 1.0:
@@ -131,36 +128,11 @@ def _replicate_outcome(values, offsets, lower, upper, policy):
                 return TailClass.SHORT, None
             if mx == 1.0:  # raw formula would divide by log(1) = 0
                 return None, "block maximum exactly 1, statistic undefined"
-        log_max = math.log(mx)
-        exceed = int((block > log_max).sum())
-        if exceed == size:
-            t_j = 0.0
-        else:
-            theta = -math.log(exceed / size) / log_max
-            t_j = theta * (mx - second)
         total += t_j
     return decide(total, lower, upper), None
 
 
-def _run_chunk(plan, n, offsets, lower, upper, start, stop):
-    counts = {TailClass.SHORT: 0, TailClass.MEDIUM: 0, TailClass.LONG: 0}
-    notes = []
-    for r in range(start, stop):
-        stream = make_stream(SeedSpec(plan.base_seed, r))
-        values = draw_sample(plan.spec, n, stream)
-        if plan.strategy == "shuffle" and plan.k_blocks > 1:
-            values = stream.permutation(values)
-        outcome, err = _replicate_outcome(
-            values, offsets, lower, upper, plan.smallmax_policy
-        )
-        if outcome is None:
-            notes.append((r, err))
-        else:
-            counts[outcome] += 1
-    return counts, notes
-
-
-def _run_row(plan: SimulationPlan, n: int, threads: int) -> RateRow:
+def _run_row(plan: SimulationPlan, n: int) -> RateRow:
     sizes = block_sizes(n, plan.k_blocks)
     offsets = []
     pos = 0
@@ -169,28 +141,20 @@ def _run_row(plan: SimulationPlan, n: int, threads: int) -> RateRow:
         pos += size
     lower, upper = erlang_criticals(plan.alpha, plan.k_blocks)
 
-    if threads <= 1:
-        parts = [_run_chunk(plan, n, offsets, lower, upper, 0, plan.reps)]
-    else:
-        chunk = -(-plan.reps // threads)
-        ranges = [
-            (start, min(start + chunk, plan.reps))
-            for start in range(0, plan.reps, chunk)
-        ]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(
-                    lambda se: _run_chunk(plan, n, offsets, lower, upper, *se), ranges
-                )
-            )
-
     counts = {TailClass.SHORT: 0, TailClass.MEDIUM: 0, TailClass.LONG: 0}
     notes = []
-    for part_counts, part_notes in parts:
-        for key, value in part_counts.items():
-            counts[key] += value
-        notes.extend(part_notes)
-    notes.sort(key=lambda item: item[0])
+    for r in range(plan.reps):
+        stream = make_stream(SeedSpec(plan.base_seed, r))
+        values = draw_sample(plan.spec, n, stream)
+        if plan.strategy == "shuffle" and plan.k_blocks > 1:
+            values = stream.permutation(values)
+        outcome, err = _replicate_outcome(
+            values, offsets, lower, upper, plan.smallmax_policy
+        )
+        if outcome is None:
+            notes.append(f"replicate {r}: {err}")
+        else:
+            counts[outcome] += 1
 
     return RateRow(
         n=n,
@@ -202,15 +166,20 @@ def _run_row(plan: SimulationPlan, n: int, threads: int) -> RateRow:
         medium_count=counts[TailClass.MEDIUM],
         long_count=counts[TailClass.LONG],
         error_count=len(notes),
-        error_notes=tuple(
-            f"replicate {r}: {msg}" for r, msg in notes[:_MAX_ERROR_NOTES]
-        ),
+        error_notes=tuple(notes[:_MAX_ERROR_NOTES]),
     )
 
 
 def run_plan(plan: SimulationPlan, threads: int = 1) -> SimulationReport:
-    """Run every (n, replicate) cell of the plan; deterministic in base_seed."""
-    rows = tuple(_run_row(plan, n, threads) for n in plan.n_grid)
+    """Run every (n, replicate) cell of the plan; deterministic in base_seed.
+
+    Replicates run one after another in the calling thread. `threads` is kept
+    for callers that pass it; it must be >= 1 and changes neither the output
+    nor the speed.
+    """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    rows = tuple(_run_row(plan, n) for n in plan.n_grid)
     return SimulationReport(dist=format_spec(plan.spec), plan=plan, rows=rows)
 
 

@@ -1,8 +1,8 @@
 """Seeded random streams plus the Erlang distribution functions the tests rely on.
 
 Streams are counter-based (Philox) and keyed by (base_seed, stream_id), so
-replicate r of a simulation always sees the same variates no matter which
-thread runs it or in what order replicates execute.
+replicate r of a simulation always sees the same variates no matter in what
+order replicates execute.
 """
 from __future__ import annotations
 

@@ -18,20 +18,19 @@ from .rng import erlang_criticals
 
 @dataclass(frozen=True)
 class Sample:
-    """A validated dataset: values as given (post-shift), plus a sorted view.
+    """A validated dataset: values as given (post-shift).
 
-    `shift` records what was subtracted from the raw input; `values` and
-    `sorted` are read-only arrays of the shifted data.
+    `shift` records what was subtracted from the raw input; `values` is a
+    read-only array of the shifted data.
     """
 
     values: np.ndarray
-    sorted: np.ndarray
     shift: float
     n: int
 
     @property
     def maximum(self) -> float:
-        return float(self.sorted[-1])
+        return float(self.values.max())
 
 
 def shift_sample(values, mode=None) -> Sample:
@@ -62,9 +61,7 @@ def shift_sample(values, mode=None) -> Sample:
 
     shifted = arr - shift if shift != 0.0 else arr.copy()
     shifted.setflags(write=False)
-    srt = np.sort(shifted)
-    srt.setflags(write=False)
-    return Sample(values=shifted, sorted=srt, shift=shift, n=int(arr.size))
+    return Sample(values=shifted, shift=shift, n=int(arr.size))
 
 
 def as_sample(values) -> Sample:
@@ -90,40 +87,31 @@ class TailTestResult:
     tied_max: bool = False  # top two order statistics tie (T forced to 0)
 
 
-def empirical_survival(sample, t: float) -> float:
-    """Fraction of the sample strictly above t."""
-    s = as_sample(sample)
-    exceed = s.n - int(np.searchsorted(s.sorted, float(t), side="right"))
-    return exceed / s.n
+def spacing_statistic(block: np.ndarray) -> tuple[float, float, float, float, float]:
+    """T, theta_hat, spacing, F_n(ln X_(n)) and X_(n) of one 1-D block (size >= 2).
 
-
-def extreme_spacing(sample) -> float:
-    """X_(n) - X_(n-1); zero when the top two observations tie."""
-    s = as_sample(sample)
-    if s.n < 2:
-        raise ValueError(f"need at least 2 values for a spacing, got n={s.n}")
-    return float(s.sorted[-1] - s.sorted[-2])
-
-
-def _theta_and_survival(s: Sample) -> tuple[float, float]:
-    """The rate estimate and the empirical survival F_n(ln X_(n)) it rests on."""
-    mx = s.maximum
-    if mx <= 1.0:
-        raise MaxNotAboveOneError(
-            f"sample maximum {mx:g} is not above 1, so ln X_(n) <= 0; "
-            "rescale the data or apply an explicit shift"
-        )
+    This is the one place the statistic is computed. A single partition finds
+    X_(n) and X_(n-1); the minimum is looked at only when those two tie, to
+    raise DegenerateSampleError on all-equal values. What a maximum <= 1
+    means is the caller's decision: in (0, 1) the formula is evaluated as
+    written, and at a maximum <= 0 or exactly 1, where ln X_(n) cannot divide,
+    T, theta_hat and the survival are NaN.
+    """
+    size = block.size
+    part = np.partition(block, (size - 2, size - 1))
+    mx = float(part[-1])
+    second = float(part[-2])
+    if second == mx and float(part.min()) == mx:
+        raise DegenerateSampleError("all sample values are equal")
+    spacing = mx - second
+    if mx <= 0.0 or mx == 1.0:
+        return math.nan, math.nan, spacing, math.nan, mx
     log_max = math.log(mx)
-    surv = empirical_survival(s, log_max)
-    if surv == 1.0:
-        return 0.0, surv
-    return -math.log(surv) / log_max, surv
-
-
-def estimate_theta(sample) -> float:
-    """Rate estimate -ln F_n(ln X_(n)) / ln X_(n); 0 when nothing is at or
-    below ln X_(n) (survival exactly 1, the concentrated boundary case)."""
-    return _theta_and_survival(as_sample(sample))[0]
+    surv = int((block > log_max).sum()) / size
+    # survival exactly 1 (nothing at or below ln X_(n)) is the concentrated
+    # boundary case: the rate estimate collapses to 0
+    theta = 0.0 if surv == 1.0 else -math.log(surv) / log_max
+    return theta * spacing, theta, spacing, surv, mx
 
 
 def _check_alpha(alpha: float) -> float:
@@ -144,12 +132,12 @@ def tail_test(sample, alpha: float = 0.05) -> TailTestResult:
     s = as_sample(sample)
     if s.n < 3:
         raise ValueError(f"need at least 3 values to test, got n={s.n}")
-    if s.sorted[0] == s.sorted[-1]:
-        raise DegenerateSampleError("all sample values are equal")
-
-    theta, surv = _theta_and_survival(s)  # raises MaxNotAboveOneError when max <= 1
-    spacing = extreme_spacing(s)
-    t_stat = theta * spacing
+    t_stat, theta, spacing, surv, mx = spacing_statistic(s.values)
+    if mx <= 1.0:
+        raise MaxNotAboveOneError(
+            f"sample maximum {mx:g} is not above 1, so ln X_(n) <= 0; "
+            "rescale the data or apply an explicit shift"
+        )
     p_long = math.exp(-t_stat)
     return TailTestResult(
         t_stat=t_stat,

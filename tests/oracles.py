@@ -56,6 +56,20 @@ def erlang_quantile_ref(p: float, k: int) -> float:
     return float((lo + hi) / 2)
 
 
+def spacing_statistic_ref(values) -> float:
+    """T = theta_hat * (X_(n) - X_(n-1)) from the sorted values in plain Python.
+
+    theta_hat = -ln F_n(ln X_(n)) / ln X_(n), F_n counting values strictly
+    above ln X_(n); theta_hat is 0 when every value lies above it. Needs
+    X_(n) > 1 and at least two values.
+    """
+    xs = sorted(float(v) for v in values)
+    log_max = math.log(xs[-1])
+    surv = sum(1 for v in xs if v > log_max) / len(xs)
+    theta = 0.0 if surv == 1.0 else -math.log(surv) / log_max
+    return theta * (xs[-1] - xs[-2])
+
+
 def ks_distance(values: np.ndarray, cdf) -> float:
     """Kolmogorov-Smirnov distance between a sample and a CDF callable."""
     x = np.sort(np.asarray(values, dtype=float))

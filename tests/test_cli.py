@@ -200,6 +200,15 @@ class TestSimulateCommand:
         eight = capsys.readouterr().out
         assert one == eight
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_bad_threads_exits_one(self, threads, capsys):
+        code = main(["simulate", "--dist", "exp:1", "--n", "50", "--reps", "200",
+                     "--threads", threads])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "threads must be >= 1" in captured.err
+
     def test_plan_file(self, tmp_path, capsys):
         plan = tmp_path / "plan.txt"
         plan.write_text("dist=exp:1\nn=60\nreps=200\nseed=2\n", encoding="utf-8")

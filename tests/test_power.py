@@ -6,11 +6,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailtest import (
+    DegenerateSampleError,
+    MaxNotAboveOneError,
     SimulationPlan,
+    TailClass,
     blocked_test,
     consistency_scan,
     emit_table,
@@ -141,38 +144,75 @@ class TestSmallMaxPolicies:
 @st.composite
 def engine_replicates(draw):
     """(k, values): n not always divisible by k, and a few repeated values so
-    that the top two order statistics of a block often tie."""
+    that the top two order statistics of a block often tie, whole blocks are
+    constant, or a block maximum is at most 1."""
     k = draw(st.integers(min_value=1, max_value=4))
     n = draw(st.integers(min_value=3 * k, max_value=3 * k + 13))
     value = st.one_of(
-        st.sampled_from([0.5, 1.5, 2.0, 3.0, 7.5]),
+        st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 7.5]),
         st.floats(min_value=0.0, max_value=100.0),
+        st.floats(min_value=0.0, max_value=1.0),
     )
     return k, np.array(draw(st.lists(value, min_size=n, max_size=n)))
+
+
+def _engine_outcome(values, k, policy):
+    offsets, pos = [], 0
+    for size in block_sizes(len(values), k):
+        offsets.append((pos, size))
+        pos += size
+    lower, upper = erlang_criticals(0.05, k)
+    return _replicate_outcome(values, offsets, lower, upper, policy)
+
+
+def _public_decision(values, k):
+    if k == 1:
+        return tail_test(values).decision
+    return blocked_test(values, k, strategy="sequential").decision
 
 
 class TestEngineMatchesSingleSampleTests:
     @given(case=engine_replicates())
     @settings(max_examples=300, deadline=None)
     def test_replicate_class_matches(self, case):
-        # the engine's per-replicate class equals the public tests' decision
-        # whenever every sequential block has max > 1 and is not constant
+        # under 'error' the engine reports an error exactly when the public
+        # tests raise, and otherwise gives their decision
         k, values = case
-        offsets, pos = [], 0
-        for size in block_sizes(len(values), k):
-            offsets.append((pos, size))
-            pos += size
-        for start, size in offsets:
-            block = values[start : start + size]
-            assume(block.max() > 1.0 and block.min() < block.max())
-        lower, upper = erlang_criticals(0.05, k)
-        got, err = _replicate_outcome(values, offsets, lower, upper, "error")
+        got, err = _engine_outcome(values, k, "error")
+        try:
+            expected = _public_decision(values, k)
+        except (DegenerateSampleError, MaxNotAboveOneError):
+            assert got is None and err
+            return
         assert err is None
-        if k == 1:
-            expected = tail_test(values).decision
-        else:
-            expected = blocked_test(values, k, strategy="sequential").decision
         assert got is expected
+
+    @given(case=engine_replicates())
+    @settings(max_examples=300, deadline=None)
+    def test_short_policy_calls_small_max_short(self, case):
+        # values are >= 0, so a block with max <= 1 that is not constant has
+        # max > 0: under 'short' the first such block makes the replicate Short
+        k, values = case
+        got, err = _engine_outcome(values, k, "short")
+        try:
+            expected = _public_decision(values, k)
+        except DegenerateSampleError:
+            assert got is None and err == "all sample values are equal"
+            return
+        except MaxNotAboveOneError:
+            expected = TailClass.SHORT
+        assert err is None
+        assert got is expected
+
+    @pytest.mark.parametrize("policy", ["error", "short", "raw"])
+    @pytest.mark.parametrize("value", [2.0, 0.5])
+    def test_constant_block_is_an_error(self, value, policy):
+        # the public test raises DegenerateSampleError on these values, so the
+        # engine counts an error under every policy, never T = 0 and Short
+        with pytest.raises(DegenerateSampleError):
+            tail_test([value] * 3)
+        got, err = _engine_outcome(np.array([value] * 3), 1, policy)
+        assert (got, err) == (None, "all sample values are equal")
 
 
 class TestEmitters:

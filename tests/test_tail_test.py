@@ -3,22 +3,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tailtest import (
     DegenerateSampleError,
     MaxNotAboveOneError,
     TailClass,
-    empirical_survival,
-    estimate_theta,
-    extreme_spacing,
     shift_sample,
     tail_test,
 )
 from tailtest.distributions import parse_spec, sample as draw
 from tailtest.rng import SeedSpec
-from tailtest.tail_test import classify
+from tailtest.tail_test import classify, spacing_statistic
 
 from . import oracles
 
@@ -36,14 +33,13 @@ class TestShiftSample:
         s = shift_sample([3.0, 1.0, 2.0])
         assert s.shift == 0.0
         assert list(s.values) == [3.0, 1.0, 2.0]
-        assert list(s.sorted) == [1.0, 2.0, 3.0]
         assert s.n == 3
         assert s.maximum == 3.0
 
     def test_min_shift_zeroes_smallest(self):
         s = shift_sample([5.0, 2.0, 9.0], "min")
         assert s.shift == 2.0
-        assert s.sorted[0] == 0.0
+        assert list(s.values) == [3.0, 0.0, 7.0]
         assert s.maximum == 7.0
 
     def test_numeric_shift(self):
@@ -70,35 +66,76 @@ class TestShiftSample:
 
 class TestPieces:
     def test_empirical_survival_counts_strict_exceedance(self):
-        x = [1.0, 2.0, 2.0, 3.0]
-        assert empirical_survival(x, 2.0) == 0.25   # only 3.0 is strictly above
-        assert empirical_survival(x, 1.99) == 0.75
-        assert empirical_survival(x, 0.0) == 1.0
-        assert empirical_survival(x, 3.0) == 0.0
+        # values lying exactly at ln max do not count as exceeding it
+        log7 = math.log(7.0)
+        assert tail_test([log7, log7, 3.0, 7.0]).surv_at_log_max == 0.5
+        assert tail_test([1.0, log7, log7, 7.0]).surv_at_log_max == 0.25
+        assert tail_test([log7, 7.0, 7.0]).surv_at_log_max == 2 / 3
 
-    @given(finite_values, st.floats(min_value=-1e6, max_value=1e6))
+    @given(finite_values)
     @settings(max_examples=150)
-    def test_empirical_survival_matches_direct_count(self, xs, t):
-        expected = sum(1 for v in xs if v > t) / len(xs)
-        assert empirical_survival(xs, t) == pytest.approx(expected, abs=1e-12)
+    def test_empirical_survival_matches_direct_count(self, xs):
+        try:
+            res = tail_test(xs)
+        except ValueError:
+            return
+        log_max = math.log(max(xs))
+        assert res.surv_at_log_max == sum(1 for v in xs if v > log_max) / len(xs)
 
     def test_extreme_spacing(self):
-        assert extreme_spacing([1.0, 5.0, 2.0]) == 3.0
-        assert extreme_spacing([4.0, 4.0, 1.0]) == 0.0
-        with pytest.raises(ValueError):
-            extreme_spacing([1.0])
+        assert tail_test([1.0, 5.0, 2.0]).spacing == 3.0
+        assert tail_test([4.0, 4.0, 1.0]).spacing == 0.0
 
     def test_estimate_theta_known_sample(self):
         # {e, e^2, e^3}: ln max = 3, one of three values exceeds 3
-        assert estimate_theta([E, E**2, E**3]) == pytest.approx(-math.log(2 / 3) / 3, rel=1e-12)
+        res = tail_test([E, E**2, E**3])
+        assert res.theta_hat == pytest.approx(-math.log(2 / 3) / 3, rel=1e-12)
 
     def test_estimate_theta_zero_when_all_exceed_log_max(self):
         # every value sits above ln max, so survival is 1 and theta collapses to 0
-        assert estimate_theta([1.2, 1.3, 1.4]) == 0.0
+        assert tail_test([1.2, 1.3, 1.4]).theta_hat == 0.0
 
     def test_estimate_theta_needs_max_above_one(self):
+        # the kernel evaluates the formula for a maximum in (0, 1); the test refuses it
+        assert spacing_statistic(np.array([-1.0, 0.5, 0.9]))[1] < 0.0
         with pytest.raises(MaxNotAboveOneError):
-            estimate_theta([0.2, 0.5, 0.9])
+            tail_test([-1.0, 0.5, 0.9])
+
+
+@st.composite
+def blocks_with_edges(draw):
+    """Non-constant blocks with max > 1, often with ties at the top and values
+    lying exactly at ln X_(n)."""
+    mx = draw(st.floats(min_value=1.0, max_value=1e6, exclude_min=True))
+    edge = st.sampled_from([mx, math.log(mx)])
+    other = st.floats(min_value=-1e6, max_value=mx)
+    rest = draw(st.lists(st.one_of(edge, other), min_size=1, max_size=40))
+    values = draw(st.permutations([mx] + rest))
+    assume(min(values) < mx)
+    return np.array(values)
+
+
+class TestKernel:
+    @given(blocks_with_edges())
+    @settings(max_examples=300)
+    def test_matches_sorted_order_reference(self, block):
+        assert spacing_statistic(block)[0] == oracles.spacing_statistic_ref(block)
+
+    def test_returns_every_piece(self):
+        t, theta, spacing, surv, mx = spacing_statistic(np.array([E**3, E, E**2]))
+        assert (theta, spacing, surv, mx) == (-math.log(2 / 3) / 3, E**3 - E**2, 2 / 3, E**3)
+        assert t == theta * spacing
+
+    @pytest.mark.parametrize("values", [[2.0, 2.0, 2.0], [0.5, 0.5], [-1.0, -1.0, -1.0]])
+    def test_constant_block_is_degenerate(self, values):
+        with pytest.raises(DegenerateSampleError, match="all sample values are equal"):
+            spacing_statistic(np.array(values))
+
+    @pytest.mark.parametrize("values", [[0.1, 0.5, 1.0], [-3.0, -1.0, 0.0], [-3.0, -2.0, -1.0]])
+    def test_undefined_formula_gives_nan(self, values):
+        t, theta, spacing, surv, mx = spacing_statistic(np.array(values))
+        assert math.isnan(t) and math.isnan(theta) and math.isnan(surv)
+        assert (spacing, mx) == (values[2] - values[1], values[2])
 
 
 class TestKnownAnswers:
