@@ -19,6 +19,14 @@ class TailClass(str, enum.Enum):
         return self.value
 
 
+def check_alpha(alpha: float) -> float:
+    """The one-sided level as a float; it must lie in (0, 0.5)."""
+    alpha = float(alpha)
+    if not 0.0 < alpha < 0.5:
+        raise ValueError(f"alpha must lie in (0, 0.5), got {alpha}")
+    return alpha
+
+
 def decide(stat: float, lower: float, upper: float) -> TailClass:
     """Short below `lower`, Long above `upper`, Medium on or between them."""
     if stat < lower:

@@ -6,12 +6,12 @@ sharpens power; under a medium tail the sum is asymptotically gamma(k,1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
-import numpy as np
-
-from .base import BlockTooSmallError, TailClass, decide
+from .base import BlockTooSmallError, DegenerateSampleError, MaxNotAboveOneError
+from .base import TailClass, check_alpha, decide
 from .rng import erlang_criticals, gamma_cdf, make_stream
-from .tail_test import Sample, as_sample, tail_test
+from .tail_test import Sample, as_sample, spacing_statistic
 
 MIN_BLOCK = 3  # a block needs X_(n), X_(n-1) and a nondegenerate survival
 
@@ -43,6 +43,12 @@ def block_sizes(n: int, k: int) -> tuple[int, ...]:
     return tuple(base + 1 for _ in range(extra)) + tuple(base for _ in range(k - extra))
 
 
+def block_slices(n: int, k: int) -> list[slice]:
+    """Slices that cut n points into the blocks of block_sizes(n, k), in order."""
+    bounds = (0, *accumulate(block_sizes(n, k)))
+    return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
+
+
 def partition(sample, k: int, strategy: str = "shuffle", seed: int = 0) -> list[Sample]:
     """Split a sample into k blocks of near-equal size.
 
@@ -52,22 +58,34 @@ def partition(sample, k: int, strategy: str = "shuffle", seed: int = 0) -> list[
     equivalent in law.
     """
     s = as_sample(sample)
-    sizes = block_sizes(s.n, k)
+    slices = block_slices(s.n, k)
     if strategy == "sequential":
-        values = s.values
+        values = s.values.view()
     elif strategy == "shuffle":
         values = make_stream(int(seed)).permutation(s.values)
     else:
         raise ValueError(f"unknown partition strategy {strategy!r}")
 
-    blocks: list[Sample] = []
-    offset = 0
-    for size in sizes:
-        chunk = np.array(values[offset : offset + size])
-        chunk.setflags(write=False)
-        blocks.append(Sample(values=chunk, shift=s.shift, n=size))
-        offset += size
-    return blocks
+    values.setflags(write=False)  # and so every block, a view into it
+    return [Sample(values=values[sl], shift=s.shift, n=sl.stop - sl.start) for sl in slices]
+
+
+def block_statistics(blocks, smallmax: str = "error") -> list[float] | None:
+    """The statistic T of each 1-D block, in order, under a small-maximum policy.
+
+    Returns None as soon as a block is called Short (see spacing_statistic).
+    A block the kernel refuses raises its error with a "block j of k: " prefix.
+    """
+    stats = []
+    for j, block in enumerate(blocks):
+        try:
+            piece = spacing_statistic(block, smallmax)
+        except (DegenerateSampleError, MaxNotAboveOneError) as exc:
+            raise type(exc)(f"block {j + 1} of {len(blocks)}: {exc}") from exc
+        if piece is None:
+            return None
+        stats.append(piece[0])
+    return stats
 
 
 def blocked_test(
@@ -83,13 +101,9 @@ def blocked_test(
     blocks would silently change k and with it the null law); the error
     message names the offending block.
     """
+    alpha = check_alpha(alpha)
     blocks = partition(sample, k, strategy=strategy, seed=seed)
-    stats = []
-    for j, block in enumerate(blocks):
-        try:
-            stats.append(tail_test(block, alpha).t_stat)
-        except ValueError as exc:
-            raise type(exc)(f"block {j + 1} of {k}: {exc}") from exc
+    stats = block_statistics([b.values for b in blocks])
 
     total = float(sum(stats))
     lower, upper = erlang_criticals(alpha, k)
@@ -102,7 +116,7 @@ def blocked_test(
         upper_crit=upper,
         decision=decide(total, lower, upper),
         block_sizes=tuple(b.n for b in blocks),
-        alpha=float(alpha),
+        alpha=alpha,
         p_short=p_short,
         p_long=1.0 - p_short,
     )

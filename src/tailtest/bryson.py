@@ -14,7 +14,7 @@ import numpy as np
 # np.quantile imports numpy.ma on first use; load it here so the cost falls at import
 import numpy.ma  # noqa: F401
 
-from .base import TableMismatchError, TailClass, decide
+from .base import TableMismatchError, TailClass, check_alpha, decide
 from .distributions import DistributionSpec, format_spec, nonnegative, sample as draw_sample
 from .rng import SeedSpec, make_stream
 from .tail_test import as_sample
@@ -140,8 +140,7 @@ def bryson_test(
     Short if T* falls below the alpha/2 quantile, Long above the 1-alpha/2
     quantile, Medium between. A passed-in table must match the sample's n.
     """
-    if not 0.0 < alpha < 0.5:
-        raise ValueError(f"alpha must lie in (0, 0.5), got {alpha}")
+    alpha = check_alpha(alpha)
     s = as_sample(sample)
     t_star = bryson_statistic(s)
     lo_p, hi_p = alpha / 2.0, 1.0 - alpha / 2.0
@@ -157,7 +156,7 @@ def bryson_test(
         t_star=t_star,
         n=s.n,
         decision=decide(t_star, lower, upper),
-        alpha=float(alpha),
+        alpha=alpha,
         lower_crit=lower,
         upper_crit=upper,
         table=null_table,

@@ -19,12 +19,7 @@ from .base import DatasetError, TailClass
 from .blocking import blocked_test
 from .bryson import bryson_test, simulate_bryson_quantiles
 from .distributions import parse_spec
-from .power import (
-    SimulationPlan,
-    emit_table,
-    parse_plan_file,
-    run_plan,
-)
+from .power import SMALLMAX_POLICIES, SimulationPlan, emit_table, parse_plan_file, run_plan
 from .tail_test import shift_sample, tail_test
 
 _EXIT_CODE = {TailClass.MEDIUM: 0, TailClass.SHORT: 2, TailClass.LONG: 3}
@@ -277,9 +272,7 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--alpha", type=float, default=0.05)
     p_sim.add_argument("--reps", type=int, default=10_000)
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument(
-        "--smallmax-policy", choices=("error", "short", "raw"), default="raw"
-    )
+    p_sim.add_argument("--smallmax-policy", choices=SMALLMAX_POLICIES, default="raw")
     p_sim.add_argument("--strategy", choices=("sequential", "shuffle"), default="sequential")
     p_sim.add_argument(
         "--threads",

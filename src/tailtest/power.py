@@ -11,8 +11,8 @@ import json
 import math
 from dataclasses import dataclass
 
-from .base import DegenerateSampleError, TailClass, decide
-from .blocking import block_sizes
+from .base import DegenerateSampleError, MaxNotAboveOneError, TailClass, check_alpha, decide
+from .blocking import block_sizes, block_slices, block_statistics
 from .distributions import (
     DistributionSpec,
     format_spec,
@@ -21,7 +21,6 @@ from .distributions import (
     tail_class,
 )
 from .rng import SeedSpec, erlang_criticals, make_stream
-from .tail_test import spacing_statistic
 
 SMALLMAX_POLICIES = ("error", "short", "raw")
 _MAX_ERROR_NOTES = 10
@@ -32,10 +31,12 @@ class SimulationPlan:
     """What to simulate: a law, a grid of sample sizes, and test settings.
 
     smallmax_policy says what to do with a replicate whose (block) maximum is
-    not above 1: 'error' tallies it as an aborted replicate, 'short' classifies
-    the replicate Short outright, and 'raw' (default) evaluates the statistic
-    formula as written, negative log-maximum and all, which drives such
-    replicates to Short unless the maximum is <= 0.
+    not above 1, by the rule in tail_test.spacing_statistic: 'error' tallies
+    it as an aborted replicate; 'short' classifies the replicate Short when
+    the maximum is in (0, 1]; 'raw' (default) evaluates the formula as written
+    when the maximum is in (0, 1), which drives such replicates to Short, and
+    tallies a maximum of exactly 1 as an error. A maximum <= 0 is an error
+    under every policy.
     """
 
     spec: DistributionSpec
@@ -51,8 +52,7 @@ class SimulationPlan:
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         if not self.n_grid:
             raise ValueError("n_grid is empty")
-        if not 0.0 < self.alpha < 0.5:
-            raise ValueError(f"alpha must lie in (0, 0.5), got {self.alpha}")
+        check_alpha(self.alpha)
         if self.reps < 100:
             raise ValueError(f"reps must be >= 100, got {self.reps}")
         if self.smallmax_policy not in SMALLMAX_POLICIES:
@@ -111,34 +111,17 @@ class SimulationReport:
     rows: tuple[RateRow, ...]
 
 
-def _replicate_outcome(values, offsets, lower, upper, policy):
+def _replicate_outcome(blocks, lower, upper, policy):
     """Classify one replicate. Returns (TailClass or None, error message or None)."""
-    total = 0.0
-    for start, size in offsets:
-        try:
-            t_j, _, _, _, mx = spacing_statistic(values[start : start + size])
-        except DegenerateSampleError as exc:
-            return None, str(exc)
-        if mx <= 0.0:
-            return None, f"block maximum {mx:g} <= 0, statistic undefined"
-        if mx <= 1.0:
-            if policy == "error":
-                return None, f"block maximum {mx:g} not above 1"
-            if policy == "short":
-                return TailClass.SHORT, None
-            if mx == 1.0:  # raw formula would divide by log(1) = 0
-                return None, "block maximum exactly 1, statistic undefined"
-        total += t_j
-    return decide(total, lower, upper), None
+    try:
+        stats = block_statistics(blocks, policy)
+    except (DegenerateSampleError, MaxNotAboveOneError) as exc:
+        return None, str(exc)
+    return (TailClass.SHORT if stats is None else decide(sum(stats), lower, upper)), None
 
 
 def _run_row(plan: SimulationPlan, n: int) -> RateRow:
-    sizes = block_sizes(n, plan.k_blocks)
-    offsets = []
-    pos = 0
-    for size in sizes:
-        offsets.append((pos, size))
-        pos += size
+    slices = block_slices(n, plan.k_blocks)
     lower, upper = erlang_criticals(plan.alpha, plan.k_blocks)
 
     counts = {TailClass.SHORT: 0, TailClass.MEDIUM: 0, TailClass.LONG: 0}
@@ -149,7 +132,7 @@ def _run_row(plan: SimulationPlan, n: int) -> RateRow:
         if plan.strategy == "shuffle" and plan.k_blocks > 1:
             values = stream.permutation(values)
         outcome, err = _replicate_outcome(
-            values, offsets, lower, upper, plan.smallmax_policy
+            [values[piece] for piece in slices], lower, upper, plan.smallmax_policy
         )
         if outcome is None:
             notes.append(f"replicate {r}: {err}")

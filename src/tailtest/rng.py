@@ -13,6 +13,8 @@ import numpy as np
 # numpy loads numpy.random lazily; load it here so the cost falls at import
 import numpy.random  # noqa: F401
 
+from .base import check_alpha
+
 _UINT64_MAX = 2**64 - 1
 
 
@@ -68,6 +70,8 @@ def gamma_cdf(x: float, k: int) -> float:
         raise ValueError(f"x must be >= 0, got {x}")
     if x == 0.0:
         return 0.0
+    if x == math.inf:
+        return 1.0
     if x <= k:
         # Lower tail. Summing P(Poisson(x) >= k) forward keeps full relative
         # accuracy; the 1 - sum route would cancel to noise below ~1e-16.
@@ -148,8 +152,7 @@ def erlang_criticals(alpha: float, k: int) -> tuple[float, float]:
     At k=1 the exact exponential-quantile forms are returned so the blocked
     test reduces bitwise to the plain test's thresholds.
     """
-    if not 0.0 < alpha < 0.5:
-        raise ValueError(f"alpha must lie in (0, 0.5), got {alpha}")
+    alpha = check_alpha(alpha)
     k = _check_shape(k)
     if k == 1:
         return -math.log1p(-alpha), -math.log(alpha)

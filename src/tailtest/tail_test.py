@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import DegenerateSampleError, MaxNotAboveOneError, TailClass, decide
+from .base import DegenerateSampleError, MaxNotAboveOneError, TailClass, check_alpha, decide
 from .rng import erlang_criticals
 
 
@@ -39,9 +39,7 @@ def shift_sample(values, mode=None) -> Sample:
     'min' subtracts the smallest observation (leaving it at exactly 0);
     a number c subtracts c from every value.
     """
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        arr = arr.reshape(-1)
+    arr = np.asarray(values, dtype=float).reshape(-1)
     if arr.size == 0:
         raise ValueError("sample is empty")
     bad = np.flatnonzero(~np.isfinite(arr))
@@ -87,15 +85,22 @@ class TailTestResult:
     tied_max: bool = False  # top two order statistics tie (T forced to 0)
 
 
-def spacing_statistic(block: np.ndarray) -> tuple[float, float, float, float, float]:
+def spacing_statistic(
+    block: np.ndarray, smallmax: str = "error"
+) -> tuple[float, float, float, float, float] | None:
     """T, theta_hat, spacing, F_n(ln X_(n)) and X_(n) of one 1-D block (size >= 2).
 
     This is the one place the statistic is computed. A single partition finds
     X_(n) and X_(n-1); the minimum is looked at only when those two tie, to
-    raise DegenerateSampleError on all-equal values. What a maximum <= 1
-    means is the caller's decision: in (0, 1) the formula is evaluated as
-    written, and at a maximum <= 0 or exactly 1, where ln X_(n) cannot divide,
-    T, theta_hat and the survival are NaN.
+    raise DegenerateSampleError on all-equal values.
+
+    It is also the one statement of the small-maximum rule. The formula needs
+    ln X_(n) defined and nonzero; `smallmax` says what a maximum <= 1 means:
+    - 'error': any maximum <= 1 raises MaxNotAboveOneError;
+    - 'short': a maximum in (0, 1] returns None, calling the whole sample Short;
+    - 'raw': a maximum in (0, 1) evaluates the formula as written;
+    and any other maximum <= 1 (<= 0 under every policy, exactly 1 under
+    'raw') raises MaxNotAboveOneError.
     """
     size = block.size
     part = np.partition(block, (size - 2, size - 1))
@@ -103,9 +108,15 @@ def spacing_statistic(block: np.ndarray) -> tuple[float, float, float, float, fl
     second = float(part[-2])
     if second == mx and float(part.min()) == mx:
         raise DegenerateSampleError("all sample values are equal")
+    if mx <= 1.0:
+        if smallmax == "short" and mx > 0.0:
+            return None
+        if not (smallmax == "raw" and 0.0 < mx < 1.0):
+            raise MaxNotAboveOneError(
+                f"sample maximum {mx:g} is not above 1, so ln X_(n) <= 0; "
+                "rescale the data or apply an explicit shift"
+            )
     spacing = mx - second
-    if mx <= 0.0 or mx == 1.0:
-        return math.nan, math.nan, spacing, math.nan, mx
     log_max = math.log(mx)
     surv = int((block > log_max).sum()) / size
     # survival exactly 1 (nothing at or below ln X_(n)) is the concentrated
@@ -114,30 +125,18 @@ def spacing_statistic(block: np.ndarray) -> tuple[float, float, float, float, fl
     return theta * spacing, theta, spacing, surv, mx
 
 
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not 0.0 < alpha < 0.5:
-        raise ValueError(f"alpha must lie in (0, 0.5), got {alpha}")
-    return alpha
-
-
 def classify(t_stat: float, alpha: float) -> TailClass:
     """Map a statistic to Short/Medium/Long at level alpha (one-sided each way)."""
-    return decide(t_stat, *erlang_criticals(_check_alpha(alpha), 1))
+    return decide(t_stat, *erlang_criticals(alpha, 1))
 
 
 def tail_test(sample, alpha: float = 0.05) -> TailTestResult:
     """Run the spacing test on a sample (n >= 3, maximum > 1)."""
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     s = as_sample(sample)
     if s.n < 3:
         raise ValueError(f"need at least 3 values to test, got n={s.n}")
-    t_stat, theta, spacing, surv, mx = spacing_statistic(s.values)
-    if mx <= 1.0:
-        raise MaxNotAboveOneError(
-            f"sample maximum {mx:g} is not above 1, so ln X_(n) <= 0; "
-            "rescale the data or apply an explicit shift"
-        )
+    t_stat, theta, spacing, surv, _ = spacing_statistic(s.values)
     p_long = math.exp(-t_stat)
     return TailTestResult(
         t_stat=t_stat,

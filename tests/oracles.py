@@ -61,7 +61,7 @@ def spacing_statistic_ref(values) -> float:
 
     theta_hat = -ln F_n(ln X_(n)) / ln X_(n), F_n counting values strictly
     above ln X_(n); theta_hat is 0 when every value lies above it. Needs
-    X_(n) > 1 and at least two values.
+    X_(n) > 0, X_(n) != 1 and at least two values.
     """
     xs = sorted(float(v) for v in values)
     log_max = math.log(xs[-1])

@@ -8,13 +8,16 @@ from hypothesis import strategies as st
 
 from tailtest import (
     BlockTooSmallError,
+    DegenerateSampleError,
+    MaxNotAboveOneError,
+    Sample,
     TailClass,
     blocked_test,
     partition,
     recommend_blocks,
     tail_test,
 )
-from tailtest.blocking import block_sizes
+from tailtest.blocking import block_sizes, block_slices, block_statistics
 from tailtest.distributions import parse_spec, sample as draw
 from tailtest.power import SimulationPlan, run_plan
 from tailtest.rng import SeedSpec, erlang_criticals, gamma_cdf
@@ -81,6 +84,14 @@ class TestPartition:
         with pytest.raises(ValueError):
             partition([1.0, 2.0, 3.0], 1, strategy="sorted")
 
+    @pytest.mark.parametrize("strategy", ["sequential", "shuffle"])
+    def test_blocks_are_read_only_and_leave_input_writable(self, strategy):
+        given = Sample(values=np.arange(1.0, 7.0), shift=0.0, n=6)
+        for block in partition(given, 2, strategy=strategy):
+            with pytest.raises(ValueError):
+                block.values[0] = 99.0
+        given.values[0] = 99.0
+
 
 class TestBlockedEquivalence:
     def test_k1_matches_plain_test_bitwise(self):
@@ -120,6 +131,22 @@ class TestBlockedKnownAnswers:
         with pytest.raises(ValueError, match="block 2 of 2"):
             blocked_test(x, 2, strategy="sequential")
 
+    def test_infinite_sum_is_long_with_p_long_zero(self):
+        # the first block's spacing overflows to inf, so T and the sum are inf
+        x = [-1.7e308, -1.7e308, 1.7e308, 1.0, 2.0, 3.0]
+        res = blocked_test(x, 2, strategy="sequential")
+        assert res.sum_stat == math.inf
+        assert res.decision is TailClass.LONG
+        assert (res.p_short, res.p_long) == (1.0, 0.0)
+
+    def test_alpha_checked_before_split(self):
+        # the message carries no block prefix, and alpha is checked before k
+        x = np.arange(2.0, 14.0)
+        for k in (2, 100):
+            with pytest.raises(ValueError) as info:
+                blocked_test(x, k, alpha=0.7)
+            assert str(info.value) == "alpha must lie in (0, 0.5), got 0.7"
+
     def test_decision_consistent_with_criticals(self):
         x = draw(parse_spec("exp:1"), 600, SeedSpec(77))
         res = blocked_test(x, 5, strategy="sequential")
@@ -138,6 +165,41 @@ class TestBlockedKnownAnswers:
         res = blocked_test(x, k, strategy="sequential")
         assert res.sum_stat == pytest.approx(sum(res.block_stats), rel=1e-12)
         assert len(res.block_stats) == k
+
+
+class TestBlockStatistics:
+    def test_slices_follow_block_sizes(self):
+        for n, k in ((12, 4), (101, 5), (101, 25), (7, 1)):
+            slices = block_slices(n, k)
+            assert [sl.stop - sl.start for sl in slices] == list(block_sizes(n, k))
+            assert slices[0].start == 0 and slices[-1].stop == n
+            assert all(a.stop == b.start for a, b in zip(slices, slices[1:]))
+
+    def test_stats_in_block_order(self):
+        blocks = [np.array([E, E**2, E**3]), np.array([1.0, 2.0, 5.0])]
+        assert block_statistics(blocks) == [
+            oracles.spacing_statistic_ref(blocks[0]),
+            oracles.spacing_statistic_ref(blocks[1]),
+        ]
+
+    def test_short_block_makes_whole_sample_short(self):
+        # the third block would raise, but the second already calls the sample Short
+        blocks = [np.array([1.0, 2.0, 5.0]), np.array([0.1, 0.2, 0.5]), np.array([3.0] * 3)]
+        assert block_statistics(blocks, "short") is None
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [([0.1, 0.2, 0.5], MaxNotAboveOneError), ([3.0] * 3, DegenerateSampleError)],
+    )
+    def test_refused_block_is_named(self, bad, error):
+        blocks = [np.array([1.0, 2.0, 5.0]), np.array(bad), np.array([1.0, 2.0, 5.0])]
+        with pytest.raises(error, match=r"^block 2 of 3: "):
+            block_statistics(blocks)
+
+    def test_other_errors_pass_through_unprefixed(self):
+        # an infinite maximum leaves no value above ln X_(n): ln 0 is undefined
+        with pytest.raises(ValueError, match=r"^math domain error$"):
+            block_statistics([np.array([1.0, 2.0, 5.0]), np.array([1.0, 2.0, math.inf])])
 
 
 class TestSequentialVersusShuffle:

@@ -22,10 +22,11 @@ from tailtest import (
     tail_test,
 )
 from tailtest.base import BlockTooSmallError
-from tailtest.blocking import block_sizes
+from tailtest.blocking import block_slices
 from tailtest.distributions import parse_spec
 from tailtest.power import CSV_HEADER, _replicate_outcome
-from tailtest.rng import erlang_criticals
+from tailtest.distributions import sample as draw_sample
+from tailtest.rng import SeedSpec, erlang_criticals, make_stream
 
 
 def small_plan(dist="exp:1", n=(50,), **kw):
@@ -122,6 +123,14 @@ class TestSmallMaxPolicies:
         assert row.error_count == 400
         assert row.short_count == 0
 
+    def test_error_notes_use_public_message(self):
+        # replicate 0 of small_plan draws stream (7, 0)
+        row = run_plan(small_plan("uniform", n=(50,), smallmax_policy="error")).rows[0]
+        values = draw_sample(parse_spec("uniform"), 50, make_stream(SeedSpec(7, 0)))
+        with pytest.raises(MaxNotAboveOneError) as info:
+            tail_test(values)
+        assert row.error_notes[0] == f"replicate 0: block 1 of 1: {info.value}"
+
     def test_uniform_short_policy_classifies_short(self):
         row = run_plan(small_plan("uniform", n=(50,), smallmax_policy="short")).rows[0]
         assert row.short_rate == 1.0
@@ -157,12 +166,9 @@ def engine_replicates(draw):
 
 
 def _engine_outcome(values, k, policy):
-    offsets, pos = [], 0
-    for size in block_sizes(len(values), k):
-        offsets.append((pos, size))
-        pos += size
+    blocks = [values[piece] for piece in block_slices(len(values), k)]
     lower, upper = erlang_criticals(0.05, k)
-    return _replicate_outcome(values, offsets, lower, upper, policy)
+    return _replicate_outcome(blocks, lower, upper, policy)
 
 
 def _public_decision(values, k):
@@ -176,13 +182,13 @@ class TestEngineMatchesSingleSampleTests:
     @settings(max_examples=300, deadline=None)
     def test_replicate_class_matches(self, case):
         # under 'error' the engine reports an error exactly when the public
-        # tests raise, and otherwise gives their decision
+        # tests raise, in their words, and otherwise gives their decision
         k, values = case
         got, err = _engine_outcome(values, k, "error")
         try:
             expected = _public_decision(values, k)
-        except (DegenerateSampleError, MaxNotAboveOneError):
-            assert got is None and err
+        except (DegenerateSampleError, MaxNotAboveOneError) as exc:
+            assert got is None and err.endswith(str(exc))
             return
         assert err is None
         assert got is expected
@@ -196,8 +202,8 @@ class TestEngineMatchesSingleSampleTests:
         got, err = _engine_outcome(values, k, "short")
         try:
             expected = _public_decision(values, k)
-        except DegenerateSampleError:
-            assert got is None and err == "all sample values are equal"
+        except DegenerateSampleError as exc:
+            assert got is None and err.endswith(str(exc))
             return
         except MaxNotAboveOneError:
             expected = TailClass.SHORT
@@ -209,10 +215,10 @@ class TestEngineMatchesSingleSampleTests:
     def test_constant_block_is_an_error(self, value, policy):
         # the public test raises DegenerateSampleError on these values, so the
         # engine counts an error under every policy, never T = 0 and Short
-        with pytest.raises(DegenerateSampleError):
+        with pytest.raises(DegenerateSampleError) as info:
             tail_test([value] * 3)
         got, err = _engine_outcome(np.array([value] * 3), 1, policy)
-        assert (got, err) == (None, "all sample values are equal")
+        assert got is None and err.endswith(str(info.value))
 
 
 class TestEmitters:

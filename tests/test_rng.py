@@ -80,6 +80,11 @@ class TestGammaCdf:
             assert gamma_cdf(x, k) == pytest.approx(erlang_cdf_ref(x, k), abs=1e-13)
         assert gamma_cdf(5000.0, 3) == 1.0
 
+    @pytest.mark.parametrize("k", [1, 3, 25])
+    def test_infinity_is_one(self, k):
+        # the log-space branch would form 0 * inf for the i = 0 term
+        assert gamma_cdf(math.inf, k) == 1.0
+
     def test_k1_is_exponential(self):
         for x in (0.05, 1.0, 3.0):
             assert gamma_cdf(x, 1) == pytest.approx(-math.expm1(-x), abs=1e-15)

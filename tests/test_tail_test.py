@@ -96,8 +96,9 @@ class TestPieces:
         assert tail_test([1.2, 1.3, 1.4]).theta_hat == 0.0
 
     def test_estimate_theta_needs_max_above_one(self):
-        # the kernel evaluates the formula for a maximum in (0, 1); the test refuses it
-        assert spacing_statistic(np.array([-1.0, 0.5, 0.9]))[1] < 0.0
+        # the kernel evaluates the formula for a maximum in (0, 1) under 'raw';
+        # the test refuses it
+        assert spacing_statistic(np.array([-1.0, 0.5, 0.9]), "raw")[1] < 0.0
         with pytest.raises(MaxNotAboveOneError):
             tail_test([-1.0, 0.5, 0.9])
 
@@ -113,6 +114,21 @@ def blocks_with_edges(draw):
     values = draw(st.permutations([mx] + rest))
     assume(min(values) < mx)
     return np.array(values)
+
+
+@st.composite
+def blocks_below_one(draw):
+    """Non-constant blocks with max in (0, 1), often with values at ln X_(n)."""
+    mx = draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+    edge = st.sampled_from([mx, math.log(mx)])
+    other = st.floats(min_value=-1e6, max_value=mx)
+    rest = draw(st.lists(st.one_of(edge, other), min_size=1, max_size=40))
+    values = draw(st.permutations([mx] + rest))
+    assume(min(values) < mx)
+    return np.array(values)
+
+
+POLICIES = ["error", "short", "raw"]
 
 
 class TestKernel:
@@ -131,11 +147,34 @@ class TestKernel:
         with pytest.raises(DegenerateSampleError, match="all sample values are equal"):
             spacing_statistic(np.array(values))
 
+    @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("values", [[0.1, 0.5, 1.0], [-3.0, -1.0, 0.0], [-3.0, -2.0, -1.0]])
-    def test_undefined_formula_gives_nan(self, values):
-        t, theta, spacing, surv, mx = spacing_statistic(np.array(values))
-        assert math.isnan(t) and math.isnan(theta) and math.isnan(surv)
-        assert (spacing, mx) == (values[2] - values[1], values[2])
+    def test_max_not_positive_or_exactly_one_raises(self, values, policy):
+        # ln X_(n) is undefined or zero; only 'short' may call a maximum of
+        # exactly 1 Short, since 1 lies in (0, 1]
+        if policy == "short" and values[-1] == 1.0:
+            assert spacing_statistic(np.array(values), policy) is None
+            return
+        with pytest.raises(MaxNotAboveOneError, match="is not above 1"):
+            spacing_statistic(np.array(values), policy)
+
+    @pytest.mark.parametrize("mx", [1e-300, 0.25, 0.999, 1.0])
+    def test_short_policy_returns_none_in_unit_interval(self, mx):
+        assert spacing_statistic(np.array([-5.0, mx / 2, mx]), "short") is None
+
+    def test_error_policy_raises_in_unit_interval(self):
+        with pytest.raises(MaxNotAboveOneError, match="sample maximum 0.5 is not above 1"):
+            spacing_statistic(np.array([0.1, 0.2, 0.5]))
+
+    @given(blocks_below_one())
+    @settings(max_examples=300)
+    def test_raw_policy_matches_reference_in_unit_interval(self, block):
+        assert spacing_statistic(block, "raw")[0] == oracles.spacing_statistic_ref(block)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_policy_is_irrelevant_above_one(self, policy):
+        block = np.array([E**3, E, E**2])
+        assert spacing_statistic(block, policy) == spacing_statistic(block)
 
 
 class TestKnownAnswers:
