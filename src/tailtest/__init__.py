@@ -12,6 +12,7 @@ from .base import (
     DatasetError,
     DegenerateSampleError,
     MaxNotAboveOneError,
+    NonFiniteDrawError,
     TableMismatchError,
     TailClass,
 )
@@ -64,6 +65,7 @@ __all__ = [
     "DegenerateSampleError",
     "DistributionSpec",
     "MaxNotAboveOneError",
+    "NonFiniteDrawError",
     "Sample",
     "ScanVerdict",
     "SeedSpec",

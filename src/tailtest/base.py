@@ -49,6 +49,10 @@ class DegenerateSampleError(ValueError):
     """All sample values are equal; no spacing information exists."""
 
 
+class NonFiniteDrawError(ValueError):
+    """A simulated draw overflowed to inf (or is NaN), so no statistic exists."""
+
+
 class BlockTooSmallError(ValueError):
     """Requested block count leaves blocks too small to test."""
 

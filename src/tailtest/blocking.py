@@ -2,14 +2,16 @@
 
 Splitting the sample into k blocks and summing the per-block statistics
 sharpens power; under a medium tail the sum is asymptotically gamma(k,1).
+blocked_test and the Monte Carlo engine both score blocks via block_statistics.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .base import BlockTooSmallError, DegenerateSampleError, MaxNotAboveOneError
-from .base import TailClass, check_alpha, decide
+import numpy as np
+
+from .base import BlockTooSmallError, TailClass, check_alpha, decide
 from .rng import erlang_criticals, gamma_cdf, make_stream
 from .tail_test import Sample, as_sample, spacing_statistic
 
@@ -43,12 +45,6 @@ def block_sizes(n: int, k: int) -> tuple[int, ...]:
     return tuple(base + 1 for _ in range(extra)) + tuple(base for _ in range(k - extra))
 
 
-def block_slices(n: int, k: int) -> list[slice]:
-    """Slices that cut n points into the blocks of block_sizes(n, k), in order."""
-    bounds = (0, *accumulate(block_sizes(n, k)))
-    return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
-
-
 def partition(sample, k: int, strategy: str = "shuffle", seed: int = 0) -> list[Sample]:
     """Split a sample into k blocks of near-equal size.
 
@@ -57,35 +53,44 @@ def partition(sample, k: int, strategy: str = "shuffle", seed: int = 0) -> list[
     time-ordered data against serial structure. For i.i.d. data the two are
     equivalent in law.
     """
+    s, values, sizes = _arrange(sample, k, strategy, seed)
+    bounds = (0, *accumulate(sizes))
+    return [Sample(values[a:b], s.shift, b - a) for a, b in zip(bounds, bounds[1:])]
+
+
+def _arrange(sample, k: int, strategy: str, seed: int):
+    """The Sample, its values in block order (read-only) and the block sizes."""
     s = as_sample(sample)
-    slices = block_slices(s.n, k)
+    sizes = block_sizes(s.n, k)
     if strategy == "sequential":
         values = s.values.view()
     elif strategy == "shuffle":
         values = make_stream(int(seed)).permutation(s.values)
     else:
         raise ValueError(f"unknown partition strategy {strategy!r}")
-
     values.setflags(write=False)  # and so every block, a view into it
-    return [Sample(values=values[sl], shift=s.shift, n=sl.stop - sl.start) for sl in slices]
+    return s, values, sizes
 
 
-def block_statistics(blocks, smallmax: str = "error") -> list[float] | None:
-    """The statistic T of each 1-D block, in order, under a small-maximum policy.
+def block_statistics(values: np.ndarray, k: int, smallmax: str = "error") -> list[float] | None:
+    """T of each block of block_sizes(values.size, k), in order; callers check k.
 
-    Returns None as soon as a block is called Short (see spacing_statistic).
-    A block the kernel refuses raises its error with a "block j of k: " prefix.
+    The leading blocks of base+1 values, then those of base values, are two
+    row-major reshapes of `values`: at most two kernel calls and no copy.
+    None means a block was called Short; see spacing_statistic for the rule.
     """
-    stats = []
-    for j, block in enumerate(blocks):
-        try:
-            piece = spacing_statistic(block, smallmax)
-        except (DegenerateSampleError, MaxNotAboveOneError) as exc:
-            raise type(exc)(f"block {j + 1} of {len(blocks)}: {exc}") from exc
-        if piece is None:
-            return None
-        stats.append(piece[0])
-    return stats
+    if k == 1:  # the 1-D path skips a reshape and a 2-D slice
+        piece = spacing_statistic(values, smallmax, 0, 1)
+        return None if piece is None else [piece[0]]
+    base, extra = divmod(values.size, k)
+    if not extra:
+        return spacing_statistic(values.reshape(k, base), smallmax, 0, k)
+    cut = extra * (base + 1)
+    head = spacing_statistic(values[:cut].reshape(extra, base + 1), smallmax, 0, k)
+    if head is None:
+        return None
+    tail = spacing_statistic(values[cut:].reshape(k - extra, base), smallmax, extra, k)
+    return None if tail is None else head + tail
 
 
 def blocked_test(
@@ -102,8 +107,8 @@ def blocked_test(
     message names the offending block.
     """
     alpha = check_alpha(alpha)
-    blocks = partition(sample, k, strategy=strategy, seed=seed)
-    stats = block_statistics([b.values for b in blocks])
+    _, values, sizes = _arrange(sample, k, strategy, seed)
+    stats = block_statistics(values, k)
 
     total = float(sum(stats))
     lower, upper = erlang_criticals(alpha, k)
@@ -115,7 +120,7 @@ def blocked_test(
         lower_crit=lower,
         upper_crit=upper,
         decision=decide(total, lower, upper),
-        block_sizes=tuple(b.n for b in blocks),
+        block_sizes=sizes,
         alpha=alpha,
         p_short=p_short,
         p_long=1.0 - p_short,

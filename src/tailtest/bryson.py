@@ -14,7 +14,7 @@ import numpy as np
 # np.quantile imports numpy.ma on first use; load it here so the cost falls at import
 import numpy.ma  # noqa: F401
 
-from .base import TableMismatchError, TailClass, check_alpha, decide
+from .base import NonFiniteDrawError, TableMismatchError, TailClass, check_alpha, decide
 from .distributions import DistributionSpec, format_spec, nonnegative, sample as draw_sample
 from .rng import SeedSpec, make_stream
 from .tail_test import as_sample
@@ -25,12 +25,18 @@ _BOOTSTRAP_RESAMPLES = 200
 
 def bryson_statistic(sample) -> float:
     """T* for a sample of nonnegative values (n >= 2, max > 0)."""
-    s = as_sample(sample)
-    if s.n < 2:
-        raise ValueError(f"need at least 2 values, got n={s.n}")
-    values = s.values
-    mx = s.maximum
-    shift = mx / (s.n - 1)
+    return _t_star(as_sample(sample).values)
+
+
+def _t_star(values: np.ndarray) -> float:
+    """T* of a 1-D array, with no copy and no scan for non-finite values."""
+    n = values.size
+    if n < 2:
+        raise ValueError(f"need at least 2 values, got n={n}")
+    mx = float(values.max())
+    if not math.isfinite(mx):
+        raise NonFiniteDrawError(f"draw overflowed to {mx:g}; sample maximum must be finite")
+    shift = mx / (n - 1)
     lowest = float(values.min()) + shift
     if lowest <= 0.0:
         raise ValueError(
@@ -39,7 +45,7 @@ def bryson_statistic(sample) -> float:
         )
     # geometric mean via mean of logs; a product of n terms would overflow
     geo = math.exp(float(np.mean(np.log(values + shift))))
-    return float(values.mean()) * mx / ((s.n - 1) * geo * geo)
+    return float(values.mean()) * mx / ((n - 1) * geo * geo)
 
 
 @dataclass(frozen=True)
@@ -96,9 +102,9 @@ def simulate_bryson_quantiles(
             raise ValueError(f"quantile probs must lie in (0, 1), got {p}")
 
     stats = np.empty(reps)
-    for r in range(reps):
-        values = draw_sample(spec, n, make_stream(SeedSpec(seed, r)))
-        stats[r] = bryson_statistic(values)
+    with np.errstate(over="ignore"):  # _t_star names a draw that overflowed to inf
+        for r in range(reps):
+            stats[r] = _t_star(draw_sample(spec, n, make_stream(SeedSpec(seed, r))))
 
     qs = np.quantile(stats, probs, method="linear")
 

@@ -81,14 +81,6 @@ def _parse_shift(text: str):
         raise ValueError(f"--shift must be 'none', 'min', or a number, got {text!r}") from None
 
 
-def _preprocess(values: np.ndarray, negate: bool, use_abs: bool) -> np.ndarray:
-    if negate:
-        values = -values
-    if use_abs:
-        values = np.abs(values)
-    return values
-
-
 def _print_kv(pairs) -> None:
     width = max(len(key) for key, _ in pairs)
     for key, value in pairs:
@@ -107,16 +99,15 @@ def _text(value) -> str:
 
 def _cmd_test(args) -> int:
     values, skipped = read_dataset(args.path)
-    values = _preprocess(values, args.negate, args.abs)
+    if args.negate:
+        values = -values
+    if args.abs:
+        values = np.abs(values)
     sample = shift_sample(values, _parse_shift(args.shift))
 
     if args.blocks != 1:
         res = blocked_test(
-            sample,
-            args.blocks,
-            alpha=args.alpha,
-            strategy=args.block_strategy,
-            seed=args.block_seed,
+            sample, args.blocks, args.alpha, strategy=args.block_strategy, seed=args.block_seed
         )
         fields = {
             "mode": "blocked",
@@ -274,13 +265,7 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--smallmax-policy", choices=SMALLMAX_POLICIES, default="raw")
     p_sim.add_argument("--strategy", choices=("sequential", "shuffle"), default="sequential")
-    p_sim.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="must be >= 1; replicates run in one thread and the output never "
-        "depends on this value",
-    )
+    p_sim.add_argument("--threads", type=int, default=1, help="must be >= 1; has no effect")
     p_sim.add_argument("--format", choices=("csv", "json", "md"), default="csv")
     p_sim.add_argument("--out", help="write the table here instead of stdout")
     p_sim.set_defaults(func=_cmd_simulate)

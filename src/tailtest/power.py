@@ -2,6 +2,8 @@
 
 Each replicate draws its own stream keyed by (base_seed, replicate index), so
 a row's counts depend only on the plan, never on the order replicates run in.
+A draw goes whole to blocking.block_statistics, which scores all its blocks
+with at most two kernel calls; a draw that overflows to inf aborts the plan.
 """
 from __future__ import annotations
 
@@ -11,15 +13,12 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .base import DegenerateSampleError, MaxNotAboveOneError, TailClass, check_alpha, decide
-from .blocking import block_sizes, block_slices, block_statistics
-from .distributions import (
-    DistributionSpec,
-    format_spec,
-    parse_spec,
-    sample as draw_sample,
-    tail_class,
-)
+from .blocking import block_sizes, block_statistics
+from .distributions import DistributionSpec, format_spec, parse_spec, tail_class
+from .distributions import sample as draw_sample
 from .rng import SeedSpec, erlang_criticals, make_stream
 
 SMALLMAX_POLICIES = ("error", "short", "raw")
@@ -30,13 +29,9 @@ _MAX_ERROR_NOTES = 10
 class SimulationPlan:
     """What to simulate: a law, a grid of sample sizes, and test settings.
 
-    smallmax_policy says what to do with a replicate whose (block) maximum is
-    not above 1, by the rule in tail_test.spacing_statistic: 'error' tallies
-    it as an aborted replicate; 'short' classifies the replicate Short when
-    the maximum is in (0, 1]; 'raw' (default) evaluates the formula as written
-    when the maximum is in (0, 1), which drives such replicates to Short, and
-    tallies a maximum of exactly 1 as an error. A maximum <= 0 is an error
-    under every policy.
+    smallmax_policy is passed to tail_test.spacing_statistic, which states the
+    rule for a (block) maximum not above 1; a replicate it refuses is tallied
+    as an error, one it calls Short as Short. 'raw' is the default.
     """
 
     spec: DistributionSpec
@@ -111,33 +106,33 @@ class SimulationReport:
     rows: tuple[RateRow, ...]
 
 
-def _replicate_outcome(blocks, lower, upper, policy):
+def _replicate_outcome(values, k, lower, upper, policy):
     """Classify one replicate. Returns (TailClass or None, error message or None)."""
     try:
-        stats = block_statistics(blocks, policy)
+        stats = block_statistics(values, k, policy)
     except (DegenerateSampleError, MaxNotAboveOneError) as exc:
         return None, str(exc)
     return (TailClass.SHORT if stats is None else decide(sum(stats), lower, upper)), None
 
 
 def _run_row(plan: SimulationPlan, n: int) -> RateRow:
-    slices = block_slices(n, plan.k_blocks)
-    lower, upper = erlang_criticals(plan.alpha, plan.k_blocks)
+    k, policy = plan.k_blocks, plan.smallmax_policy
+    shuffle = plan.strategy == "shuffle" and k > 1
+    lower, upper = erlang_criticals(plan.alpha, k)
 
     counts = {TailClass.SHORT: 0, TailClass.MEDIUM: 0, TailClass.LONG: 0}
     notes = []
-    for r in range(plan.reps):
-        stream = make_stream(SeedSpec(plan.base_seed, r))
-        values = draw_sample(plan.spec, n, stream)
-        if plan.strategy == "shuffle" and plan.k_blocks > 1:
-            values = stream.permutation(values)
-        outcome, err = _replicate_outcome(
-            [values[piece] for piece in slices], lower, upper, plan.smallmax_policy
-        )
-        if outcome is None:
-            notes.append(f"replicate {r}: {err}")
-        else:
-            counts[outcome] += 1
+    with np.errstate(over="ignore"):  # the kernel names a draw that overflowed
+        for r in range(plan.reps):
+            stream = make_stream(SeedSpec(plan.base_seed, r))
+            values = draw_sample(plan.spec, n, stream)
+            if shuffle:
+                values = stream.permutation(values)
+            outcome, err = _replicate_outcome(values, k, lower, upper, policy)
+            if outcome is None:
+                notes.append(f"replicate {r}: {err}")
+            else:
+                counts[outcome] += 1
 
     return RateRow(
         n=n,
@@ -198,13 +193,7 @@ def consistency_scan(
     if sorted(grid) != list(grid):
         raise ValueError(f"n_grid must be ascending, got {grid}")
     plan = SimulationPlan(
-        spec=spec,
-        n_grid=grid,
-        k_blocks=k,
-        alpha=alpha,
-        reps=reps,
-        base_seed=base_seed,
-        smallmax_policy=smallmax_policy,
+        spec, grid, k, alpha, reps, base_seed=base_seed, smallmax_policy=smallmax_policy
     )
     report = run_plan(plan)
     if cls is TailClass.SHORT:
@@ -230,12 +219,6 @@ def consistency_scan(
 CSV_HEADER = "dist,n,k,alpha,short_rate,long_rate,stderr_s,stderr_l,errors,seed"
 
 
-def _as_report_list(reports) -> list[SimulationReport]:
-    if isinstance(reports, SimulationReport):
-        return [reports]
-    return list(reports)
-
-
 def emit_table(reports, fmt: str = "csv") -> str:
     """Render report(s) as 'csv', 'json', or 'md' (markdown).
 
@@ -243,7 +226,7 @@ def emit_table(reports, fmt: str = "csv") -> str:
     shape with one row per n and paired short/long columns per law; JSON
     carries the full provenance including counts and error notes.
     """
-    reports = _as_report_list(reports)
+    reports = [reports] if isinstance(reports, SimulationReport) else list(reports)
     fmt = fmt.lower()
     if fmt == "csv":
         return _emit_csv(reports)

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import DegenerateSampleError, MaxNotAboveOneError, TailClass, check_alpha, decide
+from .base import DegenerateSampleError, MaxNotAboveOneError, NonFiniteDrawError, TailClass
+from .base import check_alpha, decide
 from .rng import erlang_criticals
 
 
@@ -85,44 +86,58 @@ class TailTestResult:
     tied_max: bool = False  # top two order statistics tie (T forced to 0)
 
 
-def spacing_statistic(
-    block: np.ndarray, smallmax: str = "error"
-) -> tuple[float, float, float, float, float] | None:
-    """T, theta_hat, spacing, F_n(ln X_(n)) and X_(n) of one 1-D block (size >= 2).
+def spacing_statistic(blocks: np.ndarray, smallmax: str = "error", first: int = 0, k: int = 0):
+    """Each row's T, as a list, for a 2-D array with one block (>= 2 values)
+    per row; for a 1-D block, its T, theta_hat, spacing, F_n(ln X_(n)), X_(n).
 
-    This is the one place the statistic is computed. A single partition finds
-    X_(n) and X_(n-1); the minimum is looked at only when those two tie, to
-    raise DegenerateSampleError on all-equal values.
+    This is the one place T is computed: one partition finds every X_(n) and
+    X_(n-1), and one comparison counts each row's values above ln X_(n).
 
     It is also the one statement of the small-maximum rule. The formula needs
     ln X_(n) defined and nonzero; `smallmax` says what a maximum <= 1 means:
     - 'error': any maximum <= 1 raises MaxNotAboveOneError;
     - 'short': a maximum in (0, 1] returns None, calling the whole sample Short;
     - 'raw': a maximum in (0, 1) evaluates the formula as written;
-    and any other maximum <= 1 (<= 0 under every policy, exactly 1 under
-    'raw') raises MaxNotAboveOneError.
+    and any other maximum <= 1 raises MaxNotAboveOneError. Rows are checked in
+    order, all-equal values (DegenerateSampleError) first, and the first row
+    that is Short or refused decides; with k > 0 an error names row j "block
+    {first + j + 1} of {k}: ". A maximum that is not finite raises
+    NonFiniteDrawError.
     """
-    size = block.size
-    part = np.partition(block, (size - 2, size - 1))
-    mx = float(part[-1])
-    second = float(part[-2])
-    if second == mx and float(part.min()) == mx:
-        raise DegenerateSampleError("all sample values are equal")
-    if mx <= 1.0:
-        if smallmax == "short" and mx > 0.0:
-            return None
-        if not (smallmax == "raw" and 0.0 < mx < 1.0):
-            raise MaxNotAboveOneError(
-                f"sample maximum {mx:g} is not above 1, so ln X_(n) <= 0; "
-                "rescale the data or apply an explicit shift"
-            )
-    spacing = mx - second
-    log_max = math.log(mx)
-    surv = int((block > log_max).sum()) / size
-    # survival exactly 1 (nothing at or below ln X_(n)) is the concentrated
-    # boundary case: the rate estimate collapses to 0
-    theta = 0.0 if surv == 1.0 else -math.log(surv) / log_max
-    return theta * spacing, theta, spacing, surv, mx
+    m = blocks.shape[-1]
+    part = np.partition(blocks, (m - 2, m - 1), axis=-1)
+    rows = part[:, -2:].tolist() if blocks.ndim == 2 else [part[-2:].tolist()]
+    logs = []
+    for j, (second, mx) in enumerate(rows):
+        if second == mx and float(part.reshape(-1, m)[j].min()) == mx:
+            raise DegenerateSampleError(_prefix(first + j, k) + "all sample values are equal")
+        if mx <= 1.0:
+            if smallmax == "short" and mx > 0.0:
+                return None
+            if not (smallmax == "raw" and 0.0 < mx < 1.0):
+                raise MaxNotAboveOneError(
+                    f"{_prefix(first + j, k)}sample maximum {mx:g} is not above 1, "
+                    "so ln X_(n) <= 0; rescale the data or apply an explicit shift"
+                )
+        if not math.isfinite(mx):
+            raise NonFiniteDrawError(f"draw overflowed to {mx:g}; sample maximum must be finite")
+        logs.append(math.log(mx))
+    if len(logs) == 1:  # one row needs no broadcast
+        counts = [np.count_nonzero(blocks > logs[0])]
+    else:
+        counts = (blocks > np.array(logs)[:, np.newaxis]).sum(axis=1).tolist()
+    stats = []
+    for (second, mx), log_max, count in zip(rows, logs, counts):
+        surv = count / m
+        # survival exactly 1 (nothing at or below ln X_(n)) is the concentrated
+        # boundary case: the rate estimate collapses to 0
+        theta = 0.0 if surv == 1.0 else -math.log(surv) / log_max
+        stats.append(theta * (mx - second))
+    return stats if blocks.ndim == 2 else (stats[0], theta, mx - second, surv, mx)
+
+
+def _prefix(j: int, k: int) -> str:
+    return f"block {j + 1} of {k}: " if k else ""
 
 
 def classify(t_stat: float, alpha: float) -> TailClass:

@@ -70,6 +70,40 @@ def spacing_statistic_ref(values) -> float:
     return theta * (xs[-1] - xs[-2])
 
 
+def block_statistics_ref(values, k: int, smallmax: str):
+    """Per-block T of k blocks in a plain loop, with the small-maximum rule.
+
+    The blocks cut the values in order, the n mod k leading ones one value
+    larger. Block by block: all-equal values are refused first, then a
+    maximum <= 1 is Short (None) under 'short' when above 0, evaluated
+    under 'raw' when inside (0, 1), and refused otherwise; a maximum that is
+    not finite is refused last. Returns the list of T, None, or the refusal
+    as (error class name, message), the first block to decide winning.
+    """
+    xs = [float(v) for v in values]
+    base, extra = divmod(len(xs), k)
+    stats, start = [], 0
+    for j in range(k):
+        block = xs[start : start + base + (j < extra)]
+        start += len(block)
+        top = max(block)
+        where = f"block {j + 1} of {k}: "
+        if min(block) == top:
+            return "DegenerateSampleError", where + "all sample values are equal"
+        if top <= 1.0:
+            if smallmax == "short" and top > 0.0:
+                return None
+            if not (smallmax == "raw" and 0.0 < top < 1.0):
+                return "MaxNotAboveOneError", (
+                    f"{where}sample maximum {top:g} is not above 1, so ln X_(n) <= 0; "
+                    "rescale the data or apply an explicit shift"
+                )
+        if not math.isfinite(top):
+            return "NonFiniteDrawError", f"draw overflowed to {top:g}; sample maximum must be finite"
+        stats.append(spacing_statistic_ref(block))
+    return stats
+
+
 def ks_distance(values: np.ndarray, cdf) -> float:
     """Kolmogorov-Smirnov distance between a sample and a CDF callable."""
     x = np.sort(np.asarray(values, dtype=float))

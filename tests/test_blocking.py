@@ -17,7 +17,8 @@ from tailtest import (
     recommend_blocks,
     tail_test,
 )
-from tailtest.blocking import block_sizes, block_slices, block_statistics
+from tailtest.base import NonFiniteDrawError
+from tailtest.blocking import block_sizes, block_statistics
 from tailtest.distributions import parse_spec, sample as draw
 from tailtest.power import SimulationPlan, run_plan
 from tailtest.rng import SeedSpec, erlang_criticals, gamma_cdf
@@ -167,39 +168,97 @@ class TestBlockedKnownAnswers:
         assert len(res.block_stats) == k
 
 
+@st.composite
+def blocked_replicates(draw):
+    """(k, values) with k up to 30, n often not divisible by k, and blocks that
+    are constant, tie at the top, hold a maximum <= 1 (often exactly 1), or
+    overflow to inf, among ordinary blocks with values at ln X_(n).
+
+    Hypothesis picks the layout and each block's kind; a seeded generator
+    fills in the values, which keeps an example cheap at k = 30.
+    """
+    k = draw(st.integers(min_value=1, max_value=30))
+    base = draw(st.integers(min_value=3, max_value=6))
+    extra = draw(st.integers(min_value=0, max_value=k - 1))
+    kinds = ["free"] * k
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        j = draw(st.integers(min_value=0, max_value=k - 1))
+        kinds[j] = draw(st.sampled_from(["constant", "tied", "small", "inf"]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    values = []
+    for j, kind in enumerate(kinds):
+        size = base + (j < extra)
+        if kind == "constant":
+            values += [float(rng.choice([-1.0, 0.5, 1.0, 2.0, math.inf]))] * size
+            continue
+        mx = {
+            "free": 1.0 + float(rng.exponential(20.0)),
+            "tied": float(rng.choice([0.5, 1.0, 2.0, 7.5])),
+            "small": float(rng.choice([1.0, rng.uniform(-2.0, 1.0)])),
+            "inf": math.inf,
+        }[kind]
+        top = [mx] * (2 if kind == "tied" else 1)
+        rest = rng.uniform(-5.0, min(mx, 1e3), size - len(top))
+        if math.isfinite(mx) and mx > 0.0:
+            at_edge = rng.random(rest.size) < 0.25  # exactly X_(n) or ln X_(n)
+            rest[at_edge] = rng.choice([mx, math.log(mx)], int(at_edge.sum()))
+        block = np.concatenate([top, rest])
+        rng.shuffle(block)
+        values += block.tolist()
+    return k, np.array(values)
+
+
+def _block_outcome(values, k, smallmax):
+    try:
+        return block_statistics(values, k, smallmax)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
 class TestBlockStatistics:
     def test_slices_follow_block_sizes(self):
+        # partition cuts consecutive slices of block_sizes(n, k), in order
         for n, k in ((12, 4), (101, 5), (101, 25), (7, 1)):
-            slices = block_slices(n, k)
-            assert [sl.stop - sl.start for sl in slices] == list(block_sizes(n, k))
-            assert slices[0].start == 0 and slices[-1].stop == n
-            assert all(a.stop == b.start for a, b in zip(slices, slices[1:]))
+            data = np.arange(1.0, n + 1.0)
+            blocks = partition(data, k, strategy="sequential")
+            assert [b.n for b in blocks] == [b.values.size for b in blocks] == list(block_sizes(n, k))
+            assert np.array_equal(np.concatenate([b.values for b in blocks]), data)
 
     def test_stats_in_block_order(self):
-        blocks = [np.array([E, E**2, E**3]), np.array([1.0, 2.0, 5.0])]
-        assert block_statistics(blocks) == [
+        # n = 7, k = 2: a block of 4 and one of 3, from two reshapes
+        blocks = [np.array([E, E**2, E**3, 1.5]), np.array([1.0, 2.0, 5.0])]
+        assert block_statistics(np.concatenate(blocks), 2) == [
             oracles.spacing_statistic_ref(blocks[0]),
             oracles.spacing_statistic_ref(blocks[1]),
         ]
 
     def test_short_block_makes_whole_sample_short(self):
         # the third block would raise, but the second already calls the sample Short
-        blocks = [np.array([1.0, 2.0, 5.0]), np.array([0.1, 0.2, 0.5]), np.array([3.0] * 3)]
-        assert block_statistics(blocks, "short") is None
+        values = np.array([1.0, 2.0, 5.0, 0.1, 0.2, 0.5] + [3.0] * 3)
+        assert block_statistics(values, 3, "short") is None
 
     @pytest.mark.parametrize(
         "bad, error",
         [([0.1, 0.2, 0.5], MaxNotAboveOneError), ([3.0] * 3, DegenerateSampleError)],
     )
     def test_refused_block_is_named(self, bad, error):
-        blocks = [np.array([1.0, 2.0, 5.0]), np.array(bad), np.array([1.0, 2.0, 5.0])]
+        values = np.array([1.0, 2.0, 5.0] + bad + [1.0, 2.0, 5.0])
         with pytest.raises(error, match=r"^block 2 of 3: "):
-            block_statistics(blocks)
+            block_statistics(values, 3)
 
     def test_other_errors_pass_through_unprefixed(self):
-        # an infinite maximum leaves no value above ln X_(n): ln 0 is undefined
-        with pytest.raises(ValueError, match=r"^math domain error$"):
-            block_statistics([np.array([1.0, 2.0, 5.0]), np.array([1.0, 2.0, math.inf])])
+        # an infinite maximum leaves no value above ln X_(n): the draw overflowed
+        with pytest.raises(NonFiniteDrawError, match=r"^draw overflowed to inf; "):
+            block_statistics(np.array([1.0, 2.0, 5.0, 1.0, 2.0, math.inf]), 2)
+
+    @given(case=blocked_replicates())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_loop(self, case):
+        # exact T list, None, or the same error class and message, per policy
+        k, values = case
+        for policy in ("error", "short", "raw"):
+            expected = oracles.block_statistics_ref(values, k, policy)
+            assert _block_outcome(values, k, policy) == expected
 
 
 class TestSequentialVersusShuffle:

@@ -270,6 +270,19 @@ class TestSimulateCommand:
         reader = list(csv.reader(io.StringIO(out)))
         assert reader[1][8] == "200"  # every replicate aborted
 
+    @pytest.mark.parametrize("dist", ["pareto:0.01", "loggamma:1,800"])
+    @pytest.mark.parametrize("k", ["1", "5"])
+    def test_overflowing_draw_exits_one(self, dist, k, capsys):
+        # the draws overflow to inf; the plan aborts with the named error and
+        # no numpy warning (pytest would turn one into a failure)
+        code = main(["simulate", "--dist", dist, "--n", "100", "--k", k, "--reps", "100"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "tailtest: error: draw overflowed to inf; sample maximum must be finite\n"
+        )
+
 
 class TestBrysonCommands:
     def test_bryson_on_exponential_data(self, write_dataset, capsys):
@@ -323,6 +336,16 @@ class TestBrysonCommands:
         assert code == 1
         assert captured.out == ""
         assert f"{dist} takes negative values; T* needs nonnegative data" in captured.err
+
+    @pytest.mark.parametrize("dist", ["pareto:0.01", "loggamma:1,800"])
+    def test_bryson_quantiles_overflowing_draw_exits_one(self, dist, capsys):
+        code = main(["bryson-quantiles", "--dist", dist, "--n", "100", "--reps", "1000"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "tailtest: error: draw overflowed to inf; sample maximum must be finite\n"
+        )
 
 
 class TestUsageErrors:

@@ -41,6 +41,16 @@ def simulate_commands():
     ]
 
 
+def blocked_simulate_commands():
+    # the blocked rate-table shape the benchmark times; 5003 is divisible by
+    # neither 10 nor 25, so blocks differ in size by one
+    return [
+        ["simulate", "--dist", "exp:1", "--n", "5000,5003", "--k", str(k),
+         "--reps", "200", "--format", "json"]
+        for k in (10, 25)
+    ]
+
+
 def decision_commands():
     commands = []
     for name in ("claims", "discharge", "fibers"):
@@ -71,7 +81,11 @@ def run_all(commands):
     return records
 
 
-CASES = {"simulate.json": simulate_commands, "test_command.json": decision_commands}
+CASES = {
+    "simulate.json": simulate_commands,
+    "simulate_blocked.json": blocked_simulate_commands,
+    "test_command.json": decision_commands,
+}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -22,7 +22,6 @@ from tailtest import (
     tail_test,
 )
 from tailtest.base import BlockTooSmallError
-from tailtest.blocking import block_slices
 from tailtest.distributions import parse_spec
 from tailtest.power import CSV_HEADER, _replicate_outcome
 from tailtest.distributions import sample as draw_sample
@@ -166,9 +165,8 @@ def engine_replicates(draw):
 
 
 def _engine_outcome(values, k, policy):
-    blocks = [values[piece] for piece in block_slices(len(values), k)]
     lower, upper = erlang_criticals(0.05, k)
-    return _replicate_outcome(blocks, lower, upper, policy)
+    return _replicate_outcome(values, k, lower, upper, policy)
 
 
 def _public_decision(values, k):
