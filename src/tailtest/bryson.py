@@ -15,7 +15,7 @@ import numpy as np
 import numpy.ma  # noqa: F401
 
 from .base import NonFiniteDrawError, TableMismatchError, TailClass, check_alpha, decide
-from .distributions import DistributionSpec, format_spec, nonnegative, sample as draw_sample
+from .distributions import DistributionSpec, format_spec, nonnegative, replicate_draws
 from .rng import SeedSpec, make_stream
 from .tail_test import as_sample
 
@@ -101,10 +101,8 @@ def simulate_bryson_quantiles(
         if not 0.0 < p < 1.0:
             raise ValueError(f"quantile probs must lie in (0, 1), got {p}")
 
-    stats = np.empty(reps)
     with np.errstate(over="ignore"):  # _t_star names a draw that overflowed to inf
-        for r in range(reps):
-            stats[r] = _t_star(draw_sample(spec, n, make_stream(SeedSpec(seed, r))))
+        stats = np.fromiter(map(_t_star, replicate_draws(spec, n, seed, reps)), float, reps)
 
     qs = np.quantile(stats, probs, method="linear")
 

@@ -173,7 +173,6 @@ def _cmd_simulate(args) -> int:
             reps=args.reps,
             base_seed=args.seed,
             smallmax_policy=args.smallmax_policy,
-            strategy=args.strategy,
         )
     report = run_plan(plan, threads=args.threads)
     text = emit_table(report, args.format)
@@ -264,7 +263,6 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--reps", type=int, default=10_000)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--smallmax-policy", choices=SMALLMAX_POLICIES, default="raw")
-    p_sim.add_argument("--strategy", choices=("sequential", "shuffle"), default="sequential")
     p_sim.add_argument("--threads", type=int, default=1, help="must be >= 1; has no effect")
     p_sim.add_argument("--format", choices=("csv", "json", "md"), default="csv")
     p_sim.add_argument("--out", help="write the table here instead of stdout")

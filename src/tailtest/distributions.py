@@ -195,6 +195,17 @@ def sample(
     return _lookup(spec.family).sample(stream, int(n), spec.params)
 
 
+def replicate_draws(spec: DistributionSpec, n: int, seed: int, reps: int):
+    """Replicate r's n-value draw, r = 0..reps-1, each from stream (seed, r).
+
+    The one place a replicate's stream is built; run_plan and Bryson's table use it.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    draw, n, params = _lookup(spec.family).sample, int(n), spec.params
+    return (draw(make_stream(SeedSpec(seed, r)), n, params) for r in range(reps))
+
+
 def tail_class(spec: DistributionSpec) -> TailClass:
     """The catalogue's known tail class for the spec."""
     return _lookup(spec.family).tail(spec.params)

@@ -1,9 +1,9 @@
 """Monte Carlo engine: rejection-rate tables for the plain and blocked tail test.
 
-Each replicate draws its own stream keyed by (base_seed, replicate index), so
-a row's counts depend only on the plan, never on the order replicates run in.
-A draw goes whole to blocking.block_statistics, which scores all its blocks
-with at most two kernel calls; a draw that overflows to inf aborts the plan.
+Replicate r draws from distributions.replicate_draws, keyed by (base_seed, r),
+and is cut into k consecutive blocks, equal in law to any split of i.i.d.
+draws. blocking.block_statistics scores them with at most two kernel calls;
+a draw that overflows to inf aborts the plan.
 """
 from __future__ import annotations
 
@@ -17,9 +17,8 @@ import numpy as np
 
 from .base import DegenerateSampleError, MaxNotAboveOneError, TailClass, check_alpha, decide
 from .blocking import block_sizes, block_statistics
-from .distributions import DistributionSpec, format_spec, parse_spec, tail_class
-from .distributions import sample as draw_sample
-from .rng import SeedSpec, erlang_criticals, make_stream
+from .distributions import DistributionSpec, format_spec, parse_spec, replicate_draws, tail_class
+from .rng import erlang_criticals
 
 SMALLMAX_POLICIES = ("error", "short", "raw")
 _MAX_ERROR_NOTES = 10
@@ -27,7 +26,7 @@ _MAX_ERROR_NOTES = 10
 
 @dataclass(frozen=True)
 class SimulationPlan:
-    """What to simulate: a law, a grid of sample sizes, and test settings.
+    """What to simulate: a law, sample sizes, and the test on k consecutive blocks.
 
     smallmax_policy is passed to tail_test.spacing_statistic, which states the
     rule for a (block) maximum not above 1; a replicate it refuses is tallied
@@ -41,7 +40,6 @@ class SimulationPlan:
     reps: int = 10_000
     base_seed: int = 0
     smallmax_policy: str = "raw"
-    strategy: str = "sequential"  # how simulated draws are split into blocks
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
@@ -55,8 +53,6 @@ class SimulationPlan:
                 f"smallmax_policy must be one of {SMALLMAX_POLICIES}, "
                 f"got {self.smallmax_policy!r}"
             )
-        if self.strategy not in ("sequential", "shuffle"):
-            raise ValueError(f"strategy must be 'sequential' or 'shuffle', got {self.strategy!r}")
         for n in self.n_grid:
             block_sizes(n, self.k_blocks)  # raises BlockTooSmallError if infeasible
 
@@ -117,17 +113,13 @@ def _replicate_outcome(values, k, lower, upper, policy):
 
 def _run_row(plan: SimulationPlan, n: int) -> RateRow:
     k, policy = plan.k_blocks, plan.smallmax_policy
-    shuffle = plan.strategy == "shuffle" and k > 1
     lower, upper = erlang_criticals(plan.alpha, k)
 
     counts = {TailClass.SHORT: 0, TailClass.MEDIUM: 0, TailClass.LONG: 0}
     notes = []
     with np.errstate(over="ignore"):  # the kernel names a draw that overflowed
-        for r in range(plan.reps):
-            stream = make_stream(SeedSpec(plan.base_seed, r))
-            values = draw_sample(plan.spec, n, stream)
-            if shuffle:
-                values = stream.permutation(values)
+        draws = replicate_draws(plan.spec, n, plan.base_seed, plan.reps)
+        for r, values in enumerate(draws):
             outcome, err = _replicate_outcome(values, k, lower, upper, policy)
             if outcome is None:
                 notes.append(f"replicate {r}: {err}")
@@ -270,7 +262,6 @@ def _emit_json(reports) -> str:
                 "reps": report.plan.reps,
                 "seed": report.plan.base_seed,
                 "smallmax_policy": report.plan.smallmax_policy,
-                "strategy": report.plan.strategy,
                 "rows": [
                     {
                         "n": row.n,
@@ -318,15 +309,14 @@ def _emit_markdown(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
-_PLAN_KEYS = ("dist", "n", "k", "alpha", "reps", "seed", "smallmax_policy", "strategy")
+_PLAN_KEYS = ("dist", "n", "k", "alpha", "reps", "seed", "smallmax_policy")
 
 
 def parse_plan_file(path) -> SimulationPlan:
     """Read a flat key=value plan file.
 
     Keys: dist (required), n (required, comma-separated sizes), k, alpha,
-    reps, seed, smallmax_policy, strategy. Blank lines and #-comments are
-    ignored.
+    reps, seed, smallmax_policy. Blank lines and #-comments are ignored.
     """
     entries: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
@@ -351,18 +341,18 @@ def parse_plan_file(path) -> SimulationPlan:
         if required not in entries:
             raise ValueError(f"{path}: missing required plan key {required!r}")
 
-    try:
-        n_grid = tuple(int(tok.strip()) for tok in entries["n"].split(","))
-    except ValueError:
-        raise ValueError(f"{path}: could not parse n={entries['n']!r}") from None
+    def number(key, convert, default=None):
+        try:
+            return convert(entries[key]) if key in entries else default
+        except ValueError:
+            raise ValueError(f"{path}: could not parse {key}={entries[key]!r}") from None
 
     return SimulationPlan(
         spec=parse_spec(entries["dist"]),
-        n_grid=n_grid,
-        k_blocks=int(entries.get("k", 1)),
-        alpha=float(entries.get("alpha", 0.05)),
-        reps=int(entries.get("reps", 10_000)),
-        base_seed=int(entries.get("seed", 0)),
+        n_grid=number("n", lambda text: tuple(int(tok) for tok in text.split(","))),
+        k_blocks=number("k", int, 1),
+        alpha=number("alpha", float, 0.05),
+        reps=number("reps", int, 10_000),
+        base_seed=number("seed", int, 0),
         smallmax_policy=entries.get("smallmax_policy", "raw"),
-        strategy=entries.get("strategy", "sequential"),
     )

@@ -116,7 +116,7 @@ def spacing_statistic(blocks: np.ndarray, smallmax: str = "error", first: int = 
                 return None
             if not (smallmax == "raw" and 0.0 < mx < 1.0):
                 raise MaxNotAboveOneError(
-                    f"{_prefix(first + j, k)}sample maximum {mx:g} is not above 1, "
+                    f"{_prefix(first + j, k)}sample maximum {mx + 0.0:g} is not above 1, "
                     "so ln X_(n) <= 0; rescale the data or apply an explicit shift"
                 )
         if not math.isfinite(mx):

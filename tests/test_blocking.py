@@ -261,26 +261,6 @@ class TestBlockStatistics:
             assert _block_outcome(values, k, policy) == expected
 
 
-class TestSequentialVersusShuffle:
-    def test_type_i_rates_agree_for_iid_data(self):
-        # i.i.d. draws have no serial structure, so the two strategies must
-        # land on the same Type I rate up to Monte Carlo noise
-        rates = {}
-        for strategy in ("sequential", "shuffle"):
-            plan = SimulationPlan(
-                spec=parse_spec("exp:1"),
-                n_grid=(500,),
-                k_blocks=5,
-                reps=10_000,
-                base_seed=7,
-                strategy=strategy,
-            )
-            row = run_plan(plan, threads=8).rows[0]
-            rates[strategy] = (row.short_rate, row.long_rate)
-        ds, dl = (abs(rates["sequential"][i] - rates["shuffle"][i]) for i in (0, 1))
-        assert ds < 0.01 and dl < 0.01
-
-
 def test_blocking_sharpens_short_tail_power():
     """For a short-tailed law at n=500, ten blocks beat one by a wide margin."""
     rates = {}

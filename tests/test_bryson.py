@@ -115,7 +115,7 @@ class TestQuantileTables:
         def no_draws(*args):
             raise AssertionError("drew before rejecting the law")
 
-        monkeypatch.setattr("tailtest.bryson.draw_sample", no_draws)
+        monkeypatch.setattr("tailtest.bryson.replicate_draws", no_draws)
         with pytest.raises(ValueError, match=f"{text} takes negative values.*nonnegative"):
             simulate_bryson_quantiles(parse_spec(text), 30, reps=1000)
 

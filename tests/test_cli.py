@@ -283,6 +283,12 @@ class TestSimulateCommand:
             "tailtest: error: draw overflowed to inf; sample maximum must be finite\n"
         )
 
+    def test_strategy_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--dist", "exp:1", "--n", "50", "--strategy", "shuffle"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --strategy shuffle" in capsys.readouterr().err
+
 
 class TestBrysonCommands:
     def test_bryson_on_exponential_data(self, write_dataset, capsys):
@@ -346,6 +352,14 @@ class TestBrysonCommands:
         assert captured.err == (
             "tailtest: error: draw overflowed to inf; sample maximum must be finite\n"
         )
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_bryson_quantiles_nonpositive_n_exits_one(self, n, capsys):
+        code = main(["bryson-quantiles", "--dist", "exp:1", "--n", n, "--reps", "1000"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"tailtest: error: n must be >= 1, got {n}\n"
 
 
 class TestUsageErrors:

@@ -10,12 +10,19 @@ from tailtest.distributions import (
     format_spec,
     nonnegative,
     parse_spec,
+    replicate_draws,
     sample,
     tail_class,
 )
 from tailtest.rng import SeedSpec, make_stream
 
 from . import oracles
+
+# One parameter setting per catalogue family.
+CATALOGUE_SPECS = [
+    "exp:1", "logistic", "gamma:0.7", "uniform", "normal", "lognormal",
+    "gumbel", "cauchy", "t:3", "pareto:1", "weibull:0.5", "loggamma:0.5,1",
+]
 
 
 class TestParseFormat:
@@ -193,6 +200,20 @@ class TestSampling:
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
             sample(parse_spec("exp:1"), 0, 1)
+        for n in (0, -3):
+            with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
+                replicate_draws(parse_spec("exp:1"), n, 0, 5)
+
+    @pytest.mark.parametrize("text", CATALOGUE_SPECS)
+    def test_replicate_draws_are_sample_on_replicate_streams(self, text):
+        # replicate r is sample() on stream (seed, r), bit for bit, so a
+        # replicate can be redrawn on its own
+        spec = parse_spec(text)
+        draws = list(replicate_draws(spec, 40, 13, 5))
+        assert len(draws) == 5
+        for r, values in enumerate(draws):
+            expected = sample(spec, 40, make_stream(SeedSpec(13, r)))
+            assert values.tobytes() == expected.tobytes()
 
     KS_CASES = [
         ("exp:1", oracles.cdf_exponential(1.0)),
@@ -229,10 +250,7 @@ class TestSampling:
         x = sample(parse_spec(text), 4000, SeedSpec(2026, 9))
         assert oracles.ks_distance(x, cdf) < oracles.ks_critical(4000)
 
-    @pytest.mark.parametrize("text", [
-        "exp:1", "logistic", "gamma:0.7", "uniform", "normal", "lognormal",
-        "gumbel", "cauchy", "t:3", "pareto:1", "weibull:0.5", "loggamma:0.5,1",
-    ])
+    @pytest.mark.parametrize("text", CATALOGUE_SPECS)
     def test_support_flag_matches_sampler(self, text):
         spec = parse_spec(text)
         x = sample(spec, 10_000, SeedSpec(4))
@@ -240,6 +258,7 @@ class TestSampling:
 
 
 def test_families_constant_lists_catalogue():
+    assert {parse_spec(text).family for text in CATALOGUE_SPECS} == set(FAMILIES)
     assert FAMILIES == (
         "exp", "logistic", "gamma", "uniform", "normal", "lognormal",
         "gumbel", "cauchy", "t", "pareto", "weibull", "loggamma",

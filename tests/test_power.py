@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,10 +51,6 @@ class TestPlanValidation:
     def test_rejects_unknown_policy(self):
         with pytest.raises(ValueError):
             small_plan(smallmax_policy="ignore")
-
-    def test_rejects_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            small_plan(strategy="sorted")
 
     def test_rejects_infeasible_blocks(self):
         with pytest.raises(BlockTooSmallError):
@@ -341,8 +338,7 @@ class TestPlanFiles:
             "alpha = 0.1\n"
             "reps = 500\n"
             "seed = 9\n"
-            "smallmax_policy = short\n"
-            "strategy = shuffle\n",
+            "smallmax_policy = short\n",
             encoding="utf-8",
         )
         plan = parse_plan_file(str(path))
@@ -353,7 +349,6 @@ class TestPlanFiles:
         assert plan.reps == 500
         assert plan.base_seed == 9
         assert plan.smallmax_policy == "short"
-        assert plan.strategy == "shuffle"
 
     def test_defaults_fill_in(self, tmp_path):
         path = tmp_path / "plan.txt"
@@ -364,7 +359,6 @@ class TestPlanFiles:
         assert plan.reps == 10_000
         assert plan.base_seed == 0
         assert plan.smallmax_policy == "raw"
-        assert plan.strategy == "sequential"
 
     def test_unknown_key_names_line(self, tmp_path):
         path = tmp_path / "plan.txt"
@@ -395,3 +389,28 @@ class TestPlanFiles:
         path.write_text("dist=exp:1\nn=ten\n", encoding="utf-8")
         with pytest.raises(ValueError, match="could not parse n="):
             parse_plan_file(str(path))
+
+    @pytest.mark.parametrize(
+        "key,text", [("k", "two"), ("alpha", "5%"), ("reps", "1e4"), ("seed", "0x10")]
+    )
+    def test_unparseable_number_names_file_and_key(self, tmp_path, key, text):
+        path = tmp_path / "plan.txt"
+        path.write_text(f"dist=exp:1\nn=100\n{key} = {text}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            parse_plan_file(str(path))
+        assert str(exc.value) == f"{path}: could not parse {key}={text!r}"
+
+    def test_rejects_strategy_key(self, tmp_path):
+        # simulated draws are i.i.d., so their blocks are always consecutive
+        # and no plan setting chooses another split
+        path = tmp_path / "plan.txt"
+        path.write_text("dist=exp:1\nn=100\nstrategy = shuffle\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"plan\.txt:3: unknown key 'strategy'"):
+            parse_plan_file(str(path))
+
+    def test_readme_plan_block_shows_the_defaults(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("### Plan files", 1)[1].split("```", 2)[1]
+        path = tmp_path / "plan.txt"
+        path.write_text(block, encoding="utf-8")
+        assert parse_plan_file(str(path)) == SimulationPlan(parse_spec("exp:1"), (250, 1000))

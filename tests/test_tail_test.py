@@ -1,4 +1,5 @@
 """The core spacing statistic, its pieces, and the three-way decision."""
+import itertools
 import math
 
 import numpy as np
@@ -157,6 +158,16 @@ class TestKernel:
             return
         with pytest.raises(MaxNotAboveOneError, match="is not above 1"):
             spacing_statistic(np.array(values), policy)
+
+    @pytest.mark.parametrize("order", itertools.permutations([0.0, -0.0, -1.0]))
+    def test_zero_maximum_prints_without_sign(self, order):
+        # either tied zero may land on top of the partition; both print as 0
+        message = r"sample maximum 0 is not above 1"
+        with pytest.raises(MaxNotAboveOneError, match=message):
+            tail_test(list(order))
+        for policy in POLICIES:
+            with pytest.raises(MaxNotAboveOneError, match=message):
+                spacing_statistic(np.array(order), policy)
 
     @pytest.mark.parametrize("mx", [1e-300, 0.25, 0.999, 1.0])
     def test_short_policy_returns_none_in_unit_interval(self, mx):
