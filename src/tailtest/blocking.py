@@ -36,6 +36,8 @@ def block_sizes(n: int, k: int) -> tuple[int, ...]:
     """Sizes of k blocks covering n points, larger blocks first, differing by <= 1."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if n < MIN_BLOCK:
+        raise BlockTooSmallError(f"n={n} is below the {MIN_BLOCK}-point minimum of a block")
     if n // k < MIN_BLOCK:
         raise BlockTooSmallError(
             f"k={k} leaves blocks of fewer than {MIN_BLOCK} points for n={n}; "

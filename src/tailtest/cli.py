@@ -81,6 +81,13 @@ def _parse_shift(text: str):
         raise ValueError(f"--shift must be 'none', 'min', or a number, got {text!r}") from None
 
 
+def _parse_list(flag: str, text: str, convert) -> tuple:
+    try:
+        return tuple(convert(tok) for tok in text.split(","))
+    except ValueError:
+        raise ValueError(f"could not parse --{flag}={text!r}") from None
+
+
 def _print_kv(pairs) -> None:
     width = max(len(key) for key, _ in pairs)
     for key, value in pairs:
@@ -167,7 +174,7 @@ def _cmd_simulate(args) -> int:
             raise ValueError("simulate needs either --plan FILE or both --dist and --n")
         plan = SimulationPlan(
             spec=parse_spec(args.dist),
-            n_grid=tuple(int(tok) for tok in args.n.split(",")),
+            n_grid=_parse_list("n", args.n, int),
             k_blocks=args.k,
             alpha=args.alpha,
             reps=args.reps,
@@ -219,7 +226,7 @@ def _cmd_bryson(args) -> int:
 
 
 def _cmd_bryson_quantiles(args) -> int:
-    probs = tuple(float(tok) for tok in args.probs.split(","))
+    probs = _parse_list("probs", args.probs, float)
     table = simulate_bryson_quantiles(
         parse_spec(args.dist), args.n, reps=args.reps, seed=args.seed, probs=probs
     )

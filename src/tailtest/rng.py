@@ -1,8 +1,8 @@
 """Seeded random streams plus the Erlang distribution functions the tests rely on.
 
-Streams are counter-based (Philox) and keyed by (base_seed, stream_id), so
-replicate r of a simulation always sees the same variates no matter in what
-order replicates execute.
+Counter-based Philox streams are keyed by (base_seed, stream_id), so replicate r
+sees the same variates in any order. Monte Carlo loops re-key one bit generator per
+replicate to (base_seed, r), counter 0: bit-identical to make_stream(SeedSpec(base_seed, r)).
 """
 from __future__ import annotations
 

@@ -45,6 +45,13 @@ class TestBlockSizes:
         with pytest.raises(BlockTooSmallError, match="largest feasible k is 33"):
             block_sizes(100, 40)
 
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_n_below_block_minimum_suggests_no_k(self, n):
+        for k in (1, 5):
+            with pytest.raises(BlockTooSmallError) as exc:
+                block_sizes(n, k)
+            assert str(exc.value) == f"n={n} is below the 3-point minimum of a block"
+
     def test_rejects_k_below_one(self):
         with pytest.raises(ValueError):
             block_sizes(10, 0)

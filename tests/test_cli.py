@@ -283,6 +283,21 @@ class TestSimulateCommand:
             "tailtest: error: draw overflowed to inf; sample maximum must be finite\n"
         )
 
+    @pytest.mark.parametrize("n", ["0", "2"])
+    def test_n_below_block_minimum_exits_one(self, n, capsys):
+        code = main(["simulate", "--dist", "exp:1", "--n", n, "--reps", "100"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"tailtest: error: n={n} is below the 3-point minimum of a block\n"
+
+    def test_unparseable_n_names_the_flag(self, capsys):
+        code = main(["simulate", "--dist", "exp:1", "--n", "5,x", "--reps", "100"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "tailtest: error: could not parse --n='5,x'\n"
+
     def test_strategy_flag_is_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--dist", "exp:1", "--n", "50", "--strategy", "shuffle"])
@@ -334,6 +349,16 @@ class TestBrysonCommands:
         assert code == 0
         assert len(rows) == 3
         assert rows[1][0] == "gamma:2"
+
+    def test_bryson_quantiles_unparseable_probs_names_the_flag(self, capsys):
+        code = main([
+            "bryson-quantiles", "--dist", "exp:1", "--n", "30", "--reps", "1000",
+            "--probs", "0.5,x",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "tailtest: error: could not parse --probs='0.5,x'\n"
 
     @pytest.mark.parametrize("dist", ["normal", "logistic", "gumbel", "cauchy", "t:3"])
     def test_bryson_quantiles_negative_support_exits_one(self, dist, capsys):

@@ -183,6 +183,11 @@ class TestKnownValues:
             assert _empirical_survival(text, -3.0, n=10_000) == 1.0
 
 
+def _fresh_draw(spec, n, seed, r):
+    """Replicate r drawn from a newly made stream (seed, r)."""
+    return sample(spec, n, make_stream(SeedSpec(seed, r)))
+
+
 class TestSampling:
     def test_deterministic_by_seed(self):
         spec = parse_spec("pareto:2")
@@ -207,13 +212,43 @@ class TestSampling:
     @pytest.mark.parametrize("text", CATALOGUE_SPECS)
     def test_replicate_draws_are_sample_on_replicate_streams(self, text):
         # replicate r is sample() on stream (seed, r), bit for bit, so a
-        # replicate can be redrawn on its own
+        # replicate can be redrawn on its own. Sizes 1, 3 and 257 leave part
+        # of Philox's four-word buffer unused, which replicate r+1 must not see.
         spec = parse_spec(text)
-        draws = list(replicate_draws(spec, 40, 13, 5))
-        assert len(draws) == 5
-        for r, values in enumerate(draws):
-            expected = sample(spec, 40, make_stream(SeedSpec(13, r)))
-            assert values.tobytes() == expected.tobytes()
+        for n in (1, 3, 257):
+            draws = list(replicate_draws(spec, n, 13, 64))
+            assert len(draws) == 64
+            for r, values in enumerate(draws):
+                assert values.tobytes() == _fresh_draw(spec, n, 13, r).tobytes()
+
+    def test_interleaved_replicate_draws_match_one_after_the_other(self):
+        # two calls consumed alternately give what each gives alone: no
+        # generator is shared across calls or kept at module level
+        calls = [(parse_spec("pareto:1"), 5, 7), (parse_spec("gamma:0.7"), 3, 11)]
+        alone = [list(replicate_draws(spec, n, seed, 20)) for spec, n, seed in calls]
+        first, second = (replicate_draws(spec, n, seed, 20) for spec, n, seed in calls)
+        alternate = list(zip(first, second))
+        assert len(alternate) == 20
+        for i, (spec, n, seed) in enumerate(calls):
+            for r, pair in enumerate(alternate):
+                expected = _fresh_draw(spec, n, seed, r).tobytes()
+                assert pair[i].tobytes() == alone[i][r].tobytes() == expected
+
+    def test_more_replicates_extend_fewer(self):
+        # replicate r does not depend on how many replicates the call asks for
+        spec = parse_spec("weibull:0.5")
+        fewer = list(replicate_draws(spec, 5, 3, 10))
+        more = list(replicate_draws(spec, 5, 3, 17))
+        assert len(more) == 17
+        for r, values in enumerate(fewer):
+            assert values.tobytes() == more[r].tobytes() == _fresh_draw(spec, 5, 3, r).tobytes()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_replicate_draws_rejects_bad_seed_at_the_call(self, seed):
+        # the seed fails when the iterator is made, not at its first draw
+        message = f"^base_seed must be an unsigned 64-bit integer, got {seed}$"
+        with pytest.raises(ValueError, match=message):
+            replicate_draws(parse_spec("exp:1"), 10, seed, 5)
 
     KS_CASES = [
         ("exp:1", oracles.cdf_exponential(1.0)),
