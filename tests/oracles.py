@@ -78,7 +78,8 @@ def block_statistics_ref(values, k: int, smallmax: str):
     maximum <= 1 is Short (None) under 'short' when above 0, evaluated
     under 'raw' when inside (0, 1), and refused otherwise; a maximum that is
     not finite is refused last. Returns the list of T, None, or the refusal
-    as (error class name, message), the first block to decide winning.
+    as (error class name, message), the first block to decide winning. A
+    zero maximum prints as 0, whichever sign the block's first top zero has.
     """
     xs = [float(v) for v in values]
     base, extra = divmod(len(xs), k)
@@ -95,7 +96,7 @@ def block_statistics_ref(values, k: int, smallmax: str):
                 return None
             if not (smallmax == "raw" and 0.0 < top < 1.0):
                 return "MaxNotAboveOneError", (
-                    f"{where}sample maximum {top:g} is not above 1, so ln X_(n) <= 0; "
+                    f"{where}sample maximum {top + 0.0:g} is not above 1, so ln X_(n) <= 0; "
                     "rescale the data or apply an explicit shift"
                 )
         if not math.isfinite(top):

@@ -215,6 +215,20 @@ def blocked_replicates(draw):
     return k, np.array(values)
 
 
+def _wide_block(rng, size, tied):
+    """A block with maximum above 1 (twice when `tied` and size >= 3) and
+    others below it: about 20% exactly ln X_(n), 10% each 0.0 and -0.0."""
+    mx = 1.0 + float(rng.exponential(20.0))
+    block = rng.uniform(-5.0, mx, size)
+    pick = rng.random(size)
+    block[pick < 0.2] = math.log(mx)
+    block[(pick >= 0.2) & (pick < 0.3)] = 0.0
+    block[(pick >= 0.3) & (pick < 0.4)] = -0.0
+    top = 2 if tied and size >= 3 else 1
+    block[rng.permutation(size)[:top]] = mx
+    return block
+
+
 def _block_outcome(values, k, smallmax):
     try:
         return block_statistics(values, k, smallmax)
@@ -266,6 +280,31 @@ class TestBlockStatistics:
         for policy in ("error", "short", "raw"):
             expected = oracles.block_statistics_ref(values, k, policy)
             assert _block_outcome(values, k, policy) == expected
+
+    @pytest.mark.parametrize(
+        "k, n",
+        [(rows, rows * m) for rows in (1, 10, 25) for m in (2, 3, 129, 200, 500, 1000, 5000)]
+        + [(10, 5003)],
+    )
+    def test_matches_reference_loop_at_engine_block_sizes(self, k, n):
+        # blocks as wide as the engine's (up to 5000 values), where numpy's
+        # selection runs rather than its small-array sort; three replicates:
+        # every block scored, one block at +inf, one block with a maximum <= 1
+        rng = np.random.default_rng(20_000 * k + n)
+        base, extra = divmod(n, k)
+        for variant in ("scored", "inf", "small"):
+            blocks = [_wide_block(rng, base + (j < extra), j % 3 == 1) for j in range(k)]
+            odd = blocks[k // 2]
+            if variant == "inf":
+                odd[int(np.argmax(odd))] = math.inf
+            elif variant == "small":
+                # a lone maximum in (0, 1) when n is even, else both signed zeros on top
+                odd -= odd.max() + 1.0
+                odd[rng.permutation(odd.size)[:2]] = (0.5, 0.0) if n % 2 == 0 else (0.0, -0.0)
+            values = np.concatenate(blocks)
+            for policy in ("error", "short", "raw"):
+                expected = oracles.block_statistics_ref(values, k, policy)
+                assert _block_outcome(values, k, policy) == expected
 
 
 def test_blocking_sharpens_short_tail_power():

@@ -15,6 +15,7 @@ from tailtest.cli import main, read_dataset
 from tailtest.power import CSV_HEADER
 
 E = math.e
+DATA = Path(__file__).resolve().parents[1] / "data" / "synthetic"
 
 MEDIUM = [E, E**2, E**3]                                  # T inside the medium band
 SHORT = [1.2, 1.5, 2.0]                                   # all above ln(max): T = 0
@@ -50,6 +51,21 @@ class TestReadDataset:
         path.write_text("# only comments\n", encoding="utf-8")
         with pytest.raises(ValueError, match="no data lines"):
             read_dataset(str(path))
+
+    @pytest.mark.parametrize("command", [["test"], ["bryson", "--reps", "1000"]])
+    def test_dataset_with_utf8_bom_reads_as_without(self, command, tmp_path, capsys):
+        # a byte-order mark in front of the first line is not part of the data
+        original = DATA / "fibers.txt"
+        bom = tmp_path / "fibers.txt"
+        bom.write_bytes(b"\xef\xbb\xbf" + original.read_bytes())
+        payloads = []
+        for path in (original, bom):
+            code = main([command[0], str(path), *command[1:], "--json"])
+            payload = json.loads(capsys.readouterr().out)
+            assert payload.pop("path") == str(path)
+            payloads.append((code, payload))
+        assert payloads[0] == payloads[1]
+        assert payloads[0][1]["skipped_lines"] == 1  # the comment line, BOM or not
 
 
 class TestTestCommand:
@@ -273,14 +289,27 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("dist", ["pareto:0.01", "loggamma:1,800"])
     @pytest.mark.parametrize("k", ["1", "5"])
     def test_overflowing_draw_exits_one(self, dist, k, capsys):
-        # the draws overflow to inf; the plan aborts with the named error and
-        # no numpy warning (pytest would turn one into a failure)
+        # the draws overflow to inf; the plan aborts with the named error, the
+        # row and replicate, and no numpy warning (pytest would fail on one)
         code = main(["simulate", "--dist", dist, "--n", "100", "--k", k, "--reps", "100"])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
         assert captured.err == (
-            "tailtest: error: draw overflowed to inf; sample maximum must be finite\n"
+            "tailtest: error: n=100, replicate 0: "
+            "draw overflowed to inf; sample maximum must be finite\n"
+        )
+
+    def test_overflow_names_the_first_replicate_that_overflows(self, capsys):
+        # seed 0: no pareto:0.01 draw of 4 overflows in 100 replicates; at
+        # n = 10, replicate 27 is the first that does
+        code = main(["simulate", "--dist", "pareto:0.01", "--n", "4,10", "--reps", "100"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "tailtest: error: n=10, replicate 27: "
+            "draw overflowed to inf; sample maximum must be finite\n"
         )
 
     @pytest.mark.parametrize("n", ["0", "2"])
@@ -375,7 +404,18 @@ class TestBrysonCommands:
         assert code == 1
         assert captured.out == ""
         assert captured.err == (
-            "tailtest: error: draw overflowed to inf; sample maximum must be finite\n"
+            "tailtest: error: n=100, replicate 0: "
+            "draw overflowed to inf; sample maximum must be finite\n"
+        )
+
+    def test_bryson_quantiles_overflow_names_the_first_replicate(self, capsys):
+        code = main(["bryson-quantiles", "--dist", "pareto:0.01", "--n", "10", "--reps", "1000"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "tailtest: error: n=10, replicate 27: "
+            "draw overflowed to inf; sample maximum must be finite\n"
         )
 
     @pytest.mark.parametrize("n", ["0", "-3"])
