@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 # np.quantile imports numpy.ma on first use; load it here so the cost falls at import
@@ -21,31 +22,46 @@ from .tail_test import as_sample
 
 DEFAULT_PROBS = (0.025, 0.05, 0.95, 0.975)
 _BOOTSTRAP_RESAMPLES = 200
+# values per scoring chunk of simulated replicates: 128 KB of float64, cache-sized
+_CHUNK_VALUES = 2**14
 
 
 def bryson_statistic(sample) -> float:
-    """T* for a sample of nonnegative values (n >= 2, max > 0)."""
-    return _t_star(as_sample(sample).values)
+    """T* for a sample of n >= 2 nonnegative values with a positive maximum."""
+    return float(_t_star(as_sample(sample).values[None, :])[0])
 
 
-def _t_star(values: np.ndarray) -> float:
-    """T* of a 1-D array, with no copy and no scan for non-finite values."""
-    n = values.size
+def _t_star(rows: np.ndarray) -> np.ndarray:
+    """T* of each row of a C-contiguous (rows, n) array, with no scan for non-finite values.
+
+    The first row that T* cannot score raises; its index is the error's `row`.
+    """
+    n = rows.shape[1]
     if n < 2:
         raise ValueError(f"need at least 2 values, got n={n}")
-    mx = float(values.max())
-    if not math.isfinite(mx):
-        raise NonFiniteDrawError(f"draw overflowed to {mx:g}; sample maximum must be finite")
+    mx, mn = rows.max(axis=1), rows.min(axis=1)
     shift = mx / (n - 1)
-    lowest = float(values.min()) + shift
-    if lowest <= 0.0:
-        raise ValueError(
-            f"smallest value plus max/(n-1) is {lowest:g}; "
-            "the geometric mean needs every shifted value > 0"
-        )
-    # geometric mean via mean of logs; a product of n terms would overflow
-    geo = math.exp(float(np.mean(np.log(values + shift))))
-    return float(values.mean()) * mx / ((n - 1) * geo * geo)
+    lowest = mn + shift
+    bad = np.flatnonzero(~np.isfinite(mx) | (lowest <= 0.0) | (mn < 0.0))
+    if bad.size:
+        i = int(bad[0])
+        if not math.isfinite(mx[i]):
+            exc = NonFiniteDrawError(
+                f"draw overflowed to {mx[i]:g}; sample maximum must be finite")
+        elif lowest[i] <= 0.0:
+            exc = ValueError(
+                f"smallest value plus max/(n-1) is {lowest[i]:g}; "
+                "the geometric mean needs every shifted value > 0"
+            )
+        else:
+            exc = ValueError(f"smallest value is {mn[i]:g}; T* needs nonnegative data")
+        exc.row = i
+        raise exc
+    # geometric mean via mean of logs; a product of n terms would overflow. A row's mean
+    # is the same pairwise sum as a 1-D mean, and math.exp keeps libm's rounding.
+    geos = map(math.exp, np.log(rows + shift[:, None]).mean(axis=1).tolist())
+    means = rows.mean(axis=1).tolist()
+    return np.array([m * x / ((n - 1) * g * g) for m, x, g in zip(means, mx.tolist(), geos)])
 
 
 @dataclass(frozen=True)
@@ -101,19 +117,26 @@ def simulate_bryson_quantiles(
         if not 0.0 < p < 1.0:
             raise ValueError(f"quantile probs must lie in (0, 1), got {p}")
 
+    draws = replicate_draws(spec, n, seed, reps)  # refuses n < 1 before n divides anything
+    rows = max(1, _CHUNK_VALUES // n)
     stats = np.empty(reps)
     with np.errstate(over="ignore"):  # _t_star names a draw that overflowed to inf
-        try:
-            for r, values in enumerate(replicate_draws(spec, n, seed, reps)):
-                stats[r] = _t_star(values)
-        except NonFiniteDrawError as exc:
-            raise NonFiniteDrawError(f"n={n}, replicate {r}: {exc}") from exc
+        for first in range(0, reps, rows):
+            chunk = np.array(list(islice(draws, rows)))
+            try:
+                stats[first:first + rows] = _t_star(chunk)
+            except NonFiniteDrawError as exc:
+                raise NonFiniteDrawError(f"n={n}, replicate {first + exc.row}: {exc}") from exc
 
     qs = np.quantile(stats, probs, method="linear")
 
     boot_stream = make_stream(SeedSpec(seed, reps))  # replicate ids end at reps-1
     idx = boot_stream.integers(0, reps, size=(_BOOTSTRAP_RESAMPLES, reps))
-    boot_qs = np.quantile(stats[idx], probs, axis=1, method="linear")
+    boot = stats[idx]
+    # np.quantile is much faster on sorted rows, same values; in place, so the
+    # (resamples, reps) array is never copied
+    boot.sort(axis=1)
+    boot_qs = np.quantile(boot, probs, axis=1, method="linear", overwrite_input=True)
     errs = boot_qs.std(axis=1, ddof=1)  # boot_qs is (len(probs), resamples)
 
     return BrysonQuantileTable(

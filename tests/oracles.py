@@ -70,6 +70,23 @@ def spacing_statistic_ref(values) -> float:
     return theta * (xs[-1] - xs[-2])
 
 
+def bryson_statistic_ref(values) -> float:
+    """Bryson's T* of one 1-D sample, one value at a time through numpy and libm.
+
+    T* = mean * max / ((n-1) * GA^2), GA the geometric mean of the values
+    shifted up by max/(n-1), taken as exp of the mean log. Needs n >= 2, a
+    finite maximum and every shifted value > 0.
+    """
+    values = np.asarray(values, dtype=float)
+    n = values.size
+    mx = float(values.max())
+    shift = mx / (n - 1)
+    if n < 2 or not math.isfinite(mx) or float(values.min()) + shift <= 0.0:
+        raise ValueError("T* is undefined for these values")
+    geo = math.exp(float(np.mean(np.log(values + shift))))
+    return float(values.mean()) * mx / ((n - 1) * geo * geo)
+
+
 def block_statistics_ref(values, k: int, smallmax: str):
     """Per-block T of k blocks in a plain loop, with the small-maximum rule.
 

@@ -14,8 +14,10 @@ from tailtest import (
     exponential_null_table,
     simulate_bryson_quantiles,
 )
-from tailtest.distributions import parse_spec, sample as draw
-from tailtest.rng import SeedSpec
+from tailtest.base import NonFiniteDrawError
+from tailtest.bryson import _t_star
+from tailtest.distributions import parse_spec, replicate_draws, sample as draw
+from tailtest.rng import SeedSpec, make_stream
 
 from . import oracles
 
@@ -47,6 +49,16 @@ class TestStatistic:
         with pytest.raises(ValueError, match="geometric mean"):
             bryson_statistic([-5.0, 4.0])
 
+    @pytest.mark.parametrize("xs", [[-0.5, 1.0, 2.0, 3.0, 4.0, 5.0], [2.0, -1e-300, 7.0]])
+    def test_rejects_negative_values(self, xs):
+        # smallest + max/(n-1) > 0 here, so only the sign check can refuse them
+        message = f"smallest value is {min(xs):g}; T\\* needs nonnegative data"
+        with pytest.raises(ValueError, match=message):
+            bryson_statistic(xs)
+
+    def test_negative_zero_is_nonnegative(self):
+        assert bryson_statistic([-0.0, 1.0, 2.0]) == bryson_statistic([0.0, 1.0, 2.0])
+
     @given(positive_samples, st.floats(min_value=1e-6, max_value=1e6))
     @settings(max_examples=150)
     def test_scale_invariance(self, xs, c):
@@ -65,6 +77,50 @@ class TestStatistic:
         # the geometric mean goes through logs, so 1e150-scale data is fine
         xs = [1e150, 2e150, 3e150]
         assert bryson_statistic(xs) == pytest.approx(oracles.BRYSON_T_1_2_3, rel=1e-10)
+
+
+class TestBatchedStatistic:
+    """_t_star over a (rows, n) array against the 1-D reference, bit for bit."""
+
+    SIZES = (2, 3, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65, 100, 127, 128, 129,
+             255, 256, 257, 1000, 1023, 4999, 5000, 10007)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_rows_equal_reference(self, n):
+        rng = np.random.default_rng(n)
+        rows = np.concatenate([
+            rng.standard_exponential((4, n)),
+            rng.pareto(0.3, (4, n)),
+            rng.random((4, n)),
+            rng.lognormal(size=(4, n)),
+            np.exp(rng.uniform(-300.0, 300.0, (4, n))),
+            1e150 * rng.random((4, n)),
+        ])
+        rows[::3, rng.integers(n)] = 0.0  # zeros, and an all-zero-but-one row at n = 2
+        rows[rows.max(axis=1) == 0.0, 0] = 1.0
+        got = _t_star(rows)
+        assert got.tolist() == [oracles.bryson_statistic_ref(row) for row in rows]
+
+    def test_one_row(self):
+        row = np.random.default_rng(5).standard_exponential(100)
+        assert _t_star(row[None, :]).tolist() == [oracles.bryson_statistic_ref(row)]
+        assert bryson_statistic(row) == oracles.bryson_statistic_ref(row)
+
+    def test_first_bad_row_decides(self):
+        rows = np.ones((6, 4))
+        rows[:, -1] = 3.0
+        rows[2, 0] = -0.5  # refused for its sign
+        rows[4, 0] = np.inf
+        with pytest.raises(ValueError, match="smallest value is -0.5") as info:
+            _t_star(rows)
+        assert info.value.row == 2
+        with pytest.raises(NonFiniteDrawError, match="overflowed to inf") as info:
+            _t_star(rows[3:])
+        assert info.value.row == 1
+        rows[1] = 0.0  # the geometric-mean check comes before the later rows
+        with pytest.raises(ValueError, match="geometric mean") as info:
+            _t_star(rows)
+        assert info.value.row == 1
 
 
 class TestQuantileTables:
@@ -125,6 +181,18 @@ class TestQuantileTables:
     def test_nonnegative_laws_simulate(self, text):
         t = simulate_bryson_quantiles(parse_spec(text), 20, reps=1000, seed=1)
         assert all(math.isfinite(q) for q in t.quantiles)
+
+    @pytest.mark.parametrize("n", [2, 129, 3000])
+    def test_table_matches_per_replicate_replay(self, n):
+        # 1001 replicates leave the last chunk partial; stderrs go through the bootstrap
+        spec, reps, seed = parse_spec("lognormal"), 1001, 8
+        stats = np.array([oracles.bryson_statistic_ref(v)
+                          for v in replicate_draws(spec, n, seed, reps)])
+        idx = make_stream(SeedSpec(seed, reps)).integers(0, reps, size=(200, reps))
+        boot = np.quantile(stats[idx], (0.05, 0.95), axis=1, method="linear")
+        t = simulate_bryson_quantiles(spec, n, reps=reps, seed=seed, probs=(0.05, 0.95))
+        assert t.quantiles == tuple(np.quantile(stats, (0.05, 0.95), method="linear").tolist())
+        assert t.stderrs == tuple(boot.std(axis=1, ddof=1).tolist())
 
     def test_null_quantiles_shrink_with_n(self):
         # the exponential null concentrates as n grows: upper quantiles fall

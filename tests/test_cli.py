@@ -418,6 +418,27 @@ class TestBrysonCommands:
             "draw overflowed to inf; sample maximum must be finite\n"
         )
 
+    def test_bryson_quantiles_overflow_past_the_first_chunk(self, capsys):
+        # at n=3000 a scoring chunk holds 5 replicates; 875 is in chunk 175
+        code = main(["bryson-quantiles", "--dist", "pareto:0.02", "--n", "3000", "--reps", "1000"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "tailtest: error: n=3000, replicate 875: "
+            "draw overflowed to inf; sample maximum must be finite\n"
+        )
+
+    def test_bryson_rejects_negative_data(self, write_dataset, capsys):
+        path = write_dataset([-0.5, 1, 2, 3, 4, 5])
+        code = main(["bryson", path, "--reps", "1000"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "tailtest: error: smallest value is -0.5; T* needs nonnegative data\n"
+        )
+
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_bryson_quantiles_nonpositive_n_exits_one(self, n, capsys):
         code = main(["bryson-quantiles", "--dist", "exp:1", "--n", n, "--reps", "1000"])

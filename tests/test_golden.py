@@ -1,9 +1,9 @@
-"""Frozen CLI outputs: `simulate` CSV and `test` text/JSON, byte for byte.
+"""Frozen CLI outputs: `simulate`, `test`, `bryson` and `bryson-quantiles`.
 
-The files under tests/golden/ hold what the CLI printed, and the exit code it
-returned, for a fixed set of commands. A refactor that changes any emitted
-byte or decision fails here. After a deliberate change of output, rewrite
-the files from the repository root with
+The files under tests/golden/ hold what the CLI printed, byte for byte, and
+the exit code it returned, for a fixed set of commands. A refactor that
+changes any emitted byte or decision fails here. After a deliberate change
+of output, rewrite the files from the repository root with
 
     PYTHONPATH=src python -m tests.test_golden
 
@@ -51,6 +51,27 @@ def blocked_simulate_commands():
     ]
 
 
+# the catalogue laws on [0, inf), the only ones T* accepts
+NONNEGATIVE_SPECS = (
+    "exp:1", "gamma:2", "uniform", "lognormal", "pareto:1", "weibull:2", "loggamma:0.5,1",
+)
+
+
+def bryson_commands():
+    # 1001 replicates leave the last scoring chunk partial at every n here
+    tables = [
+        ["bryson-quantiles", "--dist", dist, "--n", str(n), "--reps", "1001", "--seed", "3"]
+        for n in (2, 64, 129, 3000)
+        for dist in NONNEGATIVE_SPECS
+    ]
+    tests = [
+        ["bryson", f"data/synthetic/{name}.txt", "--reps", "1000", "--seed", "4"] + fmt
+        for name in ("claims", "discharge", "fibers")
+        for fmt in ([], ["--json"])
+    ]
+    return tables + tests
+
+
 def decision_commands():
     commands = []
     for name in ("claims", "discharge", "fibers"):
@@ -82,6 +103,7 @@ def run_all(commands):
 
 
 CASES = {
+    "bryson.json": bryson_commands,
     "simulate.json": simulate_commands,
     "simulate_blocked.json": blocked_simulate_commands,
     "test_command.json": decision_commands,
