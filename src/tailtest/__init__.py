@@ -38,10 +38,8 @@ from .distributions import (
     tail_class,
 )
 from .power import (
-    ScanVerdict,
     SimulationPlan,
     SimulationReport,
-    consistency_scan,
     emit_table,
     parse_plan_file,
     run_plan,
@@ -67,7 +65,6 @@ __all__ = [
     "MaxNotAboveOneError",
     "NonFiniteDrawError",
     "Sample",
-    "ScanVerdict",
     "SeedSpec",
     "SimulationPlan",
     "SimulationReport",
@@ -77,7 +74,6 @@ __all__ = [
     "blocked_test",
     "bryson_statistic",
     "bryson_test",
-    "consistency_scan",
     "emit_table",
     "exponential_null_table",
     "format_spec",

@@ -2,7 +2,7 @@
 
 Splitting the sample into k blocks and summing the per-block statistics
 sharpens power; under a medium tail the sum is asymptotically gamma(k,1).
-blocked_test and the Monte Carlo engine both score blocks via block_statistics.
+blocked_test and the Monte Carlo engine both cut blocks with block_rows.
 """
 from __future__ import annotations
 
@@ -74,25 +74,31 @@ def _arrange(sample, k: int, strategy: str, seed: int):
     return s, values, sizes
 
 
+def block_rows(values: np.ndarray, k: int) -> list[np.ndarray]:
+    """The blocks of block_sizes(n, k) of each row of a (reps, n) array, one per
+    row: one (reps * k, base) array, or, when k does not divide n, the blocks of
+    base+1 values then those of base values. Callers check k; no copy of one row.
+    """
+    reps, n = values.shape
+    base, extra = divmod(n, k)
+    cut = extra * (base + 1)
+    tail = values[:, cut:].reshape(reps * (k - extra), base)
+    return [values[:, :cut].reshape(reps * extra, base + 1), tail] if extra else [tail]
+
+
 def block_statistics(values: np.ndarray, k: int, smallmax: str = "error") -> list[float] | None:
     """T of each block of block_sizes(values.size, k), in order; callers check k.
 
-    The leading blocks of base+1 values, then those of base values, are two
-    row-major reshapes of `values`: at most two kernel calls and no copy.
-    None means a block was called Short; see spacing_statistic for the rule.
+    At most two kernel calls (block_rows). None means a block was called Short;
+    see spacing_statistic for the rule.
     """
-    if k == 1:  # the 1-D path skips a reshape and a 2-D slice
-        piece = spacing_statistic(values, smallmax, 0, 1)
-        return None if piece is None else [piece[0]]
-    base, extra = divmod(values.size, k)
-    if not extra:
-        return spacing_statistic(values.reshape(k, base), smallmax, 0, k)
-    cut = extra * (base + 1)
-    head = spacing_statistic(values[:cut].reshape(extra, base + 1), smallmax, 0, k)
-    if head is None:
-        return None
-    tail = spacing_statistic(values[cut:].reshape(k - extra, base), smallmax, extra, k)
-    return None if tail is None else head + tail
+    stats: list[float] = []
+    for blocks in block_rows(values[np.newaxis], k):
+        piece = spacing_statistic(blocks, smallmax, len(stats), k)
+        if piece is None:
+            return None
+        stats += piece
+    return stats
 
 
 def blocked_test(

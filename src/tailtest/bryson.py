@@ -9,36 +9,37 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 # np.quantile imports numpy.ma on first use; load it here so the cost falls at import
 import numpy.ma  # noqa: F401
 
 from .base import NonFiniteDrawError, TableMismatchError, TailClass, check_alpha, decide
-from .distributions import DistributionSpec, format_spec, nonnegative, replicate_draws
+from .distributions import DistributionSpec, format_spec, nonnegative, replicate_chunks
 from .rng import SeedSpec, make_stream
 from .tail_test import as_sample
 
 DEFAULT_PROBS = (0.025, 0.05, 0.95, 0.975)
 _BOOTSTRAP_RESAMPLES = 200
-# values per scoring chunk of simulated replicates: 128 KB of float64, cache-sized
-_CHUNK_VALUES = 2**14
 
 
 def bryson_statistic(sample) -> float:
-    """T* for a sample of n >= 2 nonnegative values with a positive maximum."""
-    return float(_t_star(as_sample(sample).values[None, :])[0])
+    """T* for a sample of n >= 3 nonnegative values with a positive maximum."""
+    values = as_sample(sample).values
+    _check_size(values.size)
+    return float(_t_star(values[None, :])[0])
+
+
+def _check_size(n: int) -> None:
+    if n < 3:  # with a <= b: shift b, GA^2 = (a + b) * 2b, so T* = 1/4
+        raise ValueError(f"T* needs at least 3 values, got n={n}; "
+                         "with 2 it is 1/4 for any data, so it cannot tell tails apart")
 
 
 def _t_star(rows: np.ndarray) -> np.ndarray:
-    """T* of each row of a C-contiguous (rows, n) array, with no scan for non-finite values.
-
-    The first row that T* cannot score raises; its index is the error's `row`.
-    """
+    """T* of each row of a C-contiguous (rows, n) array, n >= 2 (callers check), with no
+    scan for non-finite values; the first row it cannot score raises, with its index as `row`."""
     n = rows.shape[1]
-    if n < 2:
-        raise ValueError(f"need at least 2 values, got n={n}")
     mx, mn = rows.max(axis=1), rows.min(axis=1)
     shift = mx / (n - 1)
     lowest = mn + shift
@@ -117,14 +118,13 @@ def simulate_bryson_quantiles(
         if not 0.0 < p < 1.0:
             raise ValueError(f"quantile probs must lie in (0, 1), got {p}")
 
-    draws = replicate_draws(spec, n, seed, reps)  # refuses n < 1 before n divides anything
-    rows = max(1, _CHUNK_VALUES // n)
+    chunks = replicate_chunks(spec, n, seed, reps)  # refuses n < 1 first
+    _check_size(n)
     stats = np.empty(reps)
     with np.errstate(over="ignore"):  # _t_star names a draw that overflowed to inf
-        for first in range(0, reps, rows):
-            chunk = np.array(list(islice(draws, rows)))
+        for first, chunk in chunks:
             try:
-                stats[first:first + rows] = _t_star(chunk)
+                stats[first:first + len(chunk)] = _t_star(chunk)
             except NonFiniteDrawError as exc:
                 raise NonFiniteDrawError(f"n={n}, replicate {first + exc.row}: {exc}") from exc
 

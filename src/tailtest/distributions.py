@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -17,6 +18,8 @@ from .base import TailClass
 from .rng import SeedSpec, make_stream
 
 _EULER = 0.5772156649015329  # Euler-Mascheroni constant
+# values per chunk of replicates scored together: 128 KB of float64, cache-sized
+_CHUNK_VALUES = 2**14
 
 
 @dataclass(frozen=True)
@@ -192,7 +195,7 @@ def sample(
 def replicate_draws(spec: DistributionSpec, n: int, seed: int, reps: int):
     """Replicate r's n-value draw, r = 0..reps-1, each from stream (seed, r).
 
-    The one place replicate streams are made; run_plan and Bryson's table use it.
+    The one place replicate streams are made; replicate_chunks walks it.
     One Philox bit generator per call is re-keyed to (seed, r) with counter 0 before
     each draw: bit-identical to make_stream(SeedSpec(seed, r)) at a tenth of the cost.
     """
@@ -210,6 +213,15 @@ def replicate_draws(spec: DistributionSpec, n: int, seed: int, reps: int):
         return stream
 
     return (draw(rekeyed(r), n, params) for r in range(reps))
+
+
+def replicate_chunks(spec: DistributionSpec, n: int, seed: int, reps: int):
+    """(first, draws) per chunk of replicate_draws: draws is a C-contiguous (rows, n)
+    array of replicates first, first + 1, ..., rows = max(1, 2**14 // n) (fewer in
+    the last chunk). run_plan and Bryson's table both walk it."""
+    draws = replicate_draws(spec, n, seed, reps)  # refuses n < 1 before n divides anything
+    rows = max(1, _CHUNK_VALUES // n)
+    return ((first, np.array(list(islice(draws, rows)))) for first in range(0, reps, rows))
 
 
 def tail_class(spec: DistributionSpec) -> TailClass:

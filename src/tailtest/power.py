@@ -1,9 +1,12 @@
 """Monte Carlo engine: rejection-rate tables for the plain and blocked tail test.
 
-Replicate r draws from distributions.replicate_draws, keyed by (base_seed, r),
-and is cut into k consecutive blocks, equal in law to any split of i.i.d.
-draws. blocking.block_statistics scores them with at most two kernel calls;
-a draw that overflows to inf aborts the plan.
+Replicate r draws from stream (base_seed, r) and is cut into k consecutive
+blocks, equal in law to any split of i.i.d. draws. The engine and the T* table
+walk the same ~128 KB row chunks (distributions.replicate_chunks); one or two
+tail_test.spacing_rows calls score every block of a chunk, and only a replicate
+with a block left to the small-maximum rule is scored again, alone, through
+blocking.block_statistics. Every outcome is bit-identical to scoring each
+replicate alone; a draw that overflows to inf aborts the plan.
 """
 from __future__ import annotations
 
@@ -17,9 +20,10 @@ import numpy as np
 
 from .base import DegenerateSampleError, MaxNotAboveOneError, NonFiniteDrawError, TailClass
 from .base import check_alpha, decide
-from .blocking import block_sizes, block_statistics
-from .distributions import DistributionSpec, format_spec, parse_spec, replicate_draws, tail_class
+from .blocking import block_rows, block_sizes, block_statistics
+from .distributions import DistributionSpec, format_spec, parse_spec, replicate_chunks
 from .rng import erlang_criticals
+from .tail_test import spacing_rows
 
 SMALLMAX_POLICIES = ("error", "short", "raw")
 _MAX_ERROR_NOTES = 10
@@ -112,23 +116,40 @@ def _replicate_outcome(values, k, lower, upper, policy):
     return (TailClass.SHORT if stats is None else decide(sum(stats), lower, upper)), None
 
 
+def _chunk_totals(chunk, k, policy):
+    """Each replicate's statistic in a (rows, n) chunk (Python's left-to-right sum of its
+    block T's, as in blocked_test; one T is its own), and whether all were scored."""
+    pieces = [(t.reshape(len(chunk), -1), s.reshape(len(chunk), -1)) for t, s in
+              (spacing_rows(blocks, policy)[:2] for blocks in block_rows(chunk, k))]
+    stats, scored = pieces[0] if len(pieces) == 1 else map(np.hstack, zip(*pieces))
+    totals = stats[:, 0] if k == 1 else np.array(list(map(sum, stats.tolist())))
+    return totals, scored.all(axis=1)
+
+
 def _run_row(plan: SimulationPlan, n: int) -> RateRow:
     k, policy = plan.k_blocks, plan.smallmax_policy
     lower, upper = erlang_criticals(plan.alpha, k)
 
     counts = {TailClass.SHORT: 0, TailClass.MEDIUM: 0, TailClass.LONG: 0}
-    notes = []
-    with np.errstate(over="ignore"):  # the kernel names a draw that overflowed
-        draws = replicate_draws(plan.spec, n, plan.base_seed, plan.reps)
-        try:
-            for r, values in enumerate(draws):
-                outcome, err = _replicate_outcome(values, k, lower, upper, policy)
+    notes, scores = [], []
+    with np.errstate(over="ignore"):  # the rule names a draw that overflowed
+        for first, chunk in replicate_chunks(plan.spec, n, plan.base_seed, plan.reps):
+            scores.append(_chunk_totals(chunk, k, policy))
+            # a replicate with a block left to the rule is scored alone, as in tail_test
+            for r in [r for r, ok in enumerate(scores[-1][1].tolist()) if not ok]:
+                try:
+                    outcome, err = _replicate_outcome(chunk[r], k, lower, upper, policy)
+                except NonFiniteDrawError as exc:  # abort the plan, naming where it stopped
+                    raise NonFiniteDrawError(f"n={n}, replicate {first + r}: {exc}") from exc
                 if outcome is None:
-                    notes.append(f"replicate {r}: {err}")
+                    notes.append(f"replicate {first + r}: {err}")
                 else:
                     counts[outcome] += 1
-        except NonFiniteDrawError as exc:  # abort the plan, naming where it stopped
-            raise NonFiniteDrawError(f"n={n}, replicate {r}: {exc}") from exc
+    totals, scored = map(np.concatenate, zip(*scores))
+    totals = totals[scored]
+    short, long = np.count_nonzero(totals < lower), np.count_nonzero(totals > upper)
+    for cls, count in zip(TailClass, (short, len(totals) - short - long, long)):
+        counts[cls] += int(count)  # decide's rule, over the scored replicates
 
     return RateRow(
         n=n,
@@ -155,57 +176,6 @@ def run_plan(plan: SimulationPlan, threads: int = 1) -> SimulationReport:
         raise ValueError(f"threads must be >= 1, got {threads}")
     rows = tuple(_run_row(plan, n) for n in plan.n_grid)
     return SimulationReport(dist=format_spec(plan.spec), plan=plan, rows=rows)
-
-
-@dataclass(frozen=True)
-class ScanVerdict:
-    """Outcome of a consistency scan over an ascending n grid."""
-
-    verdict: str  # PASS, FAIL, or NOT-APPLICABLE
-    direction: str  # which rate should grow: 'short' or 'long'
-    report: SimulationReport | None
-
-
-def consistency_scan(
-    spec: DistributionSpec,
-    n_grid,
-    k: int = 1,
-    alpha: float = 0.05,
-    reps: int = 10_000,
-    base_seed: int = 0,
-    smallmax_policy: str = "raw",
-) -> ScanVerdict:
-    """Check that power grows along n_grid for a non-medium law.
-
-    PASS means the correct-direction rate at the largest n exceeds the
-    smallest-n rate (or has already saturated at >= 1-alpha) while the
-    wrong-direction rate stays below 2*alpha + 3*stderr throughout.
-    Medium laws get NOT-APPLICABLE.
-    """
-    cls = tail_class(spec)
-    if cls is TailClass.MEDIUM:
-        return ScanVerdict(verdict="NOT-APPLICABLE", direction="", report=None)
-    grid = tuple(int(n) for n in n_grid)
-    if sorted(grid) != list(grid):
-        raise ValueError(f"n_grid must be ascending, got {grid}")
-    plan = SimulationPlan(
-        spec, grid, k, alpha, reps, base_seed=base_seed, smallmax_policy=smallmax_policy
-    )
-    report = run_plan(plan)
-    if cls is TailClass.SHORT:
-        correct = [row.short_rate for row in report.rows]
-        wrong = [(row.long_rate, row.stderr_long) for row in report.rows]
-    else:
-        correct = [row.long_rate for row in report.rows]
-        wrong = [(row.short_rate, row.stderr_short) for row in report.rows]
-    # A rate pinned at/near 1.0 across the whole grid cannot strictly rise.
-    grew = correct[-1] > correct[0] or correct[-1] >= 1.0 - alpha
-    ok = grew and all(rate < 2.0 * alpha + 3.0 * err for rate, err in wrong)
-    return ScanVerdict(
-        verdict="PASS" if ok else "FAIL",
-        direction="short" if cls is TailClass.SHORT else "long",
-        report=report,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -86,14 +86,38 @@ class TailTestResult:
     tied_max: bool = False  # top two order statistics tie (T forced to 0)
 
 
+def spacing_rows(blocks: np.ndarray, smallmax: str):
+    """For a 2-D array with one block (>= 2 values) per row: each row's T, which
+    rows it scored, the partitioned rows, and each row's theta_hat and F_n(ln X_(n)).
+
+    The one place T is computed: a partition at kth = m - 2 puts X_(n-1) there and
+    X_(n) after it; one comparison counts the values above ln X_(n). Logs are math.log,
+    the rest is correctly rounded: T is the formula in Python floats to the bit. A row
+    whose top two tie, or whose maximum is not finite or not one `smallmax` scores, is
+    left to spacing_statistic's rule (T a stand-in).
+    """
+    m = blocks.shape[1]
+    part = np.partition(blocks, m - 2, axis=1)
+    second, mx = part[:, -2], part[:, -1]
+    low = 0.0 if smallmax == "raw" else 1.0
+    # ln X_(n) where the formula takes X_(n), else NaN (a NaN is not equal to itself)
+    logs = np.array([math.log(x) if low < x < math.inf and x != 1.0 else math.nan
+                     for x in mx.tolist()])
+    if not (usable := logs == logs).any():  # the rule decides every row, reading no T
+        return np.zeros(len(part)), usable, part, None, None
+    # X_(n) > ln X_(n) counts itself; a NaN row counts nothing
+    surv = np.maximum((blocks > logs[:, np.newaxis]).sum(axis=1, dtype=np.int32), 1) / m
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN, as Python floats give
+        # survival 1 (nothing at or below ln X_(n)) gives theta 0; `0.0 -` clears a -0.0
+        theta = 0.0 - np.array(list(map(math.log, surv.tolist()))) / logs
+        return theta * (mx - second), usable & (second < mx), part, theta, surv
+
+
 def spacing_statistic(blocks: np.ndarray, smallmax: str = "error", first: int = 0, k: int = 0):
-    """Each row's T, as a list, for a 2-D array with one block (>= 2 values)
-    per row; for a 1-D block, its T, theta_hat, spacing, F_n(ln X_(n)), X_(n).
+    """Each row's T (from spacing_rows), as a list, for a 2-D array with one block
+    (>= 2 values) per row; for a 1-D block, its T, theta_hat, spacing, F_n(ln X_(n)), X_(n).
 
-    The one place T is computed: a partition at kth = m - 2 puts each X_(n-1) there, so
-    X_(n) is the one value after it; one comparison counts values above ln X_(n).
-
-    It is also the one statement of the small-maximum rule. The formula needs
+    This is the one statement of the small-maximum rule. The formula needs
     ln X_(n) defined and nonzero; `smallmax` says what a maximum <= 1 means:
     - 'error': any maximum <= 1 raises MaxNotAboveOneError;
     - 'short': a maximum in (0, 1] returns None, calling the whole sample Short;
@@ -104,12 +128,11 @@ def spacing_statistic(blocks: np.ndarray, smallmax: str = "error", first: int = 
     {first + j + 1} of {k}: ". A maximum that is not finite raises
     NonFiniteDrawError.
     """
-    m = blocks.shape[-1]
-    part = np.partition(blocks, m - 2, axis=-1)
-    rows = part[:, -2:].tolist() if blocks.ndim == 2 else [part[-2:].tolist()]
-    logs = []
-    for j, (second, mx) in enumerate(rows):
-        if second == mx and float(part.reshape(-1, m)[j].min()) == mx:
+    rows = blocks if blocks.ndim == 2 else blocks[np.newaxis]
+    stats, scored, part, theta, surv = spacing_rows(rows, smallmax)
+    for j in [j for j, ok in enumerate(scored.tolist()) if not ok]:
+        second, mx = part[j, -2:].tolist()
+        if second == mx and part[j].min() == mx:
             raise DegenerateSampleError(_prefix(first + j, k) + "all sample values are equal")
         if mx <= 1.0:
             if smallmax == "short" and mx > 0.0:
@@ -121,19 +144,10 @@ def spacing_statistic(blocks: np.ndarray, smallmax: str = "error", first: int = 
                 )
         if not math.isfinite(mx):
             raise NonFiniteDrawError(f"draw overflowed to {mx:g}; sample maximum must be finite")
-        logs.append(math.log(mx))
-    if len(logs) == 1:  # one row needs no broadcast
-        counts = [np.count_nonzero(blocks > logs[0])]
-    else:
-        counts = (blocks > np.array(logs)[:, np.newaxis]).sum(axis=1).tolist()
-    stats = []
-    for (second, mx), log_max, count in zip(rows, logs, counts):
-        surv = count / m
-        # survival exactly 1 (nothing at or below ln X_(n)) is the concentrated
-        # boundary case: the rate estimate collapses to 0
-        theta = 0.0 if surv == 1.0 else -math.log(surv) / log_max
-        stats.append(theta * (mx - second))
-    return stats if blocks.ndim == 2 else (stats[0], theta, mx - second, surv, mx)
+    if blocks.ndim == 2:
+        return stats.tolist()
+    second, mx = part[0, -2:].tolist()
+    return stats.item(0), theta.item(0), mx - second, surv.item(0), mx
 
 
 def _prefix(j: int, k: int) -> str:

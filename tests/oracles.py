@@ -122,6 +122,33 @@ def block_statistics_ref(values, k: int, smallmax: str):
     return stats
 
 
+def run_row_ref(draws, n: int, k: int, lower: float, upper: float, smallmax: str):
+    """The engine's row loop as it stood before replicates were scored in
+    chunks: one replicate at a time, through block_statistics_ref.
+
+    A refused replicate is noted as "replicate r: <message>" and a replicate
+    called Short by the rule counts as Short; otherwise the sum of its block
+    T's, taken left to right, is Short below `lower`, Long above `upper` and
+    Medium on or between them. A maximum that is not finite stops the row.
+    Returns (short, medium, long, every note), or, when the row stopped, the
+    message "n=<n>, replicate r: <message>".
+    """
+    counts, notes = [0, 0, 0], []
+    for r, values in enumerate(draws):
+        out = block_statistics_ref(values, k, smallmax)
+        if isinstance(out, tuple):
+            name, message = out
+            if name == "NonFiniteDrawError":
+                return f"n={n}, replicate {r}: {message}"
+            notes.append(f"replicate {r}: {message}")
+        elif out is None:
+            counts[0] += 1
+        else:
+            total = sum(out)
+            counts[0 if total < lower else 2 if total > upper else 1] += 1
+    return (*counts, notes)
+
+
 def ks_distance(values: np.ndarray, cdf) -> float:
     """Kolmogorov-Smirnov distance between a sample and a CDF callable."""
     x = np.sort(np.asarray(values, dtype=float))

@@ -23,7 +23,7 @@ from . import oracles
 
 positive_samples = st.lists(
     st.floats(min_value=1e-3, max_value=1e6, allow_nan=False, allow_infinity=False),
-    min_size=2,
+    min_size=3,
     max_size=40,
 ).filter(lambda xs: max(xs) > min(xs))
 
@@ -44,10 +44,19 @@ class TestStatistic:
         with pytest.raises(ValueError):
             bryson_statistic([3.0])
 
+    def test_rejects_two_values(self):
+        # with a <= b: shift b, GA^2 = (a + b) * 2b, so T* = 1/4 whatever the data
+        assert oracles.bryson_statistic_ref([1.0, 3.0]) == pytest.approx(0.25, rel=1e-12)
+        for call in (bryson_statistic, bryson_test):
+            with pytest.raises(ValueError, match="at least 3 values, got n=2"):
+                call([1.0, 3.0])
+        with pytest.raises(ValueError, match="at least 3 values, got n=2"):
+            simulate_bryson_quantiles(parse_spec("exp:1"), 2, reps=1000)
+
     def test_rejects_too_negative_values(self):
-        # smallest + max/(n-1) = -5 + 4/1 < 0: log of a negative number
+        # smallest + max/(n-1) = -5 + 4/2 < 0: log of a negative number
         with pytest.raises(ValueError, match="geometric mean"):
-            bryson_statistic([-5.0, 4.0])
+            bryson_statistic([-5.0, 1.0, 4.0])
 
     @pytest.mark.parametrize("xs", [[-0.5, 1.0, 2.0, 3.0, 4.0, 5.0], [2.0, -1e-300, 7.0]])
     def test_rejects_negative_values(self, xs):
@@ -171,7 +180,7 @@ class TestQuantileTables:
         def no_draws(*args):
             raise AssertionError("drew before rejecting the law")
 
-        monkeypatch.setattr("tailtest.bryson.replicate_draws", no_draws)
+        monkeypatch.setattr("tailtest.bryson.replicate_chunks", no_draws)
         with pytest.raises(ValueError, match=f"{text} takes negative values.*nonnegative"):
             simulate_bryson_quantiles(parse_spec(text), 30, reps=1000)
 
@@ -182,7 +191,7 @@ class TestQuantileTables:
         t = simulate_bryson_quantiles(parse_spec(text), 20, reps=1000, seed=1)
         assert all(math.isfinite(q) for q in t.quantiles)
 
-    @pytest.mark.parametrize("n", [2, 129, 3000])
+    @pytest.mark.parametrize("n", [3, 129, 3000])
     def test_table_matches_per_replicate_replay(self, n):
         # 1001 replicates leave the last chunk partial; stderrs go through the bootstrap
         spec, reps, seed = parse_spec("lognormal"), 1001, 8

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tailtest.cli import main, read_dataset
+from tailtest.cli import build_parser, main, read_dataset
 from tailtest.power import CSV_HEADER
 
 E = math.e
@@ -312,6 +312,30 @@ class TestSimulateCommand:
             "draw overflowed to inf; sample maximum must be finite\n"
         )
 
+    @pytest.mark.parametrize("k", ["1", "5"])
+    def test_overflow_past_the_first_chunk_names_the_replicate(self, k, capsys):
+        # at n=1000 a scoring chunk holds 16 replicates; 915 is in chunk 58
+        code = main(["simulate", "--dist", "pareto:0.02", "--n", "1000", "--k", k,
+                     "--reps", "1000"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "tailtest: error: n=1000, replicate 915: "
+            "draw overflowed to inf; sample maximum must be finite\n"
+        )
+
+    def test_consecutive_calls_do_not_share_arguments(self, capsys):
+        # main builds its parser once per process; every call parses afresh
+        assert build_parser() is build_parser()
+        argv = ["simulate", "--dist", "exp:1", "--n", "100", "--reps", "100", "--format", "json"]
+        assert main(argv + ["--k", "5", "--seed", "3", "--smallmax-policy", "short"]) == 0
+        first = json.loads(capsys.readouterr().out)["reports"][0]
+        assert main(argv) == 0
+        second = json.loads(capsys.readouterr().out)["reports"][0]
+        assert (first["k"], first["seed"], first["smallmax_policy"]) == (5, 3, "short")
+        assert (second["k"], second["seed"], second["smallmax_policy"]) == (1, 0, "raw")
+
     @pytest.mark.parametrize("n", ["0", "2"])
     def test_n_below_block_minimum_exits_one(self, n, capsys):
         code = main(["simulate", "--dist", "exp:1", "--n", n, "--reps", "100"])
@@ -437,6 +461,28 @@ class TestBrysonCommands:
         assert captured.out == ""
         assert captured.err == (
             "tailtest: error: smallest value is -0.5; T* needs nonnegative data\n"
+        )
+
+    def test_bryson_refuses_two_values(self, write_dataset, capsys):
+        # T* of any two values is 1/4, so the test could decide nothing
+        code = main(["bryson", write_dataset([1.0, 3.0]), "--reps", "1000"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "tailtest: error: T* needs at least 3 values, got n=2; "
+            "with 2 it is 1/4 for any data, so it cannot tell tails apart\n"
+        )
+
+    @pytest.mark.parametrize("n", ["1", "2"])
+    def test_bryson_quantiles_refuses_fewer_than_three_values(self, n, capsys):
+        code = main(["bryson-quantiles", "--dist", "exp:1", "--n", n, "--reps", "1000"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            f"tailtest: error: T* needs at least 3 values, got n={n}; "
+            "with 2 it is 1/4 for any data, so it cannot tell tails apart\n"
         )
 
     @pytest.mark.parametrize("n", ["0", "-3"])

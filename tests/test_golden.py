@@ -5,14 +5,16 @@ the exit code it returned, for a fixed set of commands. A refactor that
 changes any emitted byte or decision fails here. After a deliberate change
 of output, rewrite the files from the repository root with
 
-    PYTHONPATH=src python -m tests.test_golden
+    PYTHONPATH=src python -m tests.test_golden [FILE ...]
 
-and review the diff.
+where each FILE is a name under tests/golden/ (all of them when none is
+given), and review the diff.
 """
 import contextlib
 import io
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -120,7 +122,12 @@ def test_outputs_match_golden(name):
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:] or sorted(CASES)
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown golden file(s) {', '.join(unknown)}; "
+                 f"choose from {', '.join(sorted(CASES))}")
     GOLDEN.mkdir(exist_ok=True)
-    for name, commands in CASES.items():
-        text = json.dumps(run_all(commands()), indent=1) + "\n"
+    for name in names:
+        text = json.dumps(run_all(CASES[name]()), indent=1) + "\n"
         (GOLDEN / name).write_text(text, encoding="utf-8")

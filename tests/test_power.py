@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -12,21 +13,29 @@ from hypothesis import strategies as st
 
 from tailtest import (
     DegenerateSampleError,
+    DistributionSpec,
     MaxNotAboveOneError,
+    NonFiniteDrawError,
     SimulationPlan,
+    SimulationReport,
     TailClass,
     blocked_test,
-    consistency_scan,
     emit_table,
     parse_plan_file,
     run_plan,
+    tail_class,
     tail_test,
 )
 from tailtest.base import BlockTooSmallError
-from tailtest.distributions import parse_spec
-from tailtest.power import CSV_HEADER, _replicate_outcome
+from tailtest.distributions import parse_spec, replicate_chunks, replicate_draws
+from tailtest.power import (
+    CSV_HEADER, SMALLMAX_POLICIES, RateRow, _chunk_totals, _replicate_outcome,
+)
 from tailtest.distributions import sample as draw_sample
 from tailtest.rng import SeedSpec, erlang_criticals, make_stream
+
+from . import oracles
+from .test_golden import FAMILY_SPECS
 
 
 def small_plan(dist="exp:1", n=(50,), **kw):
@@ -216,6 +225,59 @@ class TestEngineMatchesSingleSampleTests:
         assert got is None and err.endswith(str(info.value))
 
 
+def _reference_row(plan, n):
+    """The RateRow (or abort message) of the one-replicate-at-a-time loop."""
+    lower, upper = erlang_criticals(plan.alpha, plan.k_blocks)
+    draws = replicate_draws(plan.spec, n, plan.base_seed, plan.reps)
+    with np.errstate(over="ignore"):  # a draw may overflow to inf
+        out = oracles.run_row_ref(draws, n, plan.k_blocks, lower, upper, plan.smallmax_policy)
+    if isinstance(out, str):
+        return out
+    short, medium, long, notes = out
+    return RateRow(n, plan.k_blocks, plan.alpha, plan.reps, plan.base_seed,
+                   short, medium, long, len(notes), tuple(notes[:10]))
+
+
+class TestChunkedEngineMatchesReplicateLoop:
+    """run_plan scores chunks of replicates; the loop it replaced scored one at a time."""
+
+    @pytest.mark.parametrize("policy", SMALLMAX_POLICIES)
+    @pytest.mark.parametrize("k", [1, 5, 25])
+    @pytest.mark.parametrize("dist", FAMILY_SPECS)
+    def test_rows_equal_reference_loop(self, dist, k, policy):
+        # a chunk holds 163 replicates at n = 100 and 162 at n = 101, so 200 leave
+        # the last one partial; at n = 101, k = 5 and 25 give blocks of two sizes
+        plan = small_plan(dist, n=(100, 101), k_blocks=k, reps=200, smallmax_policy=policy)
+        assert run_plan(plan).rows == tuple(_reference_row(plan, n) for n in plan.n_grid)
+
+    @pytest.mark.parametrize("policy", SMALLMAX_POLICIES)
+    @pytest.mark.parametrize("k", [1, 7])
+    @pytest.mark.parametrize("dist", ["exp:100", "uniform", "cauchy", "pareto:1"])
+    def test_large_rows_equal_reference_loop(self, dist, k, policy):
+        # 16 replicates per chunk at n = 1000, so 100 leave a partial sixth chunk
+        plan = small_plan(dist, n=(1000,), k_blocks=k, reps=100, smallmax_policy=policy)
+        assert run_plan(plan).rows == (_reference_row(plan, 1000),)
+
+    def test_overflow_after_the_first_chunk_names_the_replicate(self):
+        plan = small_plan("pareto:0.02", n=(1000,), k_blocks=5, reps=1000, base_seed=0)
+        expected = _reference_row(plan, 1000)
+        assert expected.startswith("n=1000, replicate 915: draw overflowed to inf")
+        with pytest.raises(NonFiniteDrawError) as info:
+            run_plan(plan)
+        assert str(info.value) == expected
+
+    @pytest.mark.parametrize("policy", SMALLMAX_POLICIES)
+    @pytest.mark.parametrize("k", [1, 5, 25])
+    @pytest.mark.parametrize("dist", FAMILY_SPECS)
+    def test_chunk_totals_equal_reference_sums(self, dist, k, policy):
+        # bit for bit: each block T, and its replicate's left-to-right sum
+        for _, chunk in replicate_chunks(parse_spec(dist), 101, 11, 200):
+            totals, scored = _chunk_totals(chunk, k, policy)
+            for total, ok, values in zip(totals.tolist(), scored.tolist(), chunk):
+                if ok:
+                    assert total == sum(oracles.block_statistics_ref(values, k, policy))
+
+
 class TestEmitters:
     def test_csv_header_and_shape(self):
         report = run_plan(small_plan(n=(50, 100), reps=400))
@@ -274,6 +336,57 @@ class TestEmitters:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             emit_table(run_plan(small_plan()), "xml")
+
+
+@dataclass(frozen=True)
+class ScanVerdict:
+    """Outcome of a consistency scan over an ascending n grid."""
+
+    verdict: str  # PASS, FAIL, or NOT-APPLICABLE
+    direction: str  # which rate should grow: 'short' or 'long'
+    report: SimulationReport | None
+
+
+def consistency_scan(
+    spec: DistributionSpec,
+    n_grid,
+    k: int = 1,
+    alpha: float = 0.05,
+    reps: int = 10_000,
+    base_seed: int = 0,
+    smallmax_policy: str = "raw",
+) -> ScanVerdict:
+    """Check that power grows along n_grid for a non-medium law.
+
+    PASS means the correct-direction rate at the largest n exceeds the
+    smallest-n rate (or has already saturated at >= 1-alpha) while the
+    wrong-direction rate stays below 2*alpha + 3*stderr throughout.
+    Medium laws get NOT-APPLICABLE.
+    """
+    cls = tail_class(spec)
+    if cls is TailClass.MEDIUM:
+        return ScanVerdict(verdict="NOT-APPLICABLE", direction="", report=None)
+    grid = tuple(int(n) for n in n_grid)
+    if sorted(grid) != list(grid):
+        raise ValueError(f"n_grid must be ascending, got {grid}")
+    plan = SimulationPlan(
+        spec, grid, k, alpha, reps, base_seed=base_seed, smallmax_policy=smallmax_policy
+    )
+    report = run_plan(plan)
+    if cls is TailClass.SHORT:
+        correct = [row.short_rate for row in report.rows]
+        wrong = [(row.long_rate, row.stderr_long) for row in report.rows]
+    else:
+        correct = [row.long_rate for row in report.rows]
+        wrong = [(row.short_rate, row.stderr_short) for row in report.rows]
+    # A rate pinned at/near 1.0 across the whole grid cannot strictly rise.
+    grew = correct[-1] > correct[0] or correct[-1] >= 1.0 - alpha
+    ok = grew and all(rate < 2.0 * alpha + 3.0 * err for rate, err in wrong)
+    return ScanVerdict(
+        verdict="PASS" if ok else "FAIL",
+        direction="short" if cls is TailClass.SHORT else "long",
+        report=report,
+    )
 
 
 class TestConsistencyScan:
