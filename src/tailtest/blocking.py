@@ -2,7 +2,9 @@
 
 Splitting the sample into k blocks and summing the per-block statistics
 sharpens power; under a medium tail the sum is asymptotically gamma(k,1).
-blocked_test and the Monte Carlo engine both cut blocks with block_rows.
+blocked_test and the Monte Carlo engine both score blocks with block_scores, each
+block's T, outcome code and maximum; a replicate with a nonzero code is decided by
+its first such block (first_verdicts): Short, or the exception blocked_test raises.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import numpy as np
 
 from .base import BlockTooSmallError, TailClass, check_alpha, decide
 from .rng import erlang_criticals, gamma_cdf, make_stream
-from .tail_test import Sample, as_sample, spacing_statistic
+from .tail_test import Sample, as_sample, spacing_rows, verdict
 
 MIN_BLOCK = 3  # a block needs X_(n), X_(n-1) and a nondegenerate survival
 
@@ -86,19 +88,36 @@ def block_rows(values: np.ndarray, k: int) -> list[np.ndarray]:
     return [values[:, :cut].reshape(reps * extra, base + 1), tail] if extra else [tail]
 
 
-def block_statistics(values: np.ndarray, k: int, smallmax: str = "error") -> list[float] | None:
-    """T of each block of block_sizes(values.size, k), in order; callers check k.
+def block_scores(values: np.ndarray, k: int, smallmax: str):
+    """Each block's T, outcome code and maximum (tail_test.spacing_rows) for every row of
+    a (reps, n) array: three (reps, k) arrays, blocks in order, from one kernel call per
+    block size (block_rows). A T stands where its code is 0; callers check k."""
+    columns = []
+    for blocks in block_rows(values, k):
+        stats, code, part, *_ = spacing_rows(blocks, smallmax)
+        columns.append([a.reshape(len(values), -1) for a in (stats, code, part[:, -1])])
+    return tuple(np.concatenate(arrays, axis=1) for arrays in zip(*columns))
 
-    At most two kernel calls (block_rows). None means a block was called Short;
-    see spacing_statistic for the rule.
-    """
-    stats: list[float] = []
-    for blocks in block_rows(values[np.newaxis], k):
-        piece = spacing_statistic(blocks, smallmax, len(stats), k)
-        if piece is None:
-            return None
-        stats += piece
-    return stats
+
+def first_verdicts(codes: np.ndarray, maxima: np.ndarray, k: int) -> list:
+    """(r, verdict) for each row r of block_scores with a nonzero code, in order: the
+    tail_test.verdict of its first such block, named "block j of k: "."""
+    rows = np.flatnonzero(codes.any(axis=1))
+    first = (codes[rows] != 0).argmax(axis=1)
+    return [(r, verdict(code, mx, f"block {j + 1} of {k}: ")) for r, j, code, mx in zip(
+        rows.tolist(), first.tolist(), codes[rows, first].tolist(), maxima[rows, first].tolist())]
+
+
+def block_statistics(values: np.ndarray, k: int, smallmax: str = "error") -> list[float] | None:
+    """T of each block of block_sizes(values.size, k), in order; callers check k. None
+    if the first block the rule decides is Short; its exception if it is refused."""
+    stats, codes, maxima = block_scores(values[np.newaxis], k, smallmax)
+    if not np.count_nonzero(codes):
+        return stats[0].tolist()
+    [(_, out)] = first_verdicts(codes, maxima, k)
+    if out is TailClass.SHORT:
+        return None
+    raise out
 
 
 def blocked_test(

@@ -2,11 +2,12 @@
 
 Replicate r draws from stream (base_seed, r) and is cut into k consecutive
 blocks, equal in law to any split of i.i.d. draws. The engine and the T* table
-walk the same ~128 KB row chunks (distributions.replicate_chunks); one or two
-tail_test.spacing_rows calls score every block of a chunk, and only a replicate
-with a block left to the small-maximum rule is scored again, alone, through
-blocking.block_statistics. Every outcome is bit-identical to scoring each
-replicate alone; a draw that overflows to inf aborts the plan.
+walk the same ~128 KB row chunks (distributions.replicate_chunks), and one
+blocking.block_scores call scores every block of a chunk once: its T and outcome
+code. A replicate whose codes are all 0 is classified by its statistic; any other
+by its first block with a nonzero code (first_verdicts): Short, an error note, or,
+for a draw that overflowed to inf, an abort of the plan. Every outcome is
+bit-identical to scoring each replicate alone.
 """
 from __future__ import annotations
 
@@ -18,12 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import DegenerateSampleError, MaxNotAboveOneError, NonFiniteDrawError, TailClass
-from .base import check_alpha, decide
-from .blocking import block_rows, block_sizes, block_statistics
+from .base import NonFiniteDrawError, TailClass, check_alpha
+from .blocking import block_scores, block_sizes, first_verdicts
 from .distributions import DistributionSpec, format_spec, parse_spec, replicate_chunks
 from .rng import erlang_criticals
-from .tail_test import spacing_rows
 
 SMALLMAX_POLICIES = ("error", "short", "raw")
 _MAX_ERROR_NOTES = 10
@@ -33,7 +32,7 @@ _MAX_ERROR_NOTES = 10
 class SimulationPlan:
     """What to simulate: a law, sample sizes, and the test on k consecutive blocks.
 
-    smallmax_policy is passed to tail_test.spacing_statistic, which states the
+    smallmax_policy is passed to tail_test.spacing_rows, which states the
     rule for a (block) maximum not above 1; a replicate it refuses is tallied
     as an error, one it calls Short as Short. 'raw' is the default.
     """
@@ -107,62 +106,42 @@ class SimulationReport:
     rows: tuple[RateRow, ...]
 
 
-def _replicate_outcome(values, k, lower, upper, policy):
-    """Classify one replicate. Returns (TailClass or None, error message or None)."""
-    try:
-        stats = block_statistics(values, k, policy)
-    except (DegenerateSampleError, MaxNotAboveOneError) as exc:
-        return None, str(exc)
-    return (TailClass.SHORT if stats is None else decide(sum(stats), lower, upper)), None
-
-
-def _chunk_totals(chunk, k, policy):
-    """Each replicate's statistic in a (rows, n) chunk (Python's left-to-right sum of its
-    block T's, as in blocked_test; one T is its own), and whether all were scored."""
-    pieces = [(t.reshape(len(chunk), -1), s.reshape(len(chunk), -1)) for t, s in
-              (spacing_rows(blocks, policy)[:2] for blocks in block_rows(chunk, k))]
-    stats, scored = pieces[0] if len(pieces) == 1 else map(np.hstack, zip(*pieces))
+def _chunk_outcomes(chunk, k, policy):
+    """Score a (rows, n) chunk of replicates once: the statistic of each replicate whose
+    blocks all scored (Python's left-to-right sum of its block T's, as in blocked_test;
+    one T is its own), and first_verdicts: (r, verdict) for each other replicate r."""
+    stats, codes, maxima = block_scores(chunk, k, policy)
     totals = stats[:, 0] if k == 1 else np.array(list(map(sum, stats.tolist())))
-    return totals, scored.all(axis=1)
+    if not np.count_nonzero(codes):
+        return totals, []
+    decided = first_verdicts(codes, maxima, k)
+    return np.delete(totals, [r for r, _ in decided]), decided
 
 
 def _run_row(plan: SimulationPlan, n: int) -> RateRow:
     k, policy = plan.k_blocks, plan.smallmax_policy
     lower, upper = erlang_criticals(plan.alpha, k)
 
-    counts = {TailClass.SHORT: 0, TailClass.MEDIUM: 0, TailClass.LONG: 0}
-    notes, scores = [], []
+    notes, scores, ruled_short = [], [], 0
     with np.errstate(over="ignore"):  # the rule names a draw that overflowed
         for first, chunk in replicate_chunks(plan.spec, n, plan.base_seed, plan.reps):
-            scores.append(_chunk_totals(chunk, k, policy))
-            # a replicate with a block left to the rule is scored alone, as in tail_test
-            for r in [r for r, ok in enumerate(scores[-1][1].tolist()) if not ok]:
-                try:
-                    outcome, err = _replicate_outcome(chunk[r], k, lower, upper, policy)
-                except NonFiniteDrawError as exc:  # abort the plan, naming where it stopped
-                    raise NonFiniteDrawError(f"n={n}, replicate {first + r}: {exc}") from exc
-                if outcome is None:
-                    notes.append(f"replicate {first + r}: {err}")
+            totals, verdicts = _chunk_outcomes(chunk, k, policy)
+            scores.append(totals)
+            for r, verdict in verdicts:
+                if verdict is TailClass.SHORT:
+                    ruled_short += 1
+                elif isinstance(verdict, NonFiniteDrawError):  # abort, naming where it stopped
+                    raise NonFiniteDrawError(f"n={n}, replicate {first + r}: {verdict}")
                 else:
-                    counts[outcome] += 1
-    totals, scored = map(np.concatenate, zip(*scores))
-    totals = totals[scored]
+                    notes.append(f"replicate {first + r}: {verdict}")
+    totals = np.concatenate(scores)
+    # decide's rule, over the scored replicates
     short, long = np.count_nonzero(totals < lower), np.count_nonzero(totals > upper)
-    for cls, count in zip(TailClass, (short, len(totals) - short - long, long)):
-        counts[cls] += int(count)  # decide's rule, over the scored replicates
 
-    return RateRow(
-        n=n,
-        k=plan.k_blocks,
-        alpha=plan.alpha,
-        reps=plan.reps,
-        seed=plan.base_seed,
-        short_count=counts[TailClass.SHORT],
-        medium_count=counts[TailClass.MEDIUM],
-        long_count=counts[TailClass.LONG],
-        error_count=len(notes),
-        error_notes=tuple(notes[:_MAX_ERROR_NOTES]),
-    )
+    return RateRow(n=n, k=k, alpha=plan.alpha, reps=plan.reps, seed=plan.base_seed,
+                   short_count=ruled_short + int(short), long_count=int(long),
+                   medium_count=int(len(totals) - short - long), error_count=len(notes),
+                   error_notes=tuple(notes[:_MAX_ERROR_NOTES]))
 
 
 def run_plan(plan: SimulationPlan, threads: int = 1) -> SimulationReport:

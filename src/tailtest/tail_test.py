@@ -29,10 +29,6 @@ class Sample:
     shift: float
     n: int
 
-    @property
-    def maximum(self) -> float:
-        return float(self.values.max())
-
 
 def shift_sample(values, mode=None) -> Sample:
     """Build a Sample, optionally shifting: mode None, 'min', or a number.
@@ -86,77 +82,76 @@ class TailTestResult:
     tied_max: bool = False  # top two order statistics tie (T forced to 0)
 
 
+# spacing_rows' outcome codes of a row, and the small-maximum rule as a table of them:
+# the code by where the row's maximum falls, in (-inf, 0], (0, 1), {1}, (1, inf) or
+# {inf, NaN} (searchsorted puts NaN last). All values equal (EQUAL) overrides it.
+SCORED, SHORT, EQUAL, REFUSED, NONFINITE = range(5)
+_MAX_EDGES = np.array([0.0, np.nextafter(1.0, 0.0), 1.0, np.finfo(float).max])
+_RULE = {
+    "error": np.array([REFUSED, REFUSED, REFUSED, SCORED, NONFINITE]),
+    "short": np.array([REFUSED, SHORT, SHORT, SCORED, NONFINITE]),
+    "raw": np.array([REFUSED, SCORED, REFUSED, SCORED, NONFINITE]),
+}
+
+
 def spacing_rows(blocks: np.ndarray, smallmax: str):
-    """For a 2-D array with one block (>= 2 values) per row: each row's T, which
-    rows it scored, the partitioned rows, and each row's theta_hat and F_n(ln X_(n)).
+    """For a 2-D array with one block (>= 2 values) per row: each row's T and outcome
+    code, the partitioned rows, and each row's theta_hat and F_n(ln X_(n)).
 
     The one place T is computed: a partition at kth = m - 2 puts X_(n-1) there and
     X_(n) after it; one comparison counts the values above ln X_(n). Logs are math.log,
-    the rest is correctly rounded: T is the formula in Python floats to the bit. A row
-    whose top two tie, or whose maximum is not finite or not one `smallmax` scores, is
-    left to spacing_statistic's rule (T a stand-in).
+    the rest is correctly rounded: T is the formula in Python floats to the bit.
+
+    The one statement of the small-maximum rule too: the formula needs ln X_(n)
+    defined and nonzero, and under `smallmax` a maximum <= 1 is REFUSED ('error'),
+    SHORT in (0, 1] ('short'), or SCORED in (0, 1) as written ('raw'); any other is
+    REFUSED. A row of equal values is EQUAL, one with a maximum not finite NONFINITE,
+    and one whose top two tie SCORED with T = 0 if its maximum is. Only a SCORED T stands.
     """
     m = blocks.shape[1]
     part = np.partition(blocks, m - 2, axis=1)
     second, mx = part[:, -2], part[:, -1]
-    low = 0.0 if smallmax == "raw" else 1.0
-    # ln X_(n) where the formula takes X_(n), else NaN (a NaN is not equal to itself)
-    logs = np.array([math.log(x) if low < x < math.inf and x != 1.0 else math.nan
-                     for x in mx.tolist()])
-    if not (usable := logs == logs).any():  # the rule decides every row, reading no T
-        return np.zeros(len(part)), usable, part, None, None
-    # X_(n) > ln X_(n) counts itself; a NaN row counts nothing
+    code = _RULE[smallmax][np.searchsorted(_MAX_EDGES, mx)]
+    if np.count_nonzero(tied := second == mx):  # row minima only where the top two tie
+        rows = np.flatnonzero(tied)
+        code[rows[part[rows].min(axis=1) == mx[rows]]] = EQUAL
+    if not any(scored := (code == SCORED).tolist()):  # the rule decides every row, reading no T
+        return np.zeros(len(part)), code, part, None, None
+    # ln X_(n) of a SCORED row, else NaN; X_(n) > ln X_(n) counts itself, a NaN row nothing
+    logs = np.array([math.log(x) if ok else math.nan for x, ok in zip(mx.tolist(), scored)])
     surv = np.maximum((blocks > logs[:, np.newaxis]).sum(axis=1, dtype=np.int32), 1) / m
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN, as Python floats give
         # survival 1 (nothing at or below ln X_(n)) gives theta 0; `0.0 -` clears a -0.0
         theta = 0.0 - np.array(list(map(math.log, surv.tolist()))) / logs
-        return theta * (mx - second), usable & (second < mx), part, theta, surv
+        return theta * (mx - second), code, part, theta, surv
 
 
-def spacing_statistic(blocks: np.ndarray, smallmax: str = "error", first: int = 0, k: int = 0):
-    """Each row's T (from spacing_rows), as a list, for a 2-D array with one block
-    (>= 2 values) per row; for a 1-D block, its T, theta_hat, spacing, F_n(ln X_(n)), X_(n).
+def verdict(code: int, mx: float, where: str = ""):
+    """What the rule makes of a row spacing_rows did not score, from its code and
+    maximum: TailClass.SHORT, or the exception tail_test and blocked_test raise, its
+    message after `where` (e.g. "block 2 of 5: "). The one place these messages are written."""
+    if code == SHORT:
+        return TailClass.SHORT
+    if code == EQUAL:
+        return DegenerateSampleError(where + "all sample values are equal")
+    if code == REFUSED:
+        return MaxNotAboveOneError(f"{where}sample maximum {mx + 0.0:g} is not above 1, so "
+                                   "ln X_(n) <= 0; rescale the data or apply an explicit shift")
+    return NonFiniteDrawError(f"draw overflowed to {mx:g}; sample maximum must be finite")
 
-    This is the one statement of the small-maximum rule. The formula needs
-    ln X_(n) defined and nonzero; `smallmax` says what a maximum <= 1 means:
-    - 'error': any maximum <= 1 raises MaxNotAboveOneError;
-    - 'short': a maximum in (0, 1] returns None, calling the whole sample Short;
-    - 'raw': a maximum in (0, 1) evaluates the formula as written;
-    and any other maximum <= 1 raises MaxNotAboveOneError. Rows are checked in
-    order, all-equal values (DegenerateSampleError) first, and the first row
-    that is Short or refused decides; with k > 0 an error names row j "block
-    {first + j + 1} of {k}: ". A maximum that is not finite raises
-    NonFiniteDrawError.
+
+def spacing_statistic(block: np.ndarray, smallmax: str = "error"):
+    """T, theta_hat, spacing, F_n(ln X_(n)) and X_(n) of a 1-D block (>= 2 values),
+    from spacing_rows; None when its rule calls the block Short, and its exception
+    (see verdict) when the rule refuses it.
     """
-    rows = blocks if blocks.ndim == 2 else blocks[np.newaxis]
-    stats, scored, part, theta, surv = spacing_rows(rows, smallmax)
-    for j in [j for j, ok in enumerate(scored.tolist()) if not ok]:
-        second, mx = part[j, -2:].tolist()
-        if second == mx and part[j].min() == mx:
-            raise DegenerateSampleError(_prefix(first + j, k) + "all sample values are equal")
-        if mx <= 1.0:
-            if smallmax == "short" and mx > 0.0:
-                return None
-            if not (smallmax == "raw" and 0.0 < mx < 1.0):
-                raise MaxNotAboveOneError(
-                    f"{_prefix(first + j, k)}sample maximum {mx + 0.0:g} is not above 1, "
-                    "so ln X_(n) <= 0; rescale the data or apply an explicit shift"
-                )
-        if not math.isfinite(mx):
-            raise NonFiniteDrawError(f"draw overflowed to {mx:g}; sample maximum must be finite")
-    if blocks.ndim == 2:
-        return stats.tolist()
+    stats, code, part, theta, surv = spacing_rows(block[np.newaxis], smallmax)
     second, mx = part[0, -2:].tolist()
+    if code[0] != SCORED:
+        if (out := verdict(int(code[0]), mx)) is TailClass.SHORT:
+            return None
+        raise out
     return stats.item(0), theta.item(0), mx - second, surv.item(0), mx
-
-
-def _prefix(j: int, k: int) -> str:
-    return f"block {j + 1} of {k}: " if k else ""
-
-
-def classify(t_stat: float, alpha: float) -> TailClass:
-    """Map a statistic to Short/Medium/Long at level alpha (one-sided each way)."""
-    return decide(t_stat, *erlang_criticals(alpha, 1))
 
 
 def tail_test(sample, alpha: float = 0.05) -> TailTestResult:
@@ -174,7 +169,7 @@ def tail_test(sample, alpha: float = 0.05) -> TailTestResult:
         surv_at_log_max=surv,
         p_short=1.0 - p_long,
         p_long=p_long,
-        decision=classify(t_stat, alpha),
+        decision=decide(t_stat, *erlang_criticals(alpha, 1)),
         alpha=alpha,
         n=s.n,
         tied_max=spacing == 0.0,

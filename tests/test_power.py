@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,11 +27,11 @@ from tailtest import (
     tail_class,
     tail_test,
 )
-from tailtest.base import BlockTooSmallError
+from tailtest.base import BlockTooSmallError, decide
+from tailtest.blocking import block_scores, block_sizes
 from tailtest.distributions import parse_spec, replicate_chunks, replicate_draws
-from tailtest.power import (
-    CSV_HEADER, SMALLMAX_POLICIES, RateRow, _chunk_totals, _replicate_outcome,
-)
+from tailtest.power import CSV_HEADER, SMALLMAX_POLICIES, RateRow, _chunk_outcomes
+from tailtest.tail_test import EQUAL, NONFINITE, REFUSED, SCORED, SHORT, spacing_rows
 from tailtest.distributions import sample as draw_sample
 from tailtest.rng import SeedSpec, erlang_criticals, make_stream
 
@@ -171,8 +172,26 @@ def engine_replicates(draw):
 
 
 def _engine_outcome(values, k, policy):
-    lower, upper = erlang_criticals(0.05, k)
-    return _replicate_outcome(values, k, lower, upper, policy)
+    """The engine's outcome of one replicate, scored as a one-row chunk: (TailClass,
+    None), or (None, error message). An overflowed draw would abort the plan."""
+    totals, verdicts = _chunk_outcomes(values[np.newaxis], k, policy)
+    if not verdicts:
+        return decide(totals.item(0), *erlang_criticals(0.05, k)), None
+    [(_, verdict)] = verdicts
+    assert not isinstance(verdict, NonFiniteDrawError)
+    return (verdict, None) if verdict is TailClass.SHORT else (None, str(verdict))
+
+
+# oracles.block_statistics_ref's outcome of one block -> spacing_rows' code
+_REF_CODES = {
+    "DegenerateSampleError": EQUAL, "MaxNotAboveOneError": REFUSED, "NonFiniteDrawError": NONFINITE,
+}
+
+
+def _ref_code(out):
+    if out is None:
+        return SHORT
+    return SCORED if isinstance(out, list) else _REF_CODES[out[0]]
 
 
 def _public_decision(values, k):
@@ -224,6 +243,19 @@ class TestEngineMatchesSingleSampleTests:
         got, err = _engine_outcome(np.array([value] * 3), 1, policy)
         assert got is None and err.endswith(str(info.value))
 
+    @given(case=engine_replicates())
+    @settings(max_examples=300, deadline=None)
+    def test_block_codes_match_reference(self, case):
+        # each block's code is the one-block reference's outcome, block by block
+        k, values = case
+        blocks = np.split(values, np.cumsum(block_sizes(values.size, k))[:-1])
+        for policy in SMALLMAX_POLICIES:
+            _, codes, maxima = block_scores(values[np.newaxis], k, policy)
+            assert codes[0].tolist() == [
+                _ref_code(oracles.block_statistics_ref(block, 1, policy)) for block in blocks
+            ]
+            assert maxima[0].tolist() == [block.max() for block in blocks]
+
 
 def _reference_row(plan, n):
     """The RateRow (or abort message) of the one-replicate-at-a-time loop."""
@@ -270,12 +302,36 @@ class TestChunkedEngineMatchesReplicateLoop:
     @pytest.mark.parametrize("k", [1, 5, 25])
     @pytest.mark.parametrize("dist", FAMILY_SPECS)
     def test_chunk_totals_equal_reference_sums(self, dist, k, policy):
-        # bit for bit: each block T, and its replicate's left-to-right sum
+        # bit for bit: each block T, and its replicate's left-to-right sum in the engine;
+        # a replicate with a nonzero code is exactly one the reference does not score
         for _, chunk in replicate_chunks(parse_spec(dist), 101, 11, 200):
-            totals, scored = _chunk_totals(chunk, k, policy)
-            for total, ok, values in zip(totals.tolist(), scored.tolist(), chunk):
-                if ok:
-                    assert total == sum(oracles.block_statistics_ref(values, k, policy))
+            stats, codes, _ = block_scores(chunk, k, policy)
+            totals = iter(_chunk_outcomes(chunk, k, policy)[0].tolist())
+            for row, code, values in zip(stats.tolist(), codes.tolist(), chunk):
+                expected = oracles.block_statistics_ref(values, k, policy)
+                assert any(code) is not isinstance(expected, list)
+                if not any(code):
+                    assert row == expected
+                    assert next(totals) == sum(expected)
+            assert next(totals, None) is None
+
+    @pytest.mark.parametrize("policy", ["short", "error"])
+    def test_each_replicate_is_scored_once(self, policy, monkeypatch):
+        # 2,000 replicates at n = 250 are 31 chunks of 65; under these policies no
+        # uniform replicate is scored, yet none is sent back through the kernel
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0].shape)
+            return spacing_rows(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("tailtest") and getattr(module, "spacing_rows", 0) is spacing_rows:
+                monkeypatch.setattr(module, "spacing_rows", counted)
+        plan = small_plan("uniform", n=(250,), reps=2000, base_seed=1, smallmax_policy=policy)
+        row = run_plan(plan).rows[0]
+        assert len(calls) == 31
+        assert row.short_count + row.error_count == 2000
 
 
 class TestEmitters:

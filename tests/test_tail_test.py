@@ -14,9 +14,10 @@ from tailtest import (
     shift_sample,
     tail_test,
 )
+from tailtest.base import decide
 from tailtest.distributions import parse_spec, sample as draw
-from tailtest.rng import SeedSpec
-from tailtest.tail_test import classify, spacing_statistic
+from tailtest.rng import SeedSpec, erlang_criticals
+from tailtest.tail_test import spacing_statistic
 
 from . import oracles
 
@@ -35,18 +36,18 @@ class TestShiftSample:
         assert s.shift == 0.0
         assert list(s.values) == [3.0, 1.0, 2.0]
         assert s.n == 3
-        assert s.maximum == 3.0
+        assert s.values.max() == 3.0
 
     def test_min_shift_zeroes_smallest(self):
         s = shift_sample([5.0, 2.0, 9.0], "min")
         assert s.shift == 2.0
         assert list(s.values) == [3.0, 0.0, 7.0]
-        assert s.maximum == 7.0
+        assert s.values.max() == 7.0
 
     def test_numeric_shift(self):
         s = shift_sample([5.0, 2.0, 9.0], 1.2)
         assert s.shift == 1.2
-        assert s.maximum == pytest.approx(7.8)
+        assert s.values.max() == pytest.approx(7.8)
 
     def test_none_string_is_no_shift(self):
         assert shift_sample([1.0, 2.0], "none").shift == 0.0
@@ -256,16 +257,16 @@ class TestClassify:
     def test_thresholds_at_alpha_05(self):
         lo = -math.log1p(-0.05)
         hi = -math.log(0.05)
-        assert classify(lo / 2, 0.05) is TailClass.SHORT
-        assert classify(lo, 0.05) is TailClass.MEDIUM        # boundary is medium
-        assert classify((lo + hi) / 2, 0.05) is TailClass.MEDIUM
-        assert classify(hi, 0.05) is TailClass.MEDIUM
-        assert classify(hi * 1.01, 0.05) is TailClass.LONG
+        assert decide(lo / 2, *erlang_criticals(0.05, 1)) is TailClass.SHORT
+        assert decide(lo, *erlang_criticals(0.05, 1)) is TailClass.MEDIUM  # boundary is medium
+        assert decide((lo + hi) / 2, *erlang_criticals(0.05, 1)) is TailClass.MEDIUM
+        assert decide(hi, *erlang_criticals(0.05, 1)) is TailClass.MEDIUM
+        assert decide(hi * 1.01, *erlang_criticals(0.05, 1)) is TailClass.LONG
 
     def test_alpha_widens_medium_band(self):
         t = 2.8
-        assert classify(t, 0.05) is TailClass.MEDIUM
-        assert classify(t, 0.10) is TailClass.LONG
+        assert decide(t, *erlang_criticals(0.05, 1)) is TailClass.MEDIUM
+        assert decide(t, *erlang_criticals(0.10, 1)) is TailClass.LONG
 
 
 class TestProperties:
@@ -289,7 +290,7 @@ class TestProperties:
         assert res.t_stat == pytest.approx(res.theta_hat * res.spacing, rel=1e-12, abs=1e-300)
         assert res.p_long == pytest.approx(math.exp(-res.t_stat), rel=1e-12)
         assert res.p_short + res.p_long == pytest.approx(1.0, abs=1e-12)
-        assert res.decision is classify(res.t_stat, res.alpha)
+        assert res.decision is decide(res.t_stat, *erlang_criticals(res.alpha, 1))
         assert res.t_stat >= 0.0
 
     @given(st.floats(min_value=0.01, max_value=0.4))
