@@ -35,7 +35,6 @@ from .distributions import (
     format_spec,
     parse_spec,
     sample,
-    tail_class,
 )
 from .power import (
     SimulationPlan,
@@ -88,6 +87,5 @@ __all__ = [
     "sample",
     "shift_sample",
     "simulate_bryson_quantiles",
-    "tail_class",
     "tail_test",
 ]

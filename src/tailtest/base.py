@@ -27,6 +27,12 @@ def check_alpha(alpha: float) -> float:
     return alpha
 
 
+def listed(numbers) -> str:
+    """The first ten of `numbers`, comma-separated, and how many more: "2, 4 (+3 more)"."""
+    more = "" if len(numbers) <= 10 else f" (+{len(numbers) - 10} more)"
+    return ", ".join(str(x) for x in numbers[:10]) + more
+
+
 def decide(stat: float, lower: float, upper: float) -> TailClass:
     """Short below `lower`, Long above `upper`, Medium on or between them."""
     if stat < lower:

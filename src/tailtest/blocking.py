@@ -108,18 +108,6 @@ def first_verdicts(codes: np.ndarray, maxima: np.ndarray, k: int) -> list:
         rows.tolist(), first.tolist(), codes[rows, first].tolist(), maxima[rows, first].tolist())]
 
 
-def block_statistics(values: np.ndarray, k: int, smallmax: str = "error") -> list[float] | None:
-    """T of each block of block_sizes(values.size, k), in order; callers check k. None
-    if the first block the rule decides is Short; its exception if it is refused."""
-    stats, codes, maxima = block_scores(values[np.newaxis], k, smallmax)
-    if not np.count_nonzero(codes):
-        return stats[0].tolist()
-    [(_, out)] = first_verdicts(codes, maxima, k)
-    if out is TailClass.SHORT:
-        return None
-    raise out
-
-
 def blocked_test(
     sample,
     k: int,
@@ -135,7 +123,11 @@ def blocked_test(
     """
     alpha = check_alpha(alpha)
     _, values, sizes = _arrange(sample, k, strategy, seed)
-    stats = block_statistics(values, k)
+    scores, codes, maxima = block_scores(values[np.newaxis], k, "error")
+    if np.count_nonzero(codes):  # under 'error' no verdict is Short
+        [(_, error)] = first_verdicts(codes, maxima, k)
+        raise error
+    stats = scores[0].tolist()
 
     total = float(sum(stats))
     lower, upper = erlang_criticals(alpha, k)

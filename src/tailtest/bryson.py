@@ -41,8 +41,7 @@ def _t_star(rows: np.ndarray) -> np.ndarray:
     scan for non-finite values; the first row it cannot score raises, with its index as `row`."""
     n = rows.shape[1]
     mx, mn = rows.max(axis=1), rows.min(axis=1)
-    shift = mx / (n - 1)
-    lowest = mn + shift
+    lowest = mn + mx / (n - 1)
     bad = np.flatnonzero(~np.isfinite(mx) | (lowest <= 0.0) | (mn < 0.0))
     if bad.size:
         i = int(bad[0])
@@ -58,6 +57,12 @@ def _t_star(rows: np.ndarray) -> np.ndarray:
             exc = ValueError(f"smallest value is {mn[i]:g}; T* needs nonnegative data")
         exc.row = i
         raise exc
+    # T* is scale-invariant: a row whose maximum lies outside [2**-480, 2**495] is scored
+    # as row / max, so that for n < 2**31 no product below overflows or goes subnormal
+    if (far := (mx > 2.0**495) | (mx < 2.0**-480)).any():
+        scale = np.where(far, mx, 1.0)  # x / 1.0 is x: every other row stays bit-identical
+        rows, mx = rows / scale[:, np.newaxis], mx / scale
+    shift = mx / (n - 1)
     # geometric mean via mean of logs; a product of n terms would overflow. A row's mean
     # is the same pairwise sum as a 1-D mean, and math.exp keeps libm's rounding.
     geos = map(math.exp, np.log(rows + shift[:, None]).mean(axis=1).tolist())

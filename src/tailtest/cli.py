@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .base import DatasetError, TailClass
+from .base import DatasetError, TailClass, listed
 from .blocking import blocked_test
 from .bryson import bryson_test, simulate_bryson_quantiles
 from .distributions import parse_spec
@@ -65,9 +65,7 @@ def read_dataset(path: str) -> tuple[np.ndarray, int]:
             continue
         values.append(value)
     if bad:
-        shown = ", ".join(str(b) for b in bad[:10])
-        more = "" if len(bad) <= 10 else f" (+{len(bad) - 10} more)"
-        raise DatasetError(f"{path}: unusable value on line(s) {shown}{more}")
+        raise DatasetError(f"{path}: unusable value on line(s) {listed(bad)}")
     if not values:
         raise DatasetError(f"{path}: no data lines found")
     return np.array(values), skipped

@@ -1,9 +1,8 @@
 """The distribution catalogue used by the simulations and the CLI.
 
-Each family carries a sampler, its known tail class, and whether its support
-is nonnegative. Specs parse from strings of the form
-``family:param[,param]`` (e.g. ``pareto:2``, ``weibull:0.5``, ``exp:100``,
-``loggamma:0.5,1``).
+Each family carries a sampler and whether its support is nonnegative. Specs
+parse from strings of the form ``family:param[,param]`` (e.g. ``pareto:2``,
+``weibull:0.5``, ``exp:100``, ``loggamma:0.5,1``).
 """
 from __future__ import annotations
 
@@ -14,7 +13,6 @@ from typing import Callable
 
 import numpy as np
 
-from .base import TailClass
 from .rng import SeedSpec, make_stream
 
 _EULER = 0.5772156649015329  # Euler-Mascheroni constant
@@ -53,82 +51,68 @@ class _Family:
     key: str
     aliases: tuple[str, ...]
     param_names: tuple[str, ...]
-    tail: Callable[[tuple[float, ...]], TailClass]
     sample: Callable[[np.random.Generator, int, tuple[float, ...]], np.ndarray]
     nonnegative: bool  # support lies in [0, inf)
 
 
-def _const(cls: TailClass) -> Callable[[tuple[float, ...]], TailClass]:
-    return lambda params: cls
-
-
-def _weibull_tail(params: tuple[float, ...]) -> TailClass:
-    gamma = params[0]
-    if gamma > 1:
-        return TailClass.SHORT
-    if gamma == 1:
-        return TailClass.MEDIUM
-    return TailClass.LONG
-
-
 _CATALOGUE = (
     _Family(
-        "exp", ("exponential",), ("theta",), _const(TailClass.MEDIUM),
+        "exp", ("exponential",), ("theta",),
         lambda g, n, p: g.standard_exponential(n) / p[0],
         nonnegative=True,
     ),
     _Family(
-        "logistic", (), (), _const(TailClass.MEDIUM),
+        "logistic", (), (),
         lambda g, n, p: g.logistic(0.0, 1.0, n),
         nonnegative=False,
     ),
     _Family(
-        "gamma", (), ("shape",), _const(TailClass.MEDIUM),
+        "gamma", (), ("shape",),
         lambda g, n, p: g.standard_gamma(p[0], n),
         nonnegative=True,
     ),
     _Family(
-        "uniform", ("unif", "uniform01"), (), _const(TailClass.SHORT),
+        "uniform", ("unif", "uniform01"), (),
         lambda g, n, p: g.random(n),
         nonnegative=True,
     ),
     _Family(
-        "normal", ("norm",), (), _const(TailClass.SHORT),
+        "normal", ("norm",), (),
         lambda g, n, p: g.standard_normal(n),
         nonnegative=False,
     ),
     _Family(
-        "lognormal", ("lnorm",), (), _const(TailClass.LONG),
+        "lognormal", ("lnorm",), (),
         lambda g, n, p: np.exp(g.standard_normal(n)),
         nonnegative=True,
     ),
     _Family(
-        "gumbel", ("extval", "extreme-value"), (), _const(TailClass.SHORT),
+        "gumbel", ("extval", "extreme-value"), (),
         lambda g, n, p: _EULER - g.gumbel(0.0, 1.0, n),
         nonnegative=False,
     ),
     _Family(
-        "cauchy", (), (), _const(TailClass.LONG),
+        "cauchy", (), (),
         lambda g, n, p: g.standard_cauchy(n),
         nonnegative=False,
     ),
     _Family(
-        "t", ("student", "studentt"), ("df",), _const(TailClass.LONG),
+        "t", ("student", "studentt"), ("df",),
         lambda g, n, p: g.standard_t(p[0], n),
         nonnegative=False,
     ),
     _Family(
-        "pareto", ("paretoshifted",), ("gamma",), _const(TailClass.LONG),
+        "pareto", ("paretoshifted",), ("gamma",),
         lambda g, n, p: _pareto_sample(g, n, p),
         nonnegative=True,
     ),
     _Family(
-        "weibull", (), ("gamma",), _weibull_tail,
+        "weibull", (), ("gamma",),
         lambda g, n, p: (-np.log(g.random(n))) ** (1.0 / p[0]),  # inverse transform
         nonnegative=True,
     ),
     _Family(
-        "loggamma", (), ("shape", "scale"), _const(TailClass.LONG),
+        "loggamma", (), ("shape", "scale"),
         lambda g, n, p: np.exp(p[1] * g.standard_gamma(p[0], n)),
         nonnegative=True,
     ),
@@ -192,14 +176,13 @@ def sample(
     return _lookup(spec.family).sample(stream, int(n), spec.params)
 
 
-def replicate_draws(spec: DistributionSpec, n: int, seed: int, reps: int):
-    """Replicate r's n-value draw, r = 0..reps-1, each from stream (seed, r).
-
-    The one place replicate streams are made; replicate_chunks walks it.
-    One Philox bit generator per call is re-keyed to (seed, r) with counter 0 before
-    each draw: bit-identical to make_stream(SeedSpec(seed, r)) at a tenth of the cost.
-    """
-    if n < 1:
+def replicate_chunks(spec: DistributionSpec, n: int, seed: int, reps: int):
+    """(first, draws) per chunk: draws is a C-contiguous (rows, n) array of replicates
+    first, first + 1, ..., rows = max(1, 2**14 // n) (fewer in the last chunk), for
+    run_plan and Bryson's table. The one place replicate streams are made: one Philox
+    bit generator per call is re-keyed to (seed, r) with counter 0 before replicate r's
+    draw, bit-identical to make_stream(SeedSpec(seed, r)) at a tenth of the cost."""
+    if n < 1:  # before n divides anything
         raise ValueError(f"n must be >= 1, got {n}")
     seed = SeedSpec(seed).base_seed  # a bad seed fails here, not at the first draw
     draw, n, params = _lookup(spec.family).sample, int(n), spec.params
@@ -212,21 +195,9 @@ def replicate_draws(spec: DistributionSpec, n: int, seed: int, reps: int):
             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         return stream
 
-    return (draw(rekeyed(r), n, params) for r in range(reps))
-
-
-def replicate_chunks(spec: DistributionSpec, n: int, seed: int, reps: int):
-    """(first, draws) per chunk of replicate_draws: draws is a C-contiguous (rows, n)
-    array of replicates first, first + 1, ..., rows = max(1, 2**14 // n) (fewer in
-    the last chunk). run_plan and Bryson's table both walk it."""
-    draws = replicate_draws(spec, n, seed, reps)  # refuses n < 1 before n divides anything
+    draws = (draw(rekeyed(r), n, params) for r in range(reps))
     rows = max(1, _CHUNK_VALUES // n)
     return ((first, np.array(list(islice(draws, rows)))) for first in range(0, reps, rows))
-
-
-def tail_class(spec: DistributionSpec) -> TailClass:
-    """The catalogue's known tail class for the spec."""
-    return _lookup(spec.family).tail(spec.params)
 
 
 def nonnegative(spec: DistributionSpec) -> bool:

@@ -23,8 +23,9 @@ from .base import NonFiniteDrawError, TailClass, check_alpha
 from .blocking import block_scores, block_sizes, first_verdicts
 from .distributions import DistributionSpec, format_spec, parse_spec, replicate_chunks
 from .rng import erlang_criticals
+from .tail_test import _RULE
 
-SMALLMAX_POLICIES = ("error", "short", "raw")
+SMALLMAX_POLICIES = tuple(_RULE)
 _MAX_ERROR_NOTES = 10
 
 

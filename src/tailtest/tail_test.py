@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import DegenerateSampleError, MaxNotAboveOneError, NonFiniteDrawError, TailClass
-from .base import check_alpha, decide
+from .base import check_alpha, decide, listed
 from .rng import erlang_criticals
 
 
@@ -41,9 +41,7 @@ def shift_sample(values, mode=None) -> Sample:
         raise ValueError("sample is empty")
     bad = np.flatnonzero(~np.isfinite(arr))
     if bad.size:
-        positions = ", ".join(str(i + 1) for i in bad[:10])
-        more = "" if bad.size <= 10 else f" (+{bad.size - 10} more)"
-        raise ValueError(f"non-finite values at position(s) {positions}{more}")
+        raise ValueError(f"non-finite values at position(s) {listed(bad + 1)}")
 
     if mode is None or (isinstance(mode, str) and mode.lower() == "none"):
         shift = 0.0
@@ -51,10 +49,13 @@ def shift_sample(values, mode=None) -> Sample:
         shift = float(arr.min())
     else:
         shift = float(mode)
-        if not math.isfinite(shift):
-            raise ValueError(f"shift must be finite, got {shift}")
 
-    shifted = arr - shift if shift != 0.0 else arr.copy()
+    with np.errstate(over="ignore"):  # x - 0.0 is x, -0.0 included: a copy when unshifted
+        shifted = arr - shift
+    bad = np.flatnonzero(~np.isfinite(shifted))  # the shift overflowed them, or is not finite
+    if bad.size:
+        raise ValueError(
+            f"shift {shift:g} leaves non-finite values at position(s) {listed(bad + 1)}")
     shifted.setflags(write=False)
     return Sample(values=shifted, shift=shift, n=int(arr.size))
 
@@ -140,33 +141,23 @@ def verdict(code: int, mx: float, where: str = ""):
     return NonFiniteDrawError(f"draw overflowed to {mx:g}; sample maximum must be finite")
 
 
-def spacing_statistic(block: np.ndarray, smallmax: str = "error"):
-    """T, theta_hat, spacing, F_n(ln X_(n)) and X_(n) of a 1-D block (>= 2 values),
-    from spacing_rows; None when its rule calls the block Short, and its exception
-    (see verdict) when the rule refuses it.
-    """
-    stats, code, part, theta, surv = spacing_rows(block[np.newaxis], smallmax)
-    second, mx = part[0, -2:].tolist()
-    if code[0] != SCORED:
-        if (out := verdict(int(code[0]), mx)) is TailClass.SHORT:
-            return None
-        raise out
-    return stats.item(0), theta.item(0), mx - second, surv.item(0), mx
-
-
 def tail_test(sample, alpha: float = 0.05) -> TailTestResult:
     """Run the spacing test on a sample (n >= 3, maximum > 1)."""
     alpha = check_alpha(alpha)
     s = as_sample(sample)
     if s.n < 3:
         raise ValueError(f"need at least 3 values to test, got n={s.n}")
-    t_stat, theta, spacing, surv, _ = spacing_statistic(s.values)
+    stats, code, part, theta, surv = spacing_rows(s.values[np.newaxis], "error")
+    second, mx = part[0, -2:].tolist()
+    if code[0]:  # under 'error' verdict never returns Short
+        raise verdict(int(code[0]), mx)
+    t_stat, spacing = stats.item(0), mx - second
     p_long = math.exp(-t_stat)
     return TailTestResult(
         t_stat=t_stat,
-        theta_hat=theta,
+        theta_hat=theta.item(0),
         spacing=spacing,
-        surv_at_log_max=surv,
+        surv_at_log_max=surv.item(0),
         p_short=1.0 - p_long,
         p_long=p_long,
         decision=decide(t_stat, *erlang_criticals(alpha, 1)),

@@ -32,6 +32,24 @@ GAMMA2_Q95 = 4.743864518390578
 # ---------------------------------------------------------------------------
 
 
+# Right-tail class of each catalogue family, as the README's table states it.
+_TAIL_CLASSES = {
+    "exp": "Medium", "logistic": "Medium", "gamma": "Medium",
+    "uniform": "Short", "normal": "Short", "gumbel": "Short",
+    "lognormal": "Long", "cauchy": "Long", "t": "Long", "pareto": "Long", "loggamma": "Long",
+}
+
+
+def tail_class(family: str, params) -> str:
+    """The known tail class of a catalogue law: "Short", "Medium" or "Long". A
+    Weibull law's depends on its exponent gamma: Short above 1, Medium at 1, Long below.
+    """
+    if family == "weibull":
+        gamma = params[0]
+        return "Short" if gamma > 1 else "Medium" if gamma == 1 else "Long"
+    return _TAIL_CLASSES[family]
+
+
 def erlang_cdf_ref(x: float, k: int) -> float:
     """Regularized lower incomplete gamma P(k, x) via mpmath."""
     if x <= 0:
@@ -75,14 +93,18 @@ def bryson_statistic_ref(values) -> float:
 
     T* = mean * max / ((n-1) * GA^2), GA the geometric mean of the values
     shifted up by max/(n-1), taken as exp of the mean log. Needs n >= 2, a
-    finite maximum and every shifted value > 0.
+    finite maximum and every shifted value > 0. T* is scale-invariant, so a
+    sample whose maximum lies outside [2**-480, 2**495] is scored as values / max,
+    where no product overflows or goes subnormal.
     """
     values = np.asarray(values, dtype=float)
     n = values.size
     mx = float(values.max())
-    shift = mx / (n - 1)
-    if n < 2 or not math.isfinite(mx) or float(values.min()) + shift <= 0.0:
+    if n < 2 or not math.isfinite(mx) or float(values.min()) + mx / (n - 1) <= 0.0:
         raise ValueError("T* is undefined for these values")
+    if not 2.0**-480 <= mx <= 2.0**495:
+        values, mx = values / mx, 1.0
+    shift = mx / (n - 1)
     geo = math.exp(float(np.mean(np.log(values + shift))))
     return float(values.mean()) * mx / ((n - 1) * geo * geo)
 

@@ -17,8 +17,8 @@ from tailtest import (
     recommend_blocks,
     tail_test,
 )
-from tailtest.base import NonFiniteDrawError
-from tailtest.blocking import block_sizes, block_statistics
+from tailtest.tail_test import EQUAL, SCORED, SHORT
+from tailtest.blocking import block_scores, block_sizes, first_verdicts
 from tailtest.distributions import parse_spec, sample as draw
 from tailtest.power import SimulationPlan, run_plan
 from tailtest.rng import SeedSpec, erlang_criticals, gamma_cdf
@@ -230,13 +230,26 @@ def _wide_block(rng, size, tied):
 
 
 def _block_outcome(values, k, smallmax):
+    """One replicate through block_scores and first_verdicts, in the reference's
+    terms: its block T's, None when the rule calls it Short, or its refusal as
+    (error class name, message)."""
+    stats, codes, maxima = block_scores(values[np.newaxis], k, smallmax)
+    if not np.count_nonzero(codes):
+        return stats[0].tolist()
+    [(_, out)] = first_verdicts(codes, maxima, k)
+    return None if out is TailClass.SHORT else (type(out).__name__, str(out))
+
+
+def _blocked_test_outcome(values, k):
+    """blocked_test's block T's on the values in order, or its refusal as
+    (error class name, message)."""
     try:
-        return block_statistics(values, k, smallmax)
+        return list(blocked_test(values, k, strategy="sequential").block_stats)
     except ValueError as exc:
         return type(exc).__name__, str(exc)
 
 
-class TestBlockStatistics:
+class TestBlockScores:
     def test_slices_follow_block_sizes(self):
         # partition cuts consecutive slices of block_sizes(n, k), in order
         for n, k in ((12, 4), (101, 5), (101, 25), (7, 1)):
@@ -248,15 +261,18 @@ class TestBlockStatistics:
     def test_stats_in_block_order(self):
         # n = 7, k = 2: a block of 4 and one of 3, from two reshapes
         blocks = [np.array([E, E**2, E**3, 1.5]), np.array([1.0, 2.0, 5.0])]
-        assert block_statistics(np.concatenate(blocks), 2) == [
+        res = blocked_test(np.concatenate(blocks), 2, strategy="sequential")
+        assert res.block_stats == (
             oracles.spacing_statistic_ref(blocks[0]),
             oracles.spacing_statistic_ref(blocks[1]),
-        ]
+        )
 
     def test_short_block_makes_whole_sample_short(self):
-        # the third block would raise, but the second already calls the sample Short
+        # the third block is refused, but the second already calls the sample Short
         values = np.array([1.0, 2.0, 5.0, 0.1, 0.2, 0.5] + [3.0] * 3)
-        assert block_statistics(values, 3, "short") is None
+        _, codes, _ = block_scores(values[np.newaxis], 3, "short")
+        assert codes.tolist() == [[SCORED, SHORT, EQUAL]]
+        assert _block_outcome(values, 3, "short") is None
 
     @pytest.mark.parametrize(
         "bad, error",
@@ -265,12 +281,14 @@ class TestBlockStatistics:
     def test_refused_block_is_named(self, bad, error):
         values = np.array([1.0, 2.0, 5.0] + bad + [1.0, 2.0, 5.0])
         with pytest.raises(error, match=r"^block 2 of 3: "):
-            block_statistics(values, 3)
+            blocked_test(values, 3, strategy="sequential")
 
     def test_other_errors_pass_through_unprefixed(self):
         # an infinite maximum leaves no value above ln X_(n): the draw overflowed
-        with pytest.raises(NonFiniteDrawError, match=r"^draw overflowed to inf; "):
-            block_statistics(np.array([1.0, 2.0, 5.0, 1.0, 2.0, math.inf]), 2)
+        # (blocked_test refuses non-finite input before it scores anything)
+        values = np.array([1.0, 2.0, 5.0, 1.0, 2.0, math.inf])
+        assert _block_outcome(values, 2, "error") == (
+            "NonFiniteDrawError", "draw overflowed to inf; sample maximum must be finite")
 
     @given(case=blocked_replicates())
     @settings(max_examples=300, deadline=None)
@@ -280,6 +298,9 @@ class TestBlockStatistics:
         for policy in ("error", "short", "raw"):
             expected = oracles.block_statistics_ref(values, k, policy)
             assert _block_outcome(values, k, policy) == expected
+        if np.isfinite(values).all():
+            expected = oracles.block_statistics_ref(values, k, "error")
+            assert _blocked_test_outcome(values, k) == expected
 
     @pytest.mark.parametrize(
         "k, n",
@@ -305,6 +326,9 @@ class TestBlockStatistics:
             for policy in ("error", "short", "raw"):
                 expected = oracles.block_statistics_ref(values, k, policy)
                 assert _block_outcome(values, k, policy) == expected
+            if variant != "inf" and base >= 3:  # blocked_test refuses blocks of two
+                expected = oracles.block_statistics_ref(values, k, "error")
+                assert _blocked_test_outcome(values, k) == expected
 
 
 def test_blocking_sharpens_short_tail_power():

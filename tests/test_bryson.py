@@ -16,7 +16,7 @@ from tailtest import (
 )
 from tailtest.base import NonFiniteDrawError
 from tailtest.bryson import _t_star
-from tailtest.distributions import parse_spec, replicate_draws, sample as draw
+from tailtest.distributions import parse_spec, sample as draw
 from tailtest.rng import SeedSpec, make_stream
 
 from . import oracles
@@ -82,6 +82,12 @@ class TestStatistic:
             bryson_statistic([x + 100.0 for x in xs]), rel=1e-3
         )
 
+    @pytest.mark.parametrize("scale", [2.0**600, 2.0**-600], ids=["2**600", "2**-600"])
+    def test_scale_invariance_far_from_one(self, scale):
+        # mean * max overflows at 2**600 and GA^2 underflows at 2**-600; the scale is exact
+        xs = draw(parse_spec("exp:1"), 50, SeedSpec(105, 0))
+        assert bryson_statistic(xs * scale) == pytest.approx(bryson_statistic(xs), rel=1e-12)
+
     def test_large_values_do_not_overflow(self):
         # the geometric mean goes through logs, so 1e150-scale data is fine
         xs = [1e150, 2e150, 3e150]
@@ -104,6 +110,7 @@ class TestBatchedStatistic:
             rng.lognormal(size=(4, n)),
             np.exp(rng.uniform(-300.0, 300.0, (4, n))),
             1e150 * rng.random((4, n)),
+            1e-150 * rng.random((4, n)),
         ])
         rows[::3, rng.integers(n)] = 0.0  # zeros, and an all-zero-but-one row at n = 2
         rows[rows.max(axis=1) == 0.0, 0] = 1.0
@@ -195,13 +202,18 @@ class TestQuantileTables:
     def test_table_matches_per_replicate_replay(self, n):
         # 1001 replicates leave the last chunk partial; stderrs go through the bootstrap
         spec, reps, seed = parse_spec("lognormal"), 1001, 8
-        stats = np.array([oracles.bryson_statistic_ref(v)
-                          for v in replicate_draws(spec, n, seed, reps)])
+        stats = np.array([oracles.bryson_statistic_ref(draw(spec, n, SeedSpec(seed, r)))
+                          for r in range(reps)])
         idx = make_stream(SeedSpec(seed, reps)).integers(0, reps, size=(200, reps))
         boot = np.quantile(stats[idx], (0.05, 0.95), axis=1, method="linear")
         t = simulate_bryson_quantiles(spec, n, reps=reps, seed=seed, probs=(0.05, 0.95))
         assert t.quantiles == tuple(np.quantile(stats, (0.05, 0.95), method="linear").tolist())
         assert t.stderrs == tuple(boot.std(axis=1, ddof=1).tolist())
+
+    def test_heavy_tail_quantiles_are_finite(self):
+        # maxima up to about 1e300: 63 of these 1000 T* values once overflowed to NaN
+        t = simulate_bryson_quantiles(parse_spec("pareto:0.02"), 100, reps=1000, seed=1)
+        assert all(math.isfinite(v) for v in t.quantiles + t.stderrs)
 
     def test_null_quantiles_shrink_with_n(self):
         # the exponential null concentrates as n grows: upper quantiles fall

@@ -152,6 +152,15 @@ class TestTestCommand:
         assert code == 1
         assert "--shift" in capsys.readouterr().err
 
+    def test_shift_that_overflows_a_value_exits_one(self, write_dataset, capsys):
+        # 1e308 + 1e308 is inf: refused with no numpy warning, before any statistic
+        code = main(["test", write_dataset([1e308, 5.0, 3.0]), "--shift=-1e308"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "tailtest: error: shift -1e+308 leaves non-finite values at position(s) 1\n")
+
     def test_negate_tests_left_tail(self, write_dataset):
         negated = write_dataset([-v for v in LONG], name="neg.txt")
         plain = write_dataset(LONG, name="plain.txt")
@@ -377,6 +386,14 @@ class TestBrysonCommands:
         assert payload["n"] == 60
         assert payload["null_dist"] == "exp:1"
         assert payload["decision"] in ("Short", "Medium", "Long")
+        assert code == {"Medium": 0, "Short": 2, "Long": 3}[payload["decision"]]
+
+    @pytest.mark.parametrize("values", [[1e160, 5.0, 3.0, 2.0], [1e-200, 2e-200, 3e-200, 5e-200]])
+    def test_bryson_far_from_unit_scale_decides(self, values, write_dataset, capsys):
+        # mean * max overflows for the first and GA^2 underflows for the second
+        code = main(["bryson", write_dataset(values), "--reps", "1000", "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert math.isfinite(payload["t_star"])
         assert code == {"Medium": 0, "Short": 2, "Long": 3}[payload["decision"]]
 
     def test_bryson_quantiles_csv(self, capsys):

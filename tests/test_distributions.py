@@ -10,9 +10,8 @@ from tailtest.distributions import (
     format_spec,
     nonnegative,
     parse_spec,
-    replicate_draws,
+    replicate_chunks,
     sample,
-    tail_class,
 )
 from tailtest.rng import SeedSpec, make_stream
 
@@ -119,7 +118,8 @@ class TestTailClasses:
         ],
     )
     def test_known_classes(self, text, cls):
-        assert tail_class(parse_spec(text)) is cls
+        spec = parse_spec(text)
+        assert oracles.tail_class(spec.family, spec.params) == cls
 
 
 def _empirical_survival(text, x, n=200_000, seed=5):
@@ -188,6 +188,11 @@ def _fresh_draw(spec, n, seed, r):
     return sample(spec, n, make_stream(SeedSpec(seed, r)))
 
 
+def _replicates(spec, n, seed, reps):
+    """Every replicate of replicate_chunks, in order, as one (reps, n) array."""
+    return np.concatenate([chunk for _, chunk in replicate_chunks(spec, n, seed, reps)])
+
+
 class TestSampling:
     def test_deterministic_by_seed(self):
         spec = parse_spec("pareto:2")
@@ -207,48 +212,57 @@ class TestSampling:
             sample(parse_spec("exp:1"), 0, 1)
         for n in (0, -3):
             with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
-                replicate_draws(parse_spec("exp:1"), n, 0, 5)
+                replicate_chunks(parse_spec("exp:1"), n, 0, 5)
 
     @pytest.mark.parametrize("text", CATALOGUE_SPECS)
-    def test_replicate_draws_are_sample_on_replicate_streams(self, text):
+    def test_replicate_chunks_are_sample_on_replicate_streams(self, text):
         # replicate r is sample() on stream (seed, r), bit for bit, so a
         # replicate can be redrawn on its own. Sizes 1, 3 and 257 leave part
-        # of Philox's four-word buffer unused, which replicate r+1 must not see.
+        # of Philox's four-word buffer unused, which replicate r+1 must not see;
+        # at 257 the 64 replicates span two chunks of 63 and a last one of 1.
         spec = parse_spec(text)
         for n in (1, 3, 257):
-            draws = list(replicate_draws(spec, n, 13, 64))
+            draws = _replicates(spec, n, 13, 64)
             assert len(draws) == 64
             for r, values in enumerate(draws):
                 assert values.tobytes() == _fresh_draw(spec, n, 13, r).tobytes()
 
-    def test_interleaved_replicate_draws_match_one_after_the_other(self):
-        # two calls consumed alternately give what each gives alone: no
-        # generator is shared across calls or kept at module level
-        calls = [(parse_spec("pareto:1"), 5, 7), (parse_spec("gamma:0.7"), 3, 11)]
-        alone = [list(replicate_draws(spec, n, seed, 20)) for spec, n, seed in calls]
-        first, second = (replicate_draws(spec, n, seed, 20) for spec, n, seed in calls)
-        alternate = list(zip(first, second))
-        assert len(alternate) == 20
+    def test_chunks_are_contiguous_runs_of_replicates(self):
+        # 2**14 // 3000 = 5 replicates per chunk, so 12 make chunks of 5, 5 and 2
+        chunks = list(replicate_chunks(parse_spec("exp:1"), 3000, 7, 12))
+        assert [(first, chunk.shape) for first, chunk in chunks] == [
+            (0, (5, 3000)), (5, (5, 3000)), (10, (2, 3000))]
+        assert all(chunk.flags.c_contiguous for _, chunk in chunks)
+
+    def test_interleaved_replicate_chunks_match_one_after_the_other(self):
+        # two calls consumed alternately, a chunk at a time, give what each gives
+        # alone: no generator is shared across calls or kept at module level
+        calls = [(parse_spec("pareto:1"), 3000, 7), (parse_spec("gamma:0.7"), 3001, 11)]
+        alone = [_replicates(spec, n, seed, 20) for spec, n, seed in calls]
+        first, second = (replicate_chunks(spec, n, seed, 20) for spec, n, seed in calls)
+        pairs = list(zip(first, second))  # four chunks of 5 replicates each
+        assert len(pairs) == 4
         for i, (spec, n, seed) in enumerate(calls):
-            for r, pair in enumerate(alternate):
+            draws = np.concatenate([pair[i][1] for pair in pairs])
+            for r, values in enumerate(draws):
                 expected = _fresh_draw(spec, n, seed, r).tobytes()
-                assert pair[i].tobytes() == alone[i][r].tobytes() == expected
+                assert values.tobytes() == alone[i][r].tobytes() == expected
 
     def test_more_replicates_extend_fewer(self):
         # replicate r does not depend on how many replicates the call asks for
         spec = parse_spec("weibull:0.5")
-        fewer = list(replicate_draws(spec, 5, 3, 10))
-        more = list(replicate_draws(spec, 5, 3, 17))
+        fewer = _replicates(spec, 5, 3, 10)
+        more = _replicates(spec, 5, 3, 17)
         assert len(more) == 17
         for r, values in enumerate(fewer):
             assert values.tobytes() == more[r].tobytes() == _fresh_draw(spec, 5, 3, r).tobytes()
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
-    def test_replicate_draws_rejects_bad_seed_at_the_call(self, seed):
+    def test_replicate_chunks_rejects_bad_seed_at_the_call(self, seed):
         # the seed fails when the iterator is made, not at its first draw
         message = f"^base_seed must be an unsigned 64-bit integer, got {seed}$"
         with pytest.raises(ValueError, match=message):
-            replicate_draws(parse_spec("exp:1"), 10, seed, 5)
+            replicate_chunks(parse_spec("exp:1"), 10, seed, 5)
 
     KS_CASES = [
         ("exp:1", oracles.cdf_exponential(1.0)),

@@ -24,12 +24,11 @@ from tailtest import (
     emit_table,
     parse_plan_file,
     run_plan,
-    tail_class,
     tail_test,
 )
 from tailtest.base import BlockTooSmallError, decide
 from tailtest.blocking import block_scores, block_sizes
-from tailtest.distributions import parse_spec, replicate_chunks, replicate_draws
+from tailtest.distributions import parse_spec, replicate_chunks
 from tailtest.power import CSV_HEADER, SMALLMAX_POLICIES, RateRow, _chunk_outcomes
 from tailtest.tail_test import EQUAL, NONFINITE, REFUSED, SCORED, SHORT, spacing_rows
 from tailtest.distributions import sample as draw_sample
@@ -260,7 +259,9 @@ class TestEngineMatchesSingleSampleTests:
 def _reference_row(plan, n):
     """The RateRow (or abort message) of the one-replicate-at-a-time loop."""
     lower, upper = erlang_criticals(plan.alpha, plan.k_blocks)
-    draws = replicate_draws(plan.spec, n, plan.base_seed, plan.reps)
+    # a new stream per replicate, not the engine's re-keyed one
+    draws = (draw_sample(plan.spec, n, make_stream(SeedSpec(plan.base_seed, r)))
+             for r in range(plan.reps))
     with np.errstate(over="ignore"):  # a draw may overflow to inf
         out = oracles.run_row_ref(draws, n, plan.k_blocks, lower, upper, plan.smallmax_policy)
     if isinstance(out, str):
@@ -419,7 +420,7 @@ def consistency_scan(
     wrong-direction rate stays below 2*alpha + 3*stderr throughout.
     Medium laws get NOT-APPLICABLE.
     """
-    cls = tail_class(spec)
+    cls = TailClass(oracles.tail_class(spec.family, spec.params))
     if cls is TailClass.MEDIUM:
         return ScanVerdict(verdict="NOT-APPLICABLE", direction="", report=None)
     grid = tuple(int(n) for n in n_grid)

@@ -17,7 +17,7 @@ from tailtest import (
 from tailtest.base import decide
 from tailtest.distributions import parse_spec, sample as draw
 from tailtest.rng import SeedSpec, erlang_criticals
-from tailtest.tail_test import spacing_statistic
+from tailtest.tail_test import EQUAL, REFUSED, SCORED, SHORT, spacing_rows, verdict
 
 from . import oracles
 
@@ -60,6 +60,21 @@ class TestShiftSample:
         with pytest.raises(ValueError, match=r"position\(s\) 1, 3"):
             shift_sample([math.inf, 2.0, -math.inf])
 
+    @pytest.mark.parametrize("mode", [-1e308, "min"])
+    def test_rejects_shift_that_overflows(self, mode):
+        # the shift is -1e308 either way; 1e308 - shift overflows, -1e308 - shift is 0
+        values = [1e308, -1e308, 5.0] + [1e308] * 11
+        message = (r"^shift -1e\+308 leaves non-finite values at position\(s\) "
+                   r"1, 4, 5, .*, 12 \(\+2 more\)$")
+        with pytest.raises(ValueError, match=message):
+            shift_sample(values, mode)
+
+    @pytest.mark.parametrize("mode", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_shift(self, mode):
+        message = rf"^shift {mode:g} leaves non-finite values at position\(s\) 1, 2, 3$"
+        with pytest.raises(ValueError, match=message):
+            shift_sample([1.0, 2.0, 3.0], mode)
+
     def test_values_are_read_only(self):
         s = shift_sample([1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
@@ -100,7 +115,8 @@ class TestPieces:
     def test_estimate_theta_needs_max_above_one(self):
         # the kernel evaluates the formula for a maximum in (0, 1) under 'raw';
         # the test refuses it
-        assert spacing_statistic(np.array([-1.0, 0.5, 0.9]), "raw")[1] < 0.0
+        _, code, _, theta, _ = spacing_rows(np.array([[-1.0, 0.5, 0.9]]), "raw")
+        assert code.tolist() == [SCORED] and theta.item(0) < 0.0
         with pytest.raises(MaxNotAboveOneError):
             tail_test([-1.0, 0.5, 0.9])
 
@@ -133,32 +149,41 @@ def blocks_below_one(draw):
 POLICIES = ["error", "short", "raw"]
 
 
+def _row(values, policy):
+    """spacing_rows on one block: its T, outcome code and maximum."""
+    stats, code, part, *_ = spacing_rows(np.array([values], dtype=float), policy)
+    return stats.item(0), int(code[0]), part[0, -1].item()
+
+
 class TestKernel:
     @given(blocks_with_edges())
     @settings(max_examples=300)
     def test_matches_sorted_order_reference(self, block):
-        assert spacing_statistic(block)[0] == oracles.spacing_statistic_ref(block)
+        # blocks of two values reach only the kernel; tail_test needs three
+        assert _row(block, "error")[:2] == (oracles.spacing_statistic_ref(block), SCORED)
+        if block.size >= 3:
+            assert tail_test(block).t_stat == oracles.spacing_statistic_ref(block)
 
     def test_returns_every_piece(self):
-        t, theta, spacing, surv, mx = spacing_statistic(np.array([E**3, E, E**2]))
-        assert (theta, spacing, surv, mx) == (-math.log(2 / 3) / 3, E**3 - E**2, 2 / 3, E**3)
-        assert t == theta * spacing
+        res = tail_test([E**3, E, E**2])
+        assert (res.theta_hat, res.spacing, res.surv_at_log_max) == (
+            -math.log(2 / 3) / 3, E**3 - E**2, 2 / 3)
+        assert res.t_stat == res.theta_hat * res.spacing
 
     @pytest.mark.parametrize("values", [[2.0, 2.0, 2.0], [0.5, 0.5], [-1.0, -1.0, -1.0]])
     def test_constant_block_is_degenerate(self, values):
+        assert [_row(values, policy)[1] for policy in POLICIES] == [EQUAL] * 3
         with pytest.raises(DegenerateSampleError, match="all sample values are equal"):
-            spacing_statistic(np.array(values))
+            tail_test(values * 2)  # at least three values, all equal
 
-    @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("values", [[0.1, 0.5, 1.0], [-3.0, -1.0, 0.0], [-3.0, -2.0, -1.0]])
-    def test_max_not_positive_or_exactly_one_raises(self, values, policy):
+    def test_max_not_positive_or_exactly_one_is_refused(self, values):
         # ln X_(n) is undefined or zero; only 'short' may call a maximum of
         # exactly 1 Short, since 1 lies in (0, 1]
-        if policy == "short" and values[-1] == 1.0:
-            assert spacing_statistic(np.array(values), policy) is None
-            return
         with pytest.raises(MaxNotAboveOneError, match="is not above 1"):
-            spacing_statistic(np.array(values), policy)
+            tail_test(values)
+        assert _row(values, "short")[1] == (SHORT if values[-1] == 1.0 else REFUSED)
+        assert _row(values, "raw")[1] == REFUSED
 
     @pytest.mark.parametrize("order", itertools.permutations([0.0, -0.0, -1.0]))
     def test_zero_maximum_prints_without_sign(self, order):
@@ -167,26 +192,29 @@ class TestKernel:
         with pytest.raises(MaxNotAboveOneError, match=message):
             tail_test(list(order))
         for policy in POLICIES:
-            with pytest.raises(MaxNotAboveOneError, match=message):
-                spacing_statistic(np.array(order), policy)
+            _, code, mx = _row(order, policy)
+            assert code == REFUSED
+            assert message in str(verdict(code, mx))
 
     @pytest.mark.parametrize("mx", [1e-300, 0.25, 0.999, 1.0])
-    def test_short_policy_returns_none_in_unit_interval(self, mx):
-        assert spacing_statistic(np.array([-5.0, mx / 2, mx]), "short") is None
+    def test_short_policy_calls_unit_interval_short(self, mx):
+        code = _row([-5.0, mx / 2, mx], "short")[1]
+        assert code == SHORT and verdict(code, mx) is TailClass.SHORT
 
     def test_error_policy_raises_in_unit_interval(self):
         with pytest.raises(MaxNotAboveOneError, match="sample maximum 0.5 is not above 1"):
-            spacing_statistic(np.array([0.1, 0.2, 0.5]))
+            tail_test([0.1, 0.2, 0.5])
 
     @given(blocks_below_one())
     @settings(max_examples=300)
     def test_raw_policy_matches_reference_in_unit_interval(self, block):
-        assert spacing_statistic(block, "raw")[0] == oracles.spacing_statistic_ref(block)
+        assert _row(block, "raw")[:2] == (oracles.spacing_statistic_ref(block), SCORED)
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_policy_is_irrelevant_above_one(self, policy):
-        block = np.array([E**3, E, E**2])
-        assert spacing_statistic(block, policy) == spacing_statistic(block)
+        block = np.array([[E**3, E, E**2]])
+        for got, expected in zip(spacing_rows(block, policy), spacing_rows(block, "error")):
+            assert got.tolist() == expected.tolist()
 
 
 class TestKnownAnswers:
