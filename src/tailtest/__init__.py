@@ -13,7 +13,6 @@ from .base import (
     DegenerateSampleError,
     MaxNotAboveOneError,
     NonFiniteDrawError,
-    TableMismatchError,
     TailClass,
 )
 from .blocking import (
@@ -27,7 +26,6 @@ from .bryson import (
     BrysonResult,
     bryson_statistic,
     bryson_test,
-    exponential_null_table,
     simulate_bryson_quantiles,
 )
 from .distributions import (
@@ -67,14 +65,12 @@ __all__ = [
     "SeedSpec",
     "SimulationPlan",
     "SimulationReport",
-    "TableMismatchError",
     "TailClass",
     "TailTestResult",
     "blocked_test",
     "bryson_statistic",
     "bryson_test",
     "emit_table",
-    "exponential_null_table",
     "format_spec",
     "gamma_cdf",
     "gamma_quantile",

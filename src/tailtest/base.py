@@ -63,9 +63,5 @@ class BlockTooSmallError(ValueError):
     """Requested block count leaves blocks too small to test."""
 
 
-class TableMismatchError(ValueError):
-    """A simulated null table does not match the sample it is used on."""
-
-
 class DatasetError(ValueError):
     """A dataset file could not be parsed into finite numbers."""

@@ -14,7 +14,7 @@ import numpy as np
 # np.quantile imports numpy.ma on first use; load it here so the cost falls at import
 import numpy.ma  # noqa: F401
 
-from .base import NonFiniteDrawError, TableMismatchError, TailClass, check_alpha, decide
+from .base import NonFiniteDrawError, TailClass, check_alpha, decide
 from .distributions import DistributionSpec, format_spec, nonnegative, replicate_chunks
 from .rng import SeedSpec, make_stream
 from .tail_test import as_sample
@@ -41,7 +41,9 @@ def _t_star(rows: np.ndarray) -> np.ndarray:
     scan for non-finite values; the first row it cannot score raises, with its index as `row`."""
     n = rows.shape[1]
     mx, mn = rows.max(axis=1), rows.min(axis=1)
-    lowest = mn + mx / (n - 1)
+    # with a nonnegative minimum every shifted value is > 0 unless the maximum is 0; the
+    # sum is only needed for a negative one, as max/(n-1) underflows for a subnormal max
+    lowest = np.where(mn < 0.0, mn + mx / (n - 1), mx)
     bad = np.flatnonzero(~np.isfinite(mx) | (lowest <= 0.0) | (mn < 0.0))
     if bad.size:
         i = int(bad[0])
@@ -82,12 +84,6 @@ class BrysonQuantileTable:
     quantiles: tuple[float, ...]
     stderrs: tuple[float, ...]
 
-    def quantile_at(self, p: float) -> float:
-        for prob, q in zip(self.probs, self.quantiles):
-            if math.isclose(prob, p, rel_tol=0.0, abs_tol=1e-12):
-                return q
-        raise KeyError(f"table has no {p} quantile (probs: {self.probs})")
-
 
 @dataclass(frozen=True)
 class BrysonResult:
@@ -97,7 +93,29 @@ class BrysonResult:
     alpha: float
     lower_crit: float
     upper_crit: float
-    table: BrysonQuantileTable
+    null_dist: str
+    reps: int
+    seed: int
+
+
+def _null_stats(spec: DistributionSpec, n: int, reps: int, seed: int) -> np.ndarray:
+    """T* of each of `reps` seeded replicates of `spec` at sample size n."""
+    if not nonnegative(spec):
+        raise ValueError(
+            f"{format_spec(spec)} takes negative values; T* needs nonnegative data"
+        )
+    if reps < 1000:
+        raise ValueError(f"reps must be >= 1000 for a usable table, got {reps}")
+    chunks = replicate_chunks(spec, n, seed, reps)  # refuses n < 1 first
+    _check_size(n)
+    stats = np.empty(reps)
+    with np.errstate(over="ignore"):  # _t_star names a draw that overflowed to inf
+        for first, chunk in chunks:
+            try:
+                stats[first:first + len(chunk)] = _t_star(chunk)
+            except NonFiniteDrawError as exc:
+                raise NonFiniteDrawError(f"n={n}, replicate {first + exc.row}: {exc}") from exc
+    return stats
 
 
 def simulate_bryson_quantiles(
@@ -113,26 +131,10 @@ def simulate_bryson_quantiles(
     come from 200 bootstrap resamples of the replicate statistics. Only laws
     on [0, inf) are accepted, since T* needs nonnegative data.
     """
-    if not nonnegative(spec):
-        raise ValueError(
-            f"{format_spec(spec)} takes negative values; T* needs nonnegative data"
-        )
-    if reps < 1000:
-        raise ValueError(f"reps must be >= 1000 for a usable table, got {reps}")
     for p in probs:
         if not 0.0 < p < 1.0:
             raise ValueError(f"quantile probs must lie in (0, 1), got {p}")
-
-    chunks = replicate_chunks(spec, n, seed, reps)  # refuses n < 1 first
-    _check_size(n)
-    stats = np.empty(reps)
-    with np.errstate(over="ignore"):  # _t_star names a draw that overflowed to inf
-        for first, chunk in chunks:
-            try:
-                stats[first:first + len(chunk)] = _t_star(chunk)
-            except NonFiniteDrawError as exc:
-                raise NonFiniteDrawError(f"n={n}, replicate {first + exc.row}: {exc}") from exc
-
+    stats = _null_stats(spec, n, reps, seed)
     qs = np.quantile(stats, probs, method="linear")
 
     boot_stream = make_stream(SeedSpec(seed, reps))  # replicate ids end at reps-1
@@ -155,40 +157,19 @@ def simulate_bryson_quantiles(
     )
 
 
-def exponential_null_table(
-    n: int, reps: int = 10_000, seed: int = 0, probs: tuple[float, ...] = DEFAULT_PROBS
-) -> BrysonQuantileTable:
-    """Reference quantiles under the exponential null at sample size n.
+def bryson_test(sample, alpha: float = 0.05, reps: int = 10_000, seed: int = 0) -> BrysonResult:
+    """Two-sided comparison of T* against exponential-null quantiles at the sample's n.
 
-    T* is scale-invariant, so the rate does not matter; theta=1 is used.
-    """
-    return simulate_bryson_quantiles(DistributionSpec("exp", (1.0,)), n, reps, seed, probs)
-
-
-def bryson_test(
-    sample,
-    alpha: float = 0.05,
-    null_table: BrysonQuantileTable | None = None,
-    reps: int = 10_000,
-    seed: int = 0,
-) -> BrysonResult:
-    """Two-sided comparison of T* against exponential-null quantiles.
-
-    Short if T* falls below the alpha/2 quantile, Long above the 1-alpha/2
-    quantile, Medium between. A passed-in table must match the sample's n.
+    Short if T* falls below the alpha/2 quantile of `reps` simulated exp:1 replicates
+    (T* is scale-invariant, so the rate does not matter), Long above the 1-alpha/2
+    quantile, Medium between.
     """
     alpha = check_alpha(alpha)
     s = as_sample(sample)
     t_star = bryson_statistic(s)
-    lo_p, hi_p = alpha / 2.0, 1.0 - alpha / 2.0
-    if null_table is None:
-        null_table = exponential_null_table(s.n, reps, seed, probs=(lo_p, hi_p))
-    if null_table.n != s.n:
-        raise TableMismatchError(
-            f"null table was simulated at n={null_table.n}, sample has n={s.n}"
-        )
-    lower = null_table.quantile_at(lo_p)
-    upper = null_table.quantile_at(hi_p)
+    null = DistributionSpec("exp", (1.0,))
+    stats = _null_stats(null, s.n, reps, seed)
+    lower, upper = np.quantile(stats, (alpha / 2.0, 1.0 - alpha / 2.0), method="linear").tolist()
     return BrysonResult(
         t_star=t_star,
         n=s.n,
@@ -196,5 +177,7 @@ def bryson_test(
         alpha=alpha,
         lower_crit=lower,
         upper_crit=upper,
-        table=null_table,
+        null_dist=format_spec(null),
+        reps=int(reps),
+        seed=int(seed),
     )

@@ -205,9 +205,9 @@ def _cmd_bryson(args) -> int:
             "t_star": res.t_star,
             "lower_crit": res.lower_crit,
             "upper_crit": res.upper_crit,
-            "null_dist": res.table.dist,
-            "reps": res.table.reps,
-            "seed": res.table.seed,
+            "null_dist": res.null_dist,
+            "reps": res.reps,
+            "seed": res.seed,
             "decision": str(res.decision),
         }
         print(json.dumps(payload, sort_keys=True))
@@ -216,7 +216,7 @@ def _cmd_bryson(args) -> int:
             [
                 ("n", res.n),
                 ("t_star", _fmt(res.t_star)),
-                ("null", f"{res.table.dist} ({res.table.reps} reps, seed {res.table.seed})"),
+                ("null", f"{res.null_dist} ({res.reps} reps, seed {res.seed})"),
                 ("lower_crit", _fmt(res.lower_crit)),
                 ("upper_crit", _fmt(res.upper_crit)),
                 ("decision", f"{res.decision} (alpha={res.alpha:g})"),

@@ -99,8 +99,9 @@ def bryson_statistic_ref(values) -> float:
     """
     values = np.asarray(values, dtype=float)
     n = values.size
-    mx = float(values.max())
-    if n < 2 or not math.isfinite(mx) or float(values.min()) + mx / (n - 1) <= 0.0:
+    mx, mn = float(values.max()), float(values.min())
+    # max/(n-1) may underflow, so with a nonnegative minimum only a zero maximum is refused
+    if n < 2 or not math.isfinite(mx) or (mn + mx / (n - 1) if mn < 0.0 else mx) <= 0.0:
         raise ValueError("T* is undefined for these values")
     if not 2.0**-480 <= mx <= 2.0**495:
         values, mx = values / mx, 1.0

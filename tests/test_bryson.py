@@ -7,14 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailtest import (
-    TableMismatchError,
     TailClass,
     bryson_statistic,
     bryson_test,
-    exponential_null_table,
     simulate_bryson_quantiles,
 )
-from tailtest.base import NonFiniteDrawError
+from tailtest.base import NonFiniteDrawError, decide
+from tailtest.cli import main
 from tailtest.bryson import _t_star
 from tailtest.distributions import parse_spec, sample as draw
 from tailtest.rng import SeedSpec, make_stream
@@ -53,10 +52,11 @@ class TestStatistic:
         with pytest.raises(ValueError, match="at least 3 values, got n=2"):
             simulate_bryson_quantiles(parse_spec("exp:1"), 2, reps=1000)
 
-    def test_rejects_too_negative_values(self):
-        # smallest + max/(n-1) = -5 + 4/2 < 0: log of a negative number
-        with pytest.raises(ValueError, match="geometric mean"):
-            bryson_statistic([-5.0, 1.0, 4.0])
+    @pytest.mark.parametrize("xs, lowest", [([-5.0, 1.0, 4.0], "-3"), ([0.0, 0.0, 0.0], "0")])
+    def test_rejects_too_negative_values(self, xs, lowest):
+        # smallest + max/(n-1) = -5 + 4/2 < 0: log of a negative number; all zeros give log 0
+        with pytest.raises(ValueError, match=f"max/\\(n-1\\) is {lowest}; the geometric mean"):
+            bryson_statistic(xs)
 
     @pytest.mark.parametrize("xs", [[-0.5, 1.0, 2.0, 3.0, 4.0, 5.0], [2.0, -1e-300, 7.0]])
     def test_rejects_negative_values(self, xs):
@@ -64,6 +64,11 @@ class TestStatistic:
         message = f"smallest value is {min(xs):g}; T\\* needs nonnegative data"
         with pytest.raises(ValueError, match=message):
             bryson_statistic(xs)
+
+    @pytest.mark.parametrize("xs", [[0.0] * 99 + [1e-323], [0.0, 0.0, 5e-324]])
+    def test_subnormal_maximum(self, xs):
+        # max/(n-1) underflows to 0 here, yet every shifted value is > 0; T* is scale-invariant
+        assert bryson_statistic(xs) == bryson_statistic([x / max(xs) for x in xs])
 
     def test_negative_zero_is_nonnegative(self):
         assert bryson_statistic([-0.0, 1.0, 2.0]) == bryson_statistic([0.0, 1.0, 2.0])
@@ -139,16 +144,19 @@ class TestBatchedStatistic:
         assert info.value.row == 1
 
 
+EXP = parse_spec("exp:1")
+
+
 class TestQuantileTables:
     def test_deterministic_by_seed(self):
-        a = exponential_null_table(50, reps=2000, seed=3)
-        b = exponential_null_table(50, reps=2000, seed=3)
+        a = simulate_bryson_quantiles(EXP, 50, reps=2000, seed=3)
+        b = simulate_bryson_quantiles(EXP, 50, reps=2000, seed=3)
         assert a == b
-        c = exponential_null_table(50, reps=2000, seed=4)
+        c = simulate_bryson_quantiles(EXP, 50, reps=2000, seed=4)
         assert c.quantiles != a.quantiles
 
     def test_default_probs_and_shape(self):
-        t = exponential_null_table(30, reps=1500, seed=0)
+        t = simulate_bryson_quantiles(EXP, 30, reps=1500, seed=0)
         assert t.probs == (0.025, 0.05, 0.95, 0.975)
         assert len(t.quantiles) == 4
         assert len(t.stderrs) == 4
@@ -156,23 +164,17 @@ class TestQuantileTables:
         assert t.n == 30 and t.reps == 1500 and t.seed == 0
 
     def test_quantiles_increase_with_prob(self):
-        t = exponential_null_table(50, reps=2000, seed=1)
+        t = simulate_bryson_quantiles(EXP, 50, reps=2000, seed=1)
         assert list(t.quantiles) == sorted(t.quantiles)
 
     def test_stderrs_positive_and_small(self):
-        t = exponential_null_table(50, reps=4000, seed=2)
+        t = simulate_bryson_quantiles(EXP, 50, reps=4000, seed=2)
         assert all(e > 0 for e in t.stderrs)
         assert all(e < q for q, e in zip(t.quantiles, t.stderrs))
 
-    def test_quantile_at_lookup(self):
-        t = exponential_null_table(40, reps=1200, seed=0)
-        assert t.quantile_at(0.05) == t.quantiles[1]
-        with pytest.raises(KeyError):
-            t.quantile_at(0.5)
-
     def test_reps_floor(self):
         with pytest.raises(ValueError):
-            exponential_null_table(50, reps=999)
+            simulate_bryson_quantiles(EXP, 50, reps=999)
 
     def test_prob_validation(self):
         with pytest.raises(ValueError):
@@ -217,27 +219,27 @@ class TestQuantileTables:
 
     def test_null_quantiles_shrink_with_n(self):
         # the exponential null concentrates as n grows: upper quantiles fall
-        small = exponential_null_table(50, reps=4000, seed=9)
-        large = exponential_null_table(500, reps=4000, seed=9)
-        assert large.quantile_at(0.975) < small.quantile_at(0.975)
-        assert large.quantile_at(0.95) < small.quantile_at(0.95)
+        small = simulate_bryson_quantiles(EXP, 50, reps=4000, seed=9)
+        large = simulate_bryson_quantiles(EXP, 500, reps=4000, seed=9)
+        assert all(a < b for a, b in zip(large.quantiles[2:], small.quantiles[2:]))
 
 
 class TestBrysonTest:
     def test_exponential_data_is_usually_medium(self):
-        table = exponential_null_table(60, reps=4000, seed=11, probs=(0.025, 0.975))
+        # one simulated pair of critical values serves all 40 samples
+        crits = simulate_bryson_quantiles(EXP, 60, reps=4000, seed=11, probs=(0.025, 0.975))
         hits = 0
         for r in range(40):
-            x = draw(parse_spec("exp:1"), 60, SeedSpec(100, r))
-            res = bryson_test(x, null_table=table)
-            hits += res.decision is TailClass.MEDIUM
+            x = draw(EXP, 60, SeedSpec(100, r))
+            hits += decide(bryson_statistic(x), *crits.quantiles) is TailClass.MEDIUM
         assert hits >= 33  # roughly the 95% acceptance rate
 
     def test_decision_respects_table(self):
-        x = draw(parse_spec("exp:1"), 60, SeedSpec(101, 0))
+        x = draw(EXP, 60, SeedSpec(101, 0))
         res = bryson_test(x, reps=2000, seed=11)
-        assert res.lower_crit == res.table.quantile_at(0.025)
-        assert res.upper_crit == res.table.quantile_at(0.975)
+        table = simulate_bryson_quantiles(EXP, 60, 2000, 11, (0.025, 0.975))
+        assert (res.lower_crit, res.upper_crit) == table.quantiles
+        assert (res.null_dist, res.reps, res.seed) == ("exp:1", 2000, 11)
         if res.t_star < res.lower_crit:
             assert res.decision is TailClass.SHORT
         elif res.t_star > res.upper_crit:
@@ -245,11 +247,28 @@ class TestBrysonTest:
         else:
             assert res.decision is TailClass.MEDIUM
 
-    def test_table_must_match_sample_size(self):
-        table = exponential_null_table(50, reps=1000, seed=0, probs=(0.025, 0.975))
-        x = draw(parse_spec("exp:1"), 60, SeedSpec(102, 0))
-        with pytest.raises(TableMismatchError):
-            bryson_test(x, null_table=table)
+    def test_makes_no_bootstrap_draw(self, monkeypatch, tmp_path, capsys):
+        # make_stream in bryson.py builds only the bootstrap stream of a table
+        def no_bootstrap(*args):
+            raise AssertionError("bryson drew a bootstrap")
+
+        monkeypatch.setattr("tailtest.bryson.make_stream", no_bootstrap)
+        x = draw(EXP, 60, SeedSpec(102, 0))
+        res = bryson_test(x, reps=1000)
+        path = tmp_path / "x.txt"
+        path.write_text("\n".join(map(repr, x.tolist())), encoding="utf-8")
+        exit_code = {TailClass.MEDIUM: 0, TailClass.SHORT: 2, TailClass.LONG: 3}[res.decision]
+        assert main(["bryson", str(path), "--reps", "1000"]) == exit_code
+        assert f"decision    {res.decision}" in capsys.readouterr().out
+
+    def test_error_order(self):
+        # check_alpha first, then the T* checks on the sample, then the reps floor
+        with pytest.raises(ValueError, match="alpha must lie"):
+            bryson_test([1.0, 3.0], alpha=0.6, reps=10)
+        with pytest.raises(ValueError, match="at least 3 values"):
+            bryson_test([1.0, 3.0], reps=10)
+        with pytest.raises(ValueError, match="reps must be >= 1000"):
+            bryson_test([1.0, 2.0, 3.0], reps=999)
 
     def test_alpha_validation(self):
         x = draw(parse_spec("exp:1"), 30, SeedSpec(103, 0))

@@ -537,14 +537,24 @@ class TestUsageErrors:
         assert set(_EXIT_CODE.values()) == {0, 2, 3}
 
 
-def test_cli_import_leaves_scipy_out():
-    # numpy is the only runtime dependency; a fresh interpreter shows what the CLI loads
+def run_fresh(*args):
+    """Run a fresh interpreter with src/ first on its path."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, tailtest.cli; sys.exit('scipy' in sys.modules)"],
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
+    return subprocess.run(
+        [sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True,
     )
+
+
+def test_cli_import_leaves_scipy_out():
+    # numpy is the only runtime dependency; a fresh interpreter shows what the CLI loads
+    proc = run_fresh("-c", "import sys, tailtest.cli; sys.exit('scipy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr or "importing tailtest.cli loaded scipy"
+
+
+def test_module_entry_point_exits_with_the_decision():
+    # `python -m tailtest` goes through __main__.py, which no in-process test reaches
+    proc = run_fresh("-m", "tailtest", "test", str(DATA / "fibers.txt"), "--json")
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(proc.stdout)["decision"] == "Short"

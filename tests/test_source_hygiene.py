@@ -1,7 +1,7 @@
-"""Source hygiene of src/tailtest: no unused import, no unreferenced private function.
+"""Source hygiene of src/tailtest: no unused import, no unreferenced private name.
 
 No linter ships with the test dependencies, so these two checks stand in for one
-and keep code that nothing calls from lingering after a refactor. An import on a
+and keep code that nothing uses from lingering after a refactor. An import on a
 line marked `# noqa: F401` is kept for its side effect and is exempt.
 """
 import ast
@@ -34,21 +34,35 @@ def unused_imports(source: str) -> list[str]:
     return unused
 
 
-def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
-    """'module:name' of each top-level `def _name` that no module names anywhere."""
+def top_level_names(node: ast.stmt) -> list[str]:
+    """Names a module-level `def`, `class` or assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [name.id for target in targets for name in ast.walk(target)
+            if isinstance(name, ast.Name)]
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """'module:name' of each top-level private function, class or constant that no module reads."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     named = set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
             elif isinstance(node, ast.alias):
                 named.add(node.name)
-    return [f"{module}:{node.name}" for module, tree in trees.items() for node in tree.body
-            if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
-            and not node.name.startswith("__") and node.name not in named]
+    return [f"{module}:{name}" for module, tree in trees.items() for node in tree.body
+            for name in top_level_names(node)
+            if name.startswith("_") and not name.startswith("__") and name not in named]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
@@ -56,9 +70,9 @@ def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def test_every_private_function_is_referenced():
+def test_every_private_name_is_referenced():
     sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
-    assert unreferenced_private_functions(sources) == []
+    assert unreferenced_private_names(sources) == []
 
 
 def test_checks_find_what_they_look_for():
@@ -67,8 +81,15 @@ def test_checks_find_what_they_look_for():
         "import numpy.random  # noqa: F401\n"
         "from os import path, sep as separator\n"
         "__all__ = ['path']\n"
+        "_LIMIT = 3\n"
+        "_SCALE: float = 2.0\n"
+        "_SCALE += _LIMIT\n"
+        "class _Unused:\n    pass\n"
+        "class _Base:\n    pass\n"
+        "class Public(_Base):\n    pass\n"
         "def _helper():\n    return _used()\n"
         "def _used():\n    return 1\n"
     )
     assert unused_imports(source) == ["math", "separator"]
-    assert unreferenced_private_functions({"m.py": source}) == ["m.py:_helper"]
+    assert unreferenced_private_names({"m.py": source}) == [
+        "m.py:_SCALE", "m.py:_Unused", "m.py:_helper"]
