@@ -2,9 +2,9 @@
 
 Splitting the sample into k blocks and summing the per-block statistics
 sharpens power; under a medium tail the sum is asymptotically gamma(k,1).
-blocked_test and the Monte Carlo engine both score blocks with block_scores, each
-block's T, outcome code and maximum; a replicate with a nonzero code is decided by
-its first such block (first_verdicts): Short, or the exception blocked_test raises.
+blocked_test and the Monte Carlo engine both score blocks with block_scores; a
+replicate with a nonzero outcome code is decided by its first such block, whose code,
+index and maximum block_scores returns: Short, or the error tail_test.verdict gives.
 """
 from __future__ import annotations
 
@@ -89,23 +89,19 @@ def block_rows(values: np.ndarray, k: int) -> list[np.ndarray]:
 
 
 def block_scores(values: np.ndarray, k: int, smallmax: str):
-    """Each block's T, outcome code and maximum (tail_test.spacing_rows) for every row of
-    a (reps, n) array: three (reps, k) arrays, blocks in order, from one kernel call per
-    block size (block_rows). A T stands where its code is 0; callers check k."""
+    """Each block's T (tail_test.spacing_rows) for every row of a (reps, n) array: a
+    (reps, k) array, blocks in order, from one kernel call per block size (block_rows).
+    Then None when every block's outcome code is 0, else each row's first nonzero code
+    (0 when all its T's stand), that block's index and its maximum. Callers check k."""
     columns = []
     for blocks in block_rows(values, k):
         stats, code, part, *_ = spacing_rows(blocks, smallmax)
         columns.append([a.reshape(len(values), -1) for a in (stats, code, part[:, -1])])
-    return tuple(np.concatenate(arrays, axis=1) for arrays in zip(*columns))
-
-
-def first_verdicts(codes: np.ndarray, maxima: np.ndarray, k: int) -> list:
-    """(r, verdict) for each row r of block_scores with a nonzero code, in order: the
-    tail_test.verdict of its first such block, named "block j of k: "."""
-    rows = np.flatnonzero(codes.any(axis=1))
-    first = (codes[rows] != 0).argmax(axis=1)
-    return [(r, verdict(code, mx, f"block {j + 1} of {k}: ")) for r, j, code, mx in zip(
-        rows.tolist(), first.tolist(), codes[rows, first].tolist(), maxima[rows, first].tolist())]
+    stats, codes, maxima = (np.concatenate(arrays, axis=1) for arrays in zip(*columns))
+    if not np.count_nonzero(codes):
+        return stats, None
+    rows, block = np.arange(len(codes)), (codes != 0).argmax(axis=1)
+    return stats, (codes[rows, block], block, maxima[rows, block])
 
 
 def blocked_test(
@@ -123,10 +119,10 @@ def blocked_test(
     """
     alpha = check_alpha(alpha)
     _, values, sizes = _arrange(sample, k, strategy, seed)
-    scores, codes, maxima = block_scores(values[np.newaxis], k, "error")
-    if np.count_nonzero(codes):  # under 'error' no verdict is Short
-        [(_, error)] = first_verdicts(codes, maxima, k)
-        raise error
+    scores, refused = block_scores(values[np.newaxis], k, "error")
+    if refused is not None:  # under 'error' no code is SHORT
+        code, block, mx = (a.item(0) for a in refused)
+        raise verdict(code, mx, block, k)
     stats = scores[0].tolist()
 
     total = float(sum(stats))

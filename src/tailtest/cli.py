@@ -47,7 +47,7 @@ def read_dataset(path: str) -> tuple[np.ndarray, int]:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         # a byte-order mark is not data (the utf-8-sig codec takes ~0.4 ms to load)

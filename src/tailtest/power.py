@@ -3,11 +3,11 @@
 Replicate r draws from stream (base_seed, r) and is cut into k consecutive
 blocks, equal in law to any split of i.i.d. draws. The engine and the T* table
 walk the same ~128 KB row chunks (distributions.replicate_chunks), and one
-blocking.block_scores call scores every block of a chunk once: its T and outcome
-code. A replicate whose codes are all 0 is classified by its statistic; any other
-by its first block with a nonzero code (first_verdicts): Short, an error note, or,
-for a draw that overflowed to inf, an abort of the plan. Every outcome is
-bit-identical to scoring each replicate alone.
+blocking.block_scores call scores every block of a chunk once. A replicate whose
+codes are all 0 is classified by its statistic; each other one is counted, per
+chunk, by its first nonzero code: Short, an error (the first 10 get a note from
+tail_test.verdict), or, for a draw that overflowed to inf, an abort of the plan.
+Every count is the one scoring each replicate alone gives.
 """
 from __future__ import annotations
 
@@ -19,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import NonFiniteDrawError, TailClass, check_alpha
-from .blocking import block_scores, block_sizes, first_verdicts
+from .base import NonFiniteDrawError, check_alpha
+from .blocking import block_scores, block_sizes
 from .distributions import DistributionSpec, format_spec, parse_spec, replicate_chunks
 from .rng import erlang_criticals
-from .tail_test import _RULE
+from .tail_test import _RULE, EQUAL, NONFINITE, REFUSED, SCORED, SHORT, verdict
 
 SMALLMAX_POLICIES = tuple(_RULE)
 _MAX_ERROR_NOTES = 10
@@ -107,42 +107,37 @@ class SimulationReport:
     rows: tuple[RateRow, ...]
 
 
-def _chunk_outcomes(chunk, k, policy):
-    """Score a (rows, n) chunk of replicates once: the statistic of each replicate whose
-    blocks all scored (Python's left-to-right sum of its block T's, as in blocked_test;
-    one T is its own), and first_verdicts: (r, verdict) for each other replicate r."""
-    stats, codes, maxima = block_scores(chunk, k, policy)
-    totals = stats[:, 0] if k == 1 else np.array(list(map(sum, stats.tolist())))
-    if not np.count_nonzero(codes):
-        return totals, []
-    decided = first_verdicts(codes, maxima, k)
-    return np.delete(totals, [r for r, _ in decided]), decided
-
-
 def _run_row(plan: SimulationPlan, n: int) -> RateRow:
     k, policy = plan.k_blocks, plan.smallmax_policy
     lower, upper = erlang_criticals(plan.alpha, k)
 
-    notes, scores, ruled_short = [], [], 0
+    counts = np.zeros(NONFINITE + 1, dtype=np.int64)  # replicates by first nonzero code
+    notes, short, long = [], 0, 0  # short and long: scored replicates, by decide's rule
     with np.errstate(over="ignore"):  # the rule names a draw that overflowed
         for first, chunk in replicate_chunks(plan.spec, n, plan.base_seed, plan.reps):
-            totals, verdicts = _chunk_outcomes(chunk, k, policy)
-            scores.append(totals)
-            for r, verdict in verdicts:
-                if verdict is TailClass.SHORT:
-                    ruled_short += 1
-                elif isinstance(verdict, NonFiniteDrawError):  # abort, naming where it stopped
-                    raise NonFiniteDrawError(f"n={n}, replicate {first + r}: {verdict}")
-                else:
-                    notes.append(f"replicate {first + r}: {verdict}")
-    totals = np.concatenate(scores)
-    # decide's rule, over the scored replicates
-    short, long = np.count_nonzero(totals < lower), np.count_nonzero(totals > upper)
+            stats, refused = block_scores(chunk, k, policy)
+            # a replicate's one T, or Python's left-to-right sum of its T's (as blocked_test)
+            totals = stats[:, 0] if k == 1 else np.array(list(map(sum, stats.tolist())))
+            if refused is not None:
+                codes, blocks, maxima = refused
+                counts += np.bincount(codes, minlength=len(counts))
+                if counts[NONFINITE]:  # abort, naming where it stopped
+                    r = int(np.argmax(codes == NONFINITE))
+                    raise NonFiniteDrawError(
+                        f"n={n}, replicate {first + r}: {verdict(NONFINITE, maxima.item(r))}")
+                for r in np.flatnonzero(codes > SHORT)[:_MAX_ERROR_NOTES - len(notes)].tolist():
+                    error = verdict(codes.item(r), maxima.item(r), blocks.item(r), k)
+                    notes.append(f"replicate {first + r}: {error}")  # EQUAL or REFUSED
+                totals = totals[codes == SCORED]
+            short += np.count_nonzero(totals < lower)
+            long += np.count_nonzero(totals > upper)
 
+    short, long = int(short + counts[SHORT]), int(long)
+    errors = int(counts[EQUAL] + counts[REFUSED])
     return RateRow(n=n, k=k, alpha=plan.alpha, reps=plan.reps, seed=plan.base_seed,
-                   short_count=ruled_short + int(short), long_count=int(long),
-                   medium_count=int(len(totals) - short - long), error_count=len(notes),
-                   error_notes=tuple(notes[:_MAX_ERROR_NOTES]))
+                   short_count=short, long_count=long,
+                   medium_count=plan.reps - short - long - errors, error_count=errors,
+                   error_notes=tuple(notes))
 
 
 def run_plan(plan: SimulationPlan, threads: int = 1) -> SimulationReport:
@@ -273,23 +268,27 @@ def parse_plan_file(path) -> SimulationPlan:
     reps, seed, smallmax_policy. Blank lines and #-comments are ignored.
     """
     entries: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            key = key.strip().lower()
-            if not sep or not value.strip():
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
-            if key not in _PLAN_KEYS:
-                raise ValueError(
-                    f"{path}:{lineno}: unknown key {key!r}; valid keys: "
-                    + ", ".join(_PLAN_KEYS)
-                )
-            if key in entries:
-                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-            entries[key] = value.strip()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        key = key.strip().lower()
+        if not sep or not value.strip():
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
+        if key not in _PLAN_KEYS:
+            raise ValueError(
+                f"{path}:{lineno}: unknown key {key!r}; valid keys: "
+                + ", ".join(_PLAN_KEYS)
+            )
+        if key in entries:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+        entries[key] = value.strip()
 
     for required in ("dist", "n"):
         if required not in entries:

@@ -127,12 +127,11 @@ def spacing_rows(blocks: np.ndarray, smallmax: str):
         return theta * (mx - second), code, part, theta, surv
 
 
-def verdict(code: int, mx: float, where: str = ""):
-    """What the rule makes of a row spacing_rows did not score, from its code and
-    maximum: TailClass.SHORT, or the exception tail_test and blocked_test raise, its
-    message after `where` (e.g. "block 2 of 5: "). The one place these messages are written."""
-    if code == SHORT:
-        return TailClass.SHORT
+def verdict(code: int, mx: float, block: int = 0, k: int = 0) -> ValueError:
+    """The exception tail_test and blocked_test raise for a row spacing_rows refused
+    (EQUAL, REFUSED or NONFINITE), from its code and maximum. With k blocks, a refusal
+    names `block` (0-based) as "block j of k: ". The one place these messages are written."""
+    where = f"block {block + 1} of {k}: " if k else ""
     if code == EQUAL:
         return DegenerateSampleError(where + "all sample values are equal")
     if code == REFUSED:
@@ -149,7 +148,7 @@ def tail_test(sample, alpha: float = 0.05) -> TailTestResult:
         raise ValueError(f"need at least 3 values to test, got n={s.n}")
     stats, code, part, theta, surv = spacing_rows(s.values[np.newaxis], "error")
     second, mx = part[0, -2:].tolist()
-    if code[0]:  # under 'error' verdict never returns Short
+    if code[0]:  # under 'error' no code is SHORT
         raise verdict(int(code[0]), mx)
     t_stat, spacing = stats.item(0), mx - second
     p_long = math.exp(-t_stat)

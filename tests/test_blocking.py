@@ -17,8 +17,8 @@ from tailtest import (
     recommend_blocks,
     tail_test,
 )
-from tailtest.tail_test import EQUAL, SCORED, SHORT
-from tailtest.blocking import block_scores, block_sizes, first_verdicts
+from tailtest.tail_test import SHORT, verdict
+from tailtest.blocking import block_scores, block_sizes
 from tailtest.distributions import parse_spec, sample as draw
 from tailtest.power import SimulationPlan, run_plan
 from tailtest.rng import SeedSpec, erlang_criticals, gamma_cdf
@@ -230,14 +230,17 @@ def _wide_block(rng, size, tied):
 
 
 def _block_outcome(values, k, smallmax):
-    """One replicate through block_scores and first_verdicts, in the reference's
-    terms: its block T's, None when the rule calls it Short, or its refusal as
-    (error class name, message)."""
-    stats, codes, maxima = block_scores(values[np.newaxis], k, smallmax)
-    if not np.count_nonzero(codes):
+    """One replicate through block_scores and its first nonzero code, in the
+    reference's terms: its block T's, None when the rule calls it Short, or its
+    refusal as (error class name, message)."""
+    stats, refused = block_scores(values[np.newaxis], k, smallmax)
+    if refused is None:
         return stats[0].tolist()
-    [(_, out)] = first_verdicts(codes, maxima, k)
-    return None if out is TailClass.SHORT else (type(out).__name__, str(out))
+    code, block, mx = (a.item(0) for a in refused)
+    if code == SHORT:
+        return None
+    error = verdict(code, mx, block, k)
+    return type(error).__name__, str(error)
 
 
 def _blocked_test_outcome(values, k):
@@ -270,8 +273,8 @@ class TestBlockScores:
     def test_short_block_makes_whole_sample_short(self):
         # the third block is refused, but the second already calls the sample Short
         values = np.array([1.0, 2.0, 5.0, 0.1, 0.2, 0.5] + [3.0] * 3)
-        _, codes, _ = block_scores(values[np.newaxis], 3, "short")
-        assert codes.tolist() == [[SCORED, SHORT, EQUAL]]
+        _, refused = block_scores(values[np.newaxis], 3, "short")
+        assert [a.tolist() for a in refused] == [[SHORT], [1], [0.5]]
         assert _block_outcome(values, 3, "short") is None
 
     @pytest.mark.parametrize(

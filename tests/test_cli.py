@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tailtest import DatasetError
 from tailtest.cli import build_parser, main, read_dataset
 from tailtest.power import CSV_HEADER
 
@@ -46,11 +48,29 @@ class TestReadDataset:
         with pytest.raises(ValueError, match="cannot read"):
             read_dataset("/no/such/file.txt")
 
+    def test_undecodable_file_is_a_dataset_error(self, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_bytes(b"1.0\n2.0\ncaf\xe9\n")
+        with pytest.raises(DatasetError, match=f"^cannot read {re.escape(str(path))}: 'utf-8'"):
+            read_dataset(str(path))
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "d.txt"
         path.write_text("# only comments\n", encoding="utf-8")
         with pytest.raises(ValueError, match="no data lines"):
             read_dataset(str(path))
+
+    @pytest.mark.parametrize("command", [["test"], ["simulate", "--plan"]])
+    def test_file_not_utf8_is_named(self, command, tmp_path, capsys):
+        # a dataset or plan file that does not decode names itself in the error
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff1.5\n2.5\n")
+        assert main([*command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        prefix = "cannot read " if command == ["test"] else ""
+        assert captured.err == (f"tailtest: error: {prefix}{path}: 'utf-8' codec can't decode "
+                                "byte 0xff in position 0: invalid start byte\n")
 
     @pytest.mark.parametrize("command", [["test"], ["bryson", "--reps", "1000"]])
     def test_dataset_with_utf8_bom_reads_as_without(self, command, tmp_path, capsys):

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import sys
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,8 +30,8 @@ from tailtest import (
 from tailtest.base import BlockTooSmallError, decide
 from tailtest.blocking import block_scores, block_sizes
 from tailtest.distributions import parse_spec, replicate_chunks
-from tailtest.power import CSV_HEADER, SMALLMAX_POLICIES, RateRow, _chunk_outcomes
-from tailtest.tail_test import EQUAL, NONFINITE, REFUSED, SCORED, SHORT, spacing_rows
+from tailtest.power import CSV_HEADER, SMALLMAX_POLICIES, RateRow
+from tailtest.tail_test import EQUAL, NONFINITE, REFUSED, SCORED, SHORT, spacing_rows, verdict
 from tailtest.distributions import sample as draw_sample
 from tailtest.rng import SeedSpec, erlang_criticals, make_stream
 
@@ -171,14 +172,14 @@ def engine_replicates(draw):
 
 
 def _engine_outcome(values, k, policy):
-    """The engine's outcome of one replicate, scored as a one-row chunk: (TailClass,
-    None), or (None, error message). An overflowed draw would abort the plan."""
-    totals, verdicts = _chunk_outcomes(values[np.newaxis], k, policy)
-    if not verdicts:
-        return decide(totals.item(0), *erlang_criticals(0.05, k)), None
-    [(_, verdict)] = verdicts
-    assert not isinstance(verdict, NonFiniteDrawError)
-    return (verdict, None) if verdict is TailClass.SHORT else (None, str(verdict))
+    """The engine's outcome of one replicate, scored as a one-row chunk by block_scores:
+    (TailClass, None), or (None, error message). An overflowed draw would abort the plan."""
+    stats, refused = block_scores(values[np.newaxis], k, policy)
+    if refused is None:
+        return decide(sum(stats[0].tolist()), *erlang_criticals(0.05, k)), None
+    code, block, mx = (a.item(0) for a in refused)
+    assert code != NONFINITE
+    return (TailClass.SHORT, None) if code == SHORT else (None, str(verdict(code, mx, block, k)))
 
 
 # oracles.block_statistics_ref's outcome of one block -> spacing_rows' code
@@ -245,15 +246,23 @@ class TestEngineMatchesSingleSampleTests:
     @given(case=engine_replicates())
     @settings(max_examples=300, deadline=None)
     def test_block_codes_match_reference(self, case):
-        # each block's code is the one-block reference's outcome, block by block
+        # each block's code is the one-block reference's outcome, block by block, and
+        # block_scores reports the first nonzero one, its block and that block's maximum
         k, values = case
         blocks = np.split(values, np.cumsum(block_sizes(values.size, k))[:-1])
         for policy in SMALLMAX_POLICIES:
-            _, codes, maxima = block_scores(values[np.newaxis], k, policy)
-            assert codes[0].tolist() == [
-                _ref_code(oracles.block_statistics_ref(block, 1, policy)) for block in blocks
-            ]
-            assert maxima[0].tolist() == [block.max() for block in blocks]
+            codes = []
+            for block in blocks:
+                _, code, part, *_ = spacing_rows(block[np.newaxis], policy)
+                assert code.tolist() == [_ref_code(oracles.block_statistics_ref(block, 1, policy))]
+                assert part[0, -1] == block.max()
+                codes.append(code.item(0))
+            _, refused = block_scores(values[np.newaxis], k, policy)
+            if not any(codes):
+                assert refused is None
+                continue
+            j = next(j for j, code in enumerate(codes) if code)
+            assert [a.tolist() for a in refused] == [[codes[j]], [j], [blocks[j].max()]]
 
 
 def _reference_row(plan, n):
@@ -299,22 +308,30 @@ class TestChunkedEngineMatchesReplicateLoop:
             run_plan(plan)
         assert str(info.value) == expected
 
+    def test_first_ten_notes_span_chunks(self):
+        # 16 replicates per chunk at n = 1000; under 'error', blocks of 12 and 13 values
+        # refuse about a quarter of exp:1 replicates, so the ten notes kept come from
+        # three chunks and the error count runs on past them
+        plan = small_plan("exp:1", n=(1000,), k_blocks=80, reps=100, smallmax_policy="error")
+        [row] = run_plan(plan).rows
+        assert row == _reference_row(plan, 1000)
+        assert row.error_count > 10 and len(row.error_notes) == 10
+        assert row.error_notes[-1].startswith("replicate 42: block 43 of 80: ")
+
     @pytest.mark.parametrize("policy", SMALLMAX_POLICIES)
     @pytest.mark.parametrize("k", [1, 5, 25])
     @pytest.mark.parametrize("dist", FAMILY_SPECS)
     def test_chunk_totals_equal_reference_sums(self, dist, k, policy):
-        # bit for bit: each block T, and its replicate's left-to-right sum in the engine;
-        # a replicate with a nonzero code is exactly one the reference does not score
+        # bit for bit: each block T of a replicate the reference scores; a replicate with
+        # a nonzero first code is exactly one it does not, and the code says how
         for _, chunk in replicate_chunks(parse_spec(dist), 101, 11, 200):
-            stats, codes, _ = block_scores(chunk, k, policy)
-            totals = iter(_chunk_outcomes(chunk, k, policy)[0].tolist())
+            stats, refused = block_scores(chunk, k, policy)
+            codes = np.zeros(len(chunk), int) if refused is None else refused[0]
             for row, code, values in zip(stats.tolist(), codes.tolist(), chunk):
                 expected = oracles.block_statistics_ref(values, k, policy)
-                assert any(code) is not isinstance(expected, list)
-                if not any(code):
+                assert code == _ref_code(expected)
+                if code == SCORED:
                     assert row == expected
-                    assert next(totals) == sum(expected)
-            assert next(totals, None) is None
 
     @pytest.mark.parametrize("policy", ["short", "error"])
     def test_each_replicate_is_scored_once(self, policy, monkeypatch):
@@ -333,6 +350,24 @@ class TestChunkedEngineMatchesReplicateLoop:
         row = run_plan(plan).rows[0]
         assert len(calls) == 31
         assert row.short_count + row.error_count == 2000
+
+
+def _peak_bytes(plan):
+    tracemalloc.start()
+    try:
+        run_plan(plan)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_peak_memory_does_not_grow_with_reps():
+    # a row is tallied chunk by chunk (1,638 replicates at n = 10), so 200,000
+    # replicates peak no higher than 20,000; keeping every replicate's statistic
+    # until the row ends would add at least 8 bytes a replicate, 1.4 MB here
+    small = _peak_bytes(small_plan(n=(10,), reps=20_000))
+    large = _peak_bytes(small_plan(n=(10,), reps=200_000))
+    assert large < small + 100_000
 
 
 class TestEmitters:
@@ -552,6 +587,13 @@ class TestPlanFiles:
         path = tmp_path / "plan.txt"
         path.write_text("dist=exp:1\nn=100\njust-some-words\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"plan\.txt:3.*key=value"):
+            parse_plan_file(str(path))
+
+    def test_undecodable_file_names_path(self, tmp_path):
+        # a byte that is not UTF-8 on the third line: the error names the file
+        path = tmp_path / "plan.txt"
+        path.write_bytes(b"dist=exp:1\nn=100\n# caf\xe9\n")
+        with pytest.raises(ValueError, match=r"^\S*plan\.txt: 'utf-8' codec can't decode"):
             parse_plan_file(str(path))
 
     def test_unparseable_n(self, tmp_path):
