@@ -1,7 +1,10 @@
-"""Shared vocabulary: tail classes and the error types raised across the package."""
+"""Shared vocabulary: tail classes, outcome codes, the three-way rule and the error types."""
 from __future__ import annotations
 
 import enum
+import math
+
+import numpy as np
 
 
 class TailClass(str, enum.Enum):
@@ -33,13 +36,24 @@ def listed(numbers) -> str:
     return ", ".join(str(x) for x in numbers[:10]) + more
 
 
+# Outcome codes. tail_test.spacing_rows gives a row SCORED when its T stands, else SHORT
+# by the small-maximum rule or an error: all values EQUAL, maximum REFUSED or NONFINITE.
+SCORED, SHORT, MEDIUM, LONG, EQUAL, REFUSED, NONFINITE = range(7)
+_CLASS = np.array([SHORT, MEDIUM, LONG, MEDIUM])  # by the number of edges below, as in classify
+
+
+def classify(stats, lower: float, upper: float):
+    """SHORT below `lower`, LONG above `upper`, MEDIUM on or between them and for NaN:
+    the code of a float, or an array of codes, for a finite `lower` <= `upper`. The one
+    place a statistic meets its critical values. searchsorted counts the edges below a
+    statistic: none below `lower`, one up to `upper`, two above it, three for NaN."""
+    edges = np.array([math.nextafter(lower, -math.inf), upper, math.inf])
+    return _CLASS[np.searchsorted(edges, stats)]
+
+
 def decide(stat: float, lower: float, upper: float) -> TailClass:
-    """Short below `lower`, Long above `upper`, Medium on or between them."""
-    if stat < lower:
-        return TailClass.SHORT
-    if stat > upper:
-        return TailClass.LONG
-    return TailClass.MEDIUM
+    """The TailClass of classify's code for one statistic (SHORT to LONG, in its order)."""
+    return list(TailClass)[classify(stat, lower, upper) - SHORT]
 
 
 class MaxNotAboveOneError(ValueError):

@@ -2,7 +2,8 @@
 
 Splitting the sample into k blocks and summing the per-block statistics
 sharpens power; under a medium tail the sum is asymptotically gamma(k,1).
-blocked_test and the Monte Carlo engine both score blocks with block_scores; a
+blocked_test and the Monte Carlo engine both score blocks with block_scores, which
+also adds each replicate's block T's left to right, the total both classify. A
 replicate with a nonzero outcome code is decided by its first such block, whose code,
 index and maximum block_scores returns: Short, or the error tail_test.verdict gives.
 """
@@ -90,18 +91,21 @@ def block_rows(values: np.ndarray, k: int) -> list[np.ndarray]:
 
 def block_scores(values: np.ndarray, k: int, smallmax: str):
     """Each block's T (tail_test.spacing_rows) for every row of a (reps, n) array: a
-    (reps, k) array, blocks in order, from one kernel call per block size (block_rows).
-    Then None when every block's outcome code is 0, else each row's first nonzero code
-    (0 when all its T's stand), that block's index and its maximum. Callers check k."""
+    (reps, k) array, blocks in order, from one kernel call per block size (block_rows),
+    and each row's total of them, added left to right. Then None when every block's
+    outcome code is 0, else each row's first nonzero code (0 when all its T's stand),
+    that block's index and its maximum. Callers check k."""
     columns = []
     for blocks in block_rows(values, k):
         stats, code, part, *_ = spacing_rows(blocks, smallmax)
         columns.append([a.reshape(len(values), -1) for a in (stats, code, part[:, -1])])
     stats, codes, maxima = (np.concatenate(arrays, axis=1) for arrays in zip(*columns))
+    # accumulate adds in order on every Python and numpy version (a reduce adds pairwise)
+    totals = np.add.accumulate(stats, axis=1)[:, -1]
     if not np.count_nonzero(codes):
-        return stats, None
+        return stats, totals, None
     rows, block = np.arange(len(codes)), (codes != 0).argmax(axis=1)
-    return stats, (codes[rows, block], block, maxima[rows, block])
+    return stats, totals, (codes[rows, block], block, maxima[rows, block])
 
 
 def blocked_test(
@@ -119,18 +123,17 @@ def blocked_test(
     """
     alpha = check_alpha(alpha)
     _, values, sizes = _arrange(sample, k, strategy, seed)
-    scores, refused = block_scores(values[np.newaxis], k, "error")
+    scores, totals, refused = block_scores(values[np.newaxis], k, "error")
     if refused is not None:  # under 'error' no code is SHORT
         code, block, mx = (a.item(0) for a in refused)
         raise verdict(code, mx, block, k)
-    stats = scores[0].tolist()
 
-    total = float(sum(stats))
+    total = totals.item(0)
     lower, upper = erlang_criticals(alpha, k)
     p_short = gamma_cdf(max(total, 0.0), k)
     return BlockedTestResult(
         k=k,
-        block_stats=tuple(stats),
+        block_stats=tuple(scores[0].tolist()),
         sum_stat=total,
         lower_crit=lower,
         upper_crit=upper,

@@ -14,10 +14,10 @@ import numpy as np
 # np.quantile imports numpy.ma on first use; load it here so the cost falls at import
 import numpy.ma  # noqa: F401
 
-from .base import NonFiniteDrawError, TailClass, check_alpha, decide
+from .base import NONFINITE, NonFiniteDrawError, TailClass, check_alpha, decide
 from .distributions import DistributionSpec, format_spec, nonnegative, replicate_chunks
 from .rng import SeedSpec, make_stream
-from .tail_test import as_sample
+from .tail_test import as_sample, verdict
 
 DEFAULT_PROBS = (0.025, 0.05, 0.95, 0.975)
 _BOOTSTRAP_RESAMPLES = 200
@@ -48,8 +48,7 @@ def _t_star(rows: np.ndarray) -> np.ndarray:
     if bad.size:
         i = int(bad[0])
         if not math.isfinite(mx[i]):
-            exc = NonFiniteDrawError(
-                f"draw overflowed to {mx[i]:g}; sample maximum must be finite")
+            exc = verdict(NONFINITE, mx.item(i))
         elif lowest[i] <= 0.0:
             exc = ValueError(
                 f"smallest value plus max/(n-1) is {lowest[i]:g}; "

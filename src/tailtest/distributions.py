@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -156,9 +155,12 @@ def parse_spec(text: str) -> DistributionSpec:
 
 
 def format_spec(spec: DistributionSpec) -> str:
+    """``family:param[,param]``; a parameter prints as :g when that reads back as the
+    same float, else as its repr, so that parse_spec(format_spec(s)) == s."""
     if not spec.params:
         return spec.family
-    return spec.family + ":" + ",".join(f"{p:g}" for p in spec.params)
+    return spec.family + ":" + ",".join(
+        f"{p:g}" if float(f"{p:g}") == p else repr(p) for p in spec.params)
 
 
 def sample(
@@ -177,27 +179,30 @@ def sample(
 
 
 def replicate_chunks(spec: DistributionSpec, n: int, seed: int, reps: int):
-    """(first, draws) per chunk: draws is a C-contiguous (rows, n) array of replicates
-    first, first + 1, ..., rows = max(1, 2**14 // n) (fewer in the last chunk), for
-    run_plan and Bryson's table. The one place replicate streams are made: one Philox
-    bit generator per call is re-keyed to (seed, r) with counter 0 before replicate r's
-    draw, bit-identical to make_stream(SeedSpec(seed, r)) at a tenth of the cost."""
+    """(first, draws) per chunk for run_plan and Bryson's table: draws is a new C-contiguous
+    (rows, n) array, rows = max(1, 2**14 // n) (fewer in the last chunk), and replicate
+    first + i is drawn into row i. The one place replicate streams are made: one Philox bit
+    generator per call is re-keyed to (seed, r) with counter 0 before replicate r's draw,
+    bit-identical to make_stream(SeedSpec(seed, r)) at a tenth of the cost."""
     if n < 1:  # before n divides anything
         raise ValueError(f"n must be >= 1, got {n}")
     seed = SeedSpec(seed).base_seed  # a bad seed fails here, not at the first draw
     draw, n, params = _lookup(spec.family).sample, int(n), spec.params
-    stream = np.random.Generator(np.random.Philox(0))
-
-    def rekeyed(r: int) -> np.random.Generator:
-        # counter 0, empty buffer, no spare 32 bits: nothing of replicate r-1 survives
-        stream.bit_generator.state = {
-            "bit_generator": "Philox", "state": {"counter": [0] * 4, "key": [seed, r]},
-            "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        return stream
-
-    draws = (draw(rekeyed(r), n, params) for r in range(reps))
     rows = max(1, _CHUNK_VALUES // n)
-    return ((first, np.array(list(islice(draws, rows)))) for first in range(0, reps, rows))
+
+    def chunks():
+        stream = np.random.Generator(np.random.Philox(0))
+        for first in range(0, reps, rows):
+            chunk = np.empty((min(rows, reps - first), n))
+            for i in range(len(chunk)):
+                # counter 0, empty buffer, no spare 32 bits: nothing of the last draw survives
+                stream.bit_generator.state = {"bit_generator": "Philox", "state": {
+                    "counter": [0] * 4, "key": [seed, first + i]}, "buffer": [0] * 4,
+                    "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+                chunk[i] = draw(stream, n, params)
+            yield first, chunk
+
+    return chunks()
 
 
 def nonnegative(spec: DistributionSpec) -> bool:

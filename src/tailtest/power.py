@@ -3,11 +3,13 @@
 Replicate r draws from stream (base_seed, r) and is cut into k consecutive
 blocks, equal in law to any split of i.i.d. draws. The engine and the T* table
 walk the same ~128 KB row chunks (distributions.replicate_chunks), and one
-blocking.block_scores call scores every block of a chunk once. A replicate whose
-codes are all 0 is classified by its statistic; each other one is counted, per
-chunk, by its first nonzero code: Short, an error (the first 10 get a note from
-tail_test.verdict), or, for a draw that overflowed to inf, an abort of the plan.
-Every count is the one scoring each replicate alone gives.
+blocking.block_scores call scores every block of a chunk once and adds each
+replicate's block T's. base.classify makes each total Short, Medium or Long, as it
+does for the single-sample tests. A replicate with a nonzero outcome code takes its
+first such code instead: Short, an error (the first 10 get a note from
+tail_test.verdict), or, for a draw that overflowed to inf, an abort of the plan. One
+bincount per chunk counts the codes. Every count is the one scoring each replicate
+alone gives.
 """
 from __future__ import annotations
 
@@ -19,11 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import NonFiniteDrawError, check_alpha
+from .base import EQUAL, LONG, MEDIUM, NONFINITE, REFUSED, SHORT, NonFiniteDrawError
+from .base import check_alpha, classify
 from .blocking import block_scores, block_sizes
 from .distributions import DistributionSpec, format_spec, parse_spec, replicate_chunks
 from .rng import erlang_criticals
-from .tail_test import _RULE, EQUAL, NONFINITE, REFUSED, SCORED, SHORT, verdict
+from .tail_test import _RULE, verdict
 
 SMALLMAX_POLICIES = tuple(_RULE)
 _MAX_ERROR_NOTES = 10
@@ -111,32 +114,27 @@ def _run_row(plan: SimulationPlan, n: int) -> RateRow:
     k, policy = plan.k_blocks, plan.smallmax_policy
     lower, upper = erlang_criticals(plan.alpha, k)
 
-    counts = np.zeros(NONFINITE + 1, dtype=np.int64)  # replicates by first nonzero code
-    notes, short, long = [], 0, 0  # short and long: scored replicates, by decide's rule
+    counts = np.zeros(NONFINITE + 1, dtype=np.int64)  # replicates by outcome code
+    notes = []
     with np.errstate(over="ignore"):  # the rule names a draw that overflowed
         for first, chunk in replicate_chunks(plan.spec, n, plan.base_seed, plan.reps):
-            stats, refused = block_scores(chunk, k, policy)
-            # a replicate's one T, or Python's left-to-right sum of its T's (as blocked_test)
-            totals = stats[:, 0] if k == 1 else np.array(list(map(sum, stats.tolist())))
+            _, totals, refused = block_scores(chunk, k, policy)
+            codes = classify(totals, lower, upper)
             if refused is not None:
-                codes, blocks, maxima = refused
-                counts += np.bincount(codes, minlength=len(counts))
-                if counts[NONFINITE]:  # abort, naming where it stopped
-                    r = int(np.argmax(codes == NONFINITE))
+                firsts, blocks, maxima = refused
+                if (overflowed := np.flatnonzero(firsts == NONFINITE)).size:
+                    r = overflowed.item(0)  # abort, naming where it stopped
                     raise NonFiniteDrawError(
                         f"n={n}, replicate {first + r}: {verdict(NONFINITE, maxima.item(r))}")
-                for r in np.flatnonzero(codes > SHORT)[:_MAX_ERROR_NOTES - len(notes)].tolist():
-                    error = verdict(codes.item(r), maxima.item(r), blocks.item(r), k)
+                for r in np.flatnonzero(firsts >= EQUAL)[:_MAX_ERROR_NOTES - len(notes)].tolist():
+                    error = verdict(firsts.item(r), maxima.item(r), blocks.item(r), k)
                     notes.append(f"replicate {first + r}: {error}")  # EQUAL or REFUSED
-                totals = totals[codes == SCORED]
-            short += np.count_nonzero(totals < lower)
-            long += np.count_nonzero(totals > upper)
+                codes = np.where(firsts, firsts, codes)  # a refused or rule-Short replicate
+            counts += np.bincount(codes, minlength=len(counts))
 
-    short, long = int(short + counts[SHORT]), int(long)
-    errors = int(counts[EQUAL] + counts[REFUSED])
     return RateRow(n=n, k=k, alpha=plan.alpha, reps=plan.reps, seed=plan.base_seed,
-                   short_count=short, long_count=long,
-                   medium_count=plan.reps - short - long - errors, error_count=errors,
+                   short_count=int(counts[SHORT]), medium_count=int(counts[MEDIUM]),
+                   long_count=int(counts[LONG]), error_count=int(counts[EQUAL] + counts[REFUSED]),
                    error_notes=tuple(notes))
 
 
@@ -184,20 +182,9 @@ def _emit_csv(reports) -> str:
     writer.writerow(CSV_HEADER.split(","))
     for report in reports:
         for row in report.rows:
-            writer.writerow(
-                [
-                    report.dist,
-                    row.n,
-                    row.k,
-                    f"{row.alpha:g}",
-                    f"{row.short_rate:.6f}",
-                    f"{row.long_rate:.6f}",
-                    f"{row.stderr_short:.6f}",
-                    f"{row.stderr_long:.6f}",
-                    row.error_count,
-                    row.seed,
-                ]
-            )
+            rates = (row.short_rate, row.long_rate, row.stderr_short, row.stderr_long)
+            writer.writerow([report.dist, row.n, row.k, f"{row.alpha:g}",
+                             *(f"{x:.6f}" for x in rates), row.error_count, row.seed])
     return buf.getvalue()
 
 
@@ -236,10 +223,7 @@ def _emit_json(reports) -> str:
 
 def _emit_markdown(reports) -> str:
     all_n = sorted({row.n for report in reports for row in report.rows})
-    headers = ["n"]
-    for report in reports:
-        headers.append(f"{report.dist} S")
-        headers.append(f"{report.dist} L")
+    headers = ["n"] + [f"{report.dist} {side}" for report in reports for side in "SL"]
     lines = [
         "| " + " | ".join(headers) + " |",
         "|" + "|".join("---" for _ in headers) + "|",
@@ -249,11 +233,7 @@ def _emit_markdown(reports) -> str:
         cells = [str(n)]
         for table in by_n:
             row = table.get(n)
-            if row is None:
-                cells.extend(["", ""])
-            else:
-                cells.append(f"{row.short_rate:.4f}")
-                cells.append(f"{row.long_rate:.4f}")
+            cells += ["", ""] if row is None else [f"{row.short_rate:.4f}", f"{row.long_rate:.4f}"]
         lines.append("| " + " | ".join(cells) + " |")
     return "\n".join(lines) + "\n"
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import DegenerateSampleError, MaxNotAboveOneError, NonFiniteDrawError, TailClass
-from .base import check_alpha, decide, listed
+from .base import EQUAL, NONFINITE, REFUSED, SCORED, SHORT, check_alpha, decide, listed
 from .rng import erlang_criticals
 
 
@@ -83,10 +83,9 @@ class TailTestResult:
     tied_max: bool = False  # top two order statistics tie (T forced to 0)
 
 
-# spacing_rows' outcome codes of a row, and the small-maximum rule as a table of them:
-# the code by where the row's maximum falls, in (-inf, 0], (0, 1), {1}, (1, inf) or
-# {inf, NaN} (searchsorted puts NaN last). All values equal (EQUAL) overrides it.
-SCORED, SHORT, EQUAL, REFUSED, NONFINITE = range(5)
+# The small-maximum rule as a table of outcome codes (base.py): the code by where a
+# row's maximum falls, in (-inf, 0], (0, 1), {1}, (1, inf) or {inf, NaN} (searchsorted
+# puts NaN last). All values equal (EQUAL) overrides it.
 _MAX_EDGES = np.array([0.0, np.nextafter(1.0, 0.0), 1.0, np.finfo(float).max])
 _RULE = {
     "error": np.array([REFUSED, REFUSED, REFUSED, SCORED, NONFINITE]),

@@ -145,6 +145,15 @@ def block_statistics_ref(values, k: int, smallmax: str):
     return stats
 
 
+def left_to_right_sum(stats) -> float:
+    """The block T's added in order, one rounding per addition. Not sum(): from
+    Python 3.12 on it compensates, and its last digit can differ."""
+    total = 0.0
+    for stat in stats:
+        total += stat
+    return total
+
+
 def run_row_ref(draws, n: int, k: int, lower: float, upper: float, smallmax: str):
     """The engine's row loop as it stood before replicates were scored in
     chunks: one replicate at a time, through block_statistics_ref.
@@ -167,7 +176,7 @@ def run_row_ref(draws, n: int, k: int, lower: float, upper: float, smallmax: str
         elif out is None:
             counts[0] += 1
         else:
-            total = sum(out)
+            total = left_to_right_sum(out)
             counts[0 if total < lower else 2 if total > upper else 1] += 1
     return (*counts, notes)
 

@@ -1,4 +1,6 @@
 """Blocked variant: partitioning, gamma(k,1) thresholds, k=1 equivalence."""
+import builtins
+import json
 import math
 
 import numpy as np
@@ -15,15 +17,19 @@ from tailtest import (
     blocked_test,
     partition,
     recommend_blocks,
+    shift_sample,
     tail_test,
 )
-from tailtest.tail_test import SHORT, verdict
+from tailtest.base import SHORT
+from tailtest.tail_test import verdict
 from tailtest.blocking import block_scores, block_sizes
+from tailtest.cli import read_dataset
 from tailtest.distributions import parse_spec, sample as draw
 from tailtest.power import SimulationPlan, run_plan
 from tailtest.rng import SeedSpec, erlang_criticals, gamma_cdf
 
 from . import oracles
+from .test_golden import GOLDEN
 
 E = math.e
 
@@ -171,7 +177,7 @@ class TestBlockedKnownAnswers:
     def test_sum_stat_is_sum_of_blocks(self, seed, k):
         x = draw(parse_spec("exp:1"), 120, SeedSpec(seed))
         res = blocked_test(x, k, strategy="sequential")
-        assert res.sum_stat == pytest.approx(sum(res.block_stats), rel=1e-12)
+        assert res.sum_stat == oracles.left_to_right_sum(res.block_stats)
         assert len(res.block_stats) == k
 
 
@@ -233,7 +239,7 @@ def _block_outcome(values, k, smallmax):
     """One replicate through block_scores and its first nonzero code, in the
     reference's terms: its block T's, None when the rule calls it Short, or its
     refusal as (error class name, message)."""
-    stats, refused = block_scores(values[np.newaxis], k, smallmax)
+    stats, _, refused = block_scores(values[np.newaxis], k, smallmax)
     if refused is None:
         return stats[0].tolist()
     code, block, mx = (a.item(0) for a in refused)
@@ -273,7 +279,7 @@ class TestBlockScores:
     def test_short_block_makes_whole_sample_short(self):
         # the third block is refused, but the second already calls the sample Short
         values = np.array([1.0, 2.0, 5.0, 0.1, 0.2, 0.5] + [3.0] * 3)
-        _, refused = block_scores(values[np.newaxis], 3, "short")
+        _, _, refused = block_scores(values[np.newaxis], 3, "short")
         assert [a.tolist() for a in refused] == [[SHORT], [1], [0.5]]
         assert _block_outcome(values, 3, "short") is None
 
@@ -352,6 +358,51 @@ def test_blocked_short_power_normal_large_sample():
     )
     row = run_plan(plan, threads=8).rows[0]
     assert abs(row.short_rate - 0.5172) <= 0.02
+
+
+_BUILTIN_SUM = builtins.sum
+
+
+def _compensated_sum(iterable, start=0):
+    """sum() over floats as CPython computes it from 3.12 on: Neumaier's compensated
+    sum. Anything else, and no items, goes to the built-in sum."""
+    items = list(iterable)
+    if not items or not all(isinstance(x, float) for x in items):
+        return _BUILTIN_SUM(items, start)
+    total, compensation = float(start), 0.0
+    for x in items:
+        t = total + x
+        compensation += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + compensation
+
+
+class TestTotalsDoNotDependOnPythonVersion:
+    """A replicate's total is added left to right, never by sum(), whose last digit
+    changed in Python 3.12; under a compensated sum() nothing moves."""
+
+    @pytest.mark.parametrize("name, shift", [("claims", None), ("claims", "min"),
+                                             ("fibers", "min")])
+    def test_blocked_sum_stat_is_golden(self, name, shift, monkeypatch):
+        # on these three datasets a compensated sum of the five block T's differs
+        # from the left-to-right one in its last digit
+        argv = ["test", f"data/synthetic/{name}.txt", "--blocks", "5"]
+        argv += ["--shift", shift] * (shift is not None) + ["--json"]
+        golden = json.loads((GOLDEN / "test_command.json").read_text(encoding="utf-8"))
+        [record] = [r for r in golden if r["argv"] == argv]
+        values, _ = read_dataset(str(GOLDEN.parents[1] / argv[1]))
+        monkeypatch.setattr(builtins, "sum", _compensated_sum)
+        res = blocked_test(shift_sample(values, shift), 5)
+        assert res.sum_stat == json.loads(record["stdout"])["sum_stat"]
+        assert _compensated_sum(res.block_stats) != res.sum_stat
+
+    def test_blocked_rate_row_is_unchanged(self, monkeypatch):
+        # blocks of 21 and 20 values, two chunks of replicates
+        plan = SimulationPlan(spec=parse_spec("exp:1"), n_grid=(101,), k_blocks=5,
+                              reps=200, base_seed=11)
+        [expected] = run_plan(plan).rows
+        monkeypatch.setattr(builtins, "sum", _compensated_sum)
+        assert run_plan(plan).rows == (expected,)
 
 
 class TestRecommendBlocks:

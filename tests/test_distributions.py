@@ -1,12 +1,16 @@
 """The distribution catalogue: parsing, known values, samplers versus CDFs."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tailtest import TailClass
 from tailtest.distributions import (
     FAMILIES,
+    DistributionSpec,
     format_spec,
     nonnegative,
     parse_spec,
@@ -65,7 +69,17 @@ class TestParseFormat:
 
     def test_format_examples(self):
         assert format_spec(parse_spec("exp:1.0")) == "exp:1"
-        assert format_spec(parse_spec("loggamma:0.5,0.16666666666666666")) == "loggamma:0.5,0.166667"
+        # 0.166667 would read back as another law, so the parameter keeps every digit
+        assert format_spec(parse_spec("loggamma:0.5,0.16666666666666666")) == (
+            "loggamma:0.5,0.16666666666666666")
+        assert format_spec(parse_spec("pareto:0.12345678")) == "pareto:0.12345678"
+        assert format_spec(parse_spec("pareto:123456789")) == "pareto:123456789.0"
+
+    @given(params=st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                           min_size=2, max_size=2))
+    def test_format_round_trips(self, params):
+        spec = DistributionSpec("loggamma", tuple(params))
+        assert parse_spec(format_spec(spec)) == spec
 
     @pytest.mark.parametrize(
         "bad",
@@ -256,6 +270,22 @@ class TestSampling:
         assert len(more) == 17
         for r, values in enumerate(fewer):
             assert values.tobytes() == more[r].tobytes() == _fresh_draw(spec, 5, 3, r).tobytes()
+
+    @pytest.mark.parametrize("n", [10, 250])
+    def test_chunk_is_drawn_in_place(self, n):
+        # each replicate is drawn into its row of the chunk: exp:1 makes two rows (the
+        # draw and its scaling) on top of the chunk, and a kilobyte covers the array
+        # headers and the re-keyed state. Holding a chunk's draws in a list first cost
+        # about one more chunk, and at n = 10 three
+        chunks = replicate_chunks(parse_spec("exp:1"), n, 5, 10 * (2**14 // n))
+        next(chunks)  # the stream is made
+        tracemalloc.start()
+        try:
+            _, chunk = next(chunks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= chunk.nbytes + 2 * chunk[0].nbytes + 1024
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_replicate_chunks_rejects_bad_seed_at_the_call(self, seed):

@@ -31,7 +31,8 @@ from tailtest.base import BlockTooSmallError, decide
 from tailtest.blocking import block_scores, block_sizes
 from tailtest.distributions import parse_spec, replicate_chunks
 from tailtest.power import CSV_HEADER, SMALLMAX_POLICIES, RateRow
-from tailtest.tail_test import EQUAL, NONFINITE, REFUSED, SCORED, SHORT, spacing_rows, verdict
+from tailtest.base import EQUAL, NONFINITE, REFUSED, SCORED, SHORT
+from tailtest.tail_test import spacing_rows, verdict
 from tailtest.distributions import sample as draw_sample
 from tailtest.rng import SeedSpec, erlang_criticals, make_stream
 
@@ -174,9 +175,10 @@ def engine_replicates(draw):
 def _engine_outcome(values, k, policy):
     """The engine's outcome of one replicate, scored as a one-row chunk by block_scores:
     (TailClass, None), or (None, error message). An overflowed draw would abort the plan."""
-    stats, refused = block_scores(values[np.newaxis], k, policy)
+    stats, _, refused = block_scores(values[np.newaxis], k, policy)
     if refused is None:
-        return decide(sum(stats[0].tolist()), *erlang_criticals(0.05, k)), None
+        total = oracles.left_to_right_sum(stats[0].tolist())
+        return decide(total, *erlang_criticals(0.05, k)), None
     code, block, mx = (a.item(0) for a in refused)
     assert code != NONFINITE
     return (TailClass.SHORT, None) if code == SHORT else (None, str(verdict(code, mx, block, k)))
@@ -257,7 +259,7 @@ class TestEngineMatchesSingleSampleTests:
                 assert code.tolist() == [_ref_code(oracles.block_statistics_ref(block, 1, policy))]
                 assert part[0, -1] == block.max()
                 codes.append(code.item(0))
-            _, refused = block_scores(values[np.newaxis], k, policy)
+            _, _, refused = block_scores(values[np.newaxis], k, policy)
             if not any(codes):
                 assert refused is None
                 continue
@@ -322,16 +324,19 @@ class TestChunkedEngineMatchesReplicateLoop:
     @pytest.mark.parametrize("k", [1, 5, 25])
     @pytest.mark.parametrize("dist", FAMILY_SPECS)
     def test_chunk_totals_equal_reference_sums(self, dist, k, policy):
-        # bit for bit: each block T of a replicate the reference scores; a replicate with
-        # a nonzero first code is exactly one it does not, and the code says how
+        # bit for bit: each block T of a replicate the reference scores, and their total
+        # added left to right; a replicate with a nonzero first code is exactly one it
+        # does not score, and the code says how
         for _, chunk in replicate_chunks(parse_spec(dist), 101, 11, 200):
-            stats, refused = block_scores(chunk, k, policy)
+            stats, totals, refused = block_scores(chunk, k, policy)
             codes = np.zeros(len(chunk), int) if refused is None else refused[0]
-            for row, code, values in zip(stats.tolist(), codes.tolist(), chunk):
+            for row, total, code, values in zip(stats.tolist(), totals.tolist(),
+                                                codes.tolist(), chunk):
                 expected = oracles.block_statistics_ref(values, k, policy)
                 assert code == _ref_code(expected)
                 if code == SCORED:
                     assert row == expected
+                    assert total == oracles.left_to_right_sum(expected)
 
     @pytest.mark.parametrize("policy", ["short", "error"])
     def test_each_replicate_is_scored_once(self, policy, monkeypatch):

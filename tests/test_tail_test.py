@@ -14,10 +14,10 @@ from tailtest import (
     shift_sample,
     tail_test,
 )
-from tailtest.base import decide
+from tailtest.base import EQUAL, REFUSED, SCORED, SHORT, decide
 from tailtest.distributions import parse_spec, sample as draw
 from tailtest.rng import SeedSpec, erlang_criticals
-from tailtest.tail_test import EQUAL, REFUSED, SCORED, SHORT, spacing_rows, verdict
+from tailtest.tail_test import spacing_rows, verdict
 
 from . import oracles
 
