@@ -36,6 +36,13 @@ def listed(numbers) -> str:
     return ", ".join(str(x) for x in numbers[:10]) + more
 
 
+def float_label(x: float) -> str:
+    """x as :g when that reads back as the same float, else as its repr, so that no two
+    floats share a label: "0.05", but "0.0123456789" where :g gives 0.0123457."""
+    x = float(x)
+    return f"{x:g}" if float(f"{x:g}") == x else repr(x)
+
+
 # Outcome codes. tail_test.spacing_rows gives a row SCORED when its T stands, else SHORT
 # by the small-maximum rule or an error: all values EQUAL, maximum REFUSED or NONFINITE.
 SCORED, SHORT, MEDIUM, LONG, EQUAL, REFUSED, NONFINITE = range(7)

@@ -14,7 +14,7 @@ import numpy as np
 # np.quantile imports numpy.ma on first use; load it here so the cost falls at import
 import numpy.ma  # noqa: F401
 
-from .base import NONFINITE, NonFiniteDrawError, TailClass, check_alpha, decide
+from .base import NONFINITE, TailClass, check_alpha, decide
 from .distributions import DistributionSpec, format_spec, nonnegative, replicate_chunks
 from .rng import SeedSpec, make_stream
 from .tail_test import as_sample, verdict
@@ -112,8 +112,8 @@ def _null_stats(spec: DistributionSpec, n: int, reps: int, seed: int) -> np.ndar
         for first, chunk in chunks:
             try:
                 stats[first:first + len(chunk)] = _t_star(chunk)
-            except NonFiniteDrawError as exc:
-                raise NonFiniteDrawError(f"n={n}, replicate {first + exc.row}: {exc}") from exc
+            except ValueError as exc:  # every refusal of _t_star names its row, and keeps its type
+                raise type(exc)(f"n={n}, replicate {first + exc.row}: {exc}") from exc
     return stats
 
 

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .base import DatasetError, TailClass, listed
+from .base import DatasetError, TailClass, float_label, listed
 from .blocking import blocked_test
 from .bryson import bryson_test, simulate_bryson_quantiles
 from .distributions import parse_spec
@@ -159,7 +159,7 @@ def _cmd_test(args) -> int:
             rows.append(("T" if key == "t_stat" else key, _text(value)))
             if key == "t_stat" and res.tied_max:
                 rows.append(("warning", "top two order statistics tie; T forced to 0"))
-        rows.append(("decision", f"{res.decision} (alpha={args.alpha:g})"))
+        rows.append(("decision", f"{res.decision} (alpha={float_label(args.alpha)})"))
         _print_kv(rows)
     return _EXIT_CODE[res.decision]
 
@@ -219,7 +219,7 @@ def _cmd_bryson(args) -> int:
                 ("null", f"{res.null_dist} ({res.reps} reps, seed {res.seed})"),
                 ("lower_crit", _fmt(res.lower_crit)),
                 ("upper_crit", _fmt(res.upper_crit)),
-                ("decision", f"{res.decision} (alpha={res.alpha:g})"),
+                ("decision", f"{res.decision} (alpha={float_label(res.alpha)})"),
             ]
         )
     return _EXIT_CODE[res.decision]
@@ -233,9 +233,8 @@ def _cmd_bryson_quantiles(args) -> int:
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["dist", "n", "reps", "seed", "prob", "quantile", "stderr"])
     for prob, q, err in zip(table.probs, table.quantiles, table.stderrs):
-        writer.writerow(
-            [table.dist, table.n, table.reps, table.seed, f"{prob:g}", f"{q:.6f}", f"{err:.6f}"]
-        )
+        writer.writerow([table.dist, table.n, table.reps, table.seed, float_label(prob),
+                         f"{q:.6f}", f"{err:.6f}"])
     return 0
 
 

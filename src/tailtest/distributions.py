@@ -1,6 +1,8 @@
 """The distribution catalogue used by the simulations and the CLI.
 
-Each family carries a sampler and whether its support is nonnegative. Specs
+Each family carries a raw fill, an in-place transform and whether its support is
+nonnegative: a sample is the fill into a 1-D row and the transform over it, and a chunk
+of replicates is one fill per row and one transform over the whole chunk. Specs
 parse from strings of the form ``family:param[,param]`` (e.g. ``pareto:2``,
 ``weibull:0.5``, ``exp:100``, ``loggamma:0.5,1``).
 """
@@ -12,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 
+from .base import float_label
 from .rng import SeedSpec, make_stream
 
 _EULER = 0.5772156649015329  # Euler-Mascheroni constant
@@ -45,76 +48,73 @@ class DistributionSpec:
         return format_spec(self)
 
 
+def _raw(x: np.ndarray, p: tuple[float, ...]) -> None:
+    """The transform of a law whose fill draws it as it is."""
+
+
 @dataclass(frozen=True)
 class _Family:
+    """A law as a raw fill plus a transform, together its one sampler. `fill(stream, row,
+    params)` writes n raw variates into a 1-D row; `transform(values, params)` maps raw
+    variates of any shape to the law in place, so a chunk of rows takes one call."""
+
     key: str
     aliases: tuple[str, ...]
     param_names: tuple[str, ...]
-    sample: Callable[[np.random.Generator, int, tuple[float, ...]], np.ndarray]
     nonnegative: bool  # support lies in [0, inf)
+    fill: Callable[[np.random.Generator, np.ndarray, tuple[float, ...]], object]
+    transform: Callable[[np.ndarray, tuple[float, ...]], object] = _raw
+
+
+def _copied(draw):
+    """The fill of a law numpy draws with no out=: its 1-D draw, copied into the row."""
+    return lambda g, row, p: np.copyto(row, draw(g, row.size, p))
+
+
+def _pareto(x: np.ndarray, p: tuple[float, ...]) -> None:
+    # inverse transform on F-bar(x) = 1/(1 + x^gamma); 1 - u is the one temporary
+    x /= 1.0 - x
+    x **= 1.0 / p[0]  # like **, **= keeps numpy's scalar-power fast paths (sqrt, square)
+
+
+def _weibull(x: np.ndarray, p: tuple[float, ...]) -> None:
+    np.negative(np.log(x, out=x), out=x)  # inverse transform: (-ln u)^(1/gamma)
+    x **= 1.0 / p[0]
+
+
+def _loggamma(x: np.ndarray, p: tuple[float, ...]) -> None:
+    x *= p[1]
+    np.exp(x, out=x)
 
 
 _CATALOGUE = (
-    _Family(
-        "exp", ("exponential",), ("theta",),
-        lambda g, n, p: g.standard_exponential(n) / p[0],
-        nonnegative=True,
-    ),
-    _Family(
-        "logistic", (), (),
-        lambda g, n, p: g.logistic(0.0, 1.0, n),
-        nonnegative=False,
-    ),
-    _Family(
-        "gamma", (), ("shape",),
-        lambda g, n, p: g.standard_gamma(p[0], n),
-        nonnegative=True,
-    ),
-    _Family(
-        "uniform", ("unif", "uniform01"), (),
-        lambda g, n, p: g.random(n),
-        nonnegative=True,
-    ),
-    _Family(
-        "normal", ("norm",), (),
-        lambda g, n, p: g.standard_normal(n),
-        nonnegative=False,
-    ),
-    _Family(
-        "lognormal", ("lnorm",), (),
-        lambda g, n, p: np.exp(g.standard_normal(n)),
-        nonnegative=True,
-    ),
-    _Family(
-        "gumbel", ("extval", "extreme-value"), (),
-        lambda g, n, p: _EULER - g.gumbel(0.0, 1.0, n),
-        nonnegative=False,
-    ),
-    _Family(
-        "cauchy", (), (),
-        lambda g, n, p: g.standard_cauchy(n),
-        nonnegative=False,
-    ),
-    _Family(
-        "t", ("student", "studentt"), ("df",),
-        lambda g, n, p: g.standard_t(p[0], n),
-        nonnegative=False,
-    ),
-    _Family(
-        "pareto", ("paretoshifted",), ("gamma",),
-        lambda g, n, p: _pareto_sample(g, n, p),
-        nonnegative=True,
-    ),
-    _Family(
-        "weibull", (), ("gamma",),
-        lambda g, n, p: (-np.log(g.random(n))) ** (1.0 / p[0]),  # inverse transform
-        nonnegative=True,
-    ),
-    _Family(
-        "loggamma", (), ("shape", "scale"),
-        lambda g, n, p: np.exp(p[1] * g.standard_gamma(p[0], n)),
-        nonnegative=True,
-    ),
+    _Family("exp", ("exponential",), ("theta",), nonnegative=True,
+            fill=lambda g, row, p: g.standard_exponential(out=row),
+            transform=lambda x, p: np.divide(x, p[0], out=x)),
+    _Family("logistic", (), (), nonnegative=False,
+            fill=_copied(lambda g, n, p: g.logistic(0.0, 1.0, n))),
+    _Family("gamma", (), ("shape",), nonnegative=True,
+            fill=lambda g, row, p: g.standard_gamma(p[0], out=row)),
+    _Family("uniform", ("unif", "uniform01"), (), nonnegative=True,
+            fill=lambda g, row, p: g.random(out=row)),
+    _Family("normal", ("norm",), (), nonnegative=False,
+            fill=lambda g, row, p: g.standard_normal(out=row)),
+    _Family("lognormal", ("lnorm",), (), nonnegative=True,
+            fill=lambda g, row, p: g.standard_normal(out=row),
+            transform=lambda x, p: np.exp(x, out=x)),
+    _Family("gumbel", ("extval", "extreme-value"), (), nonnegative=False,
+            fill=_copied(lambda g, n, p: g.gumbel(0.0, 1.0, n)),
+            transform=lambda x, p: np.subtract(_EULER, x, out=x)),
+    _Family("cauchy", (), (), nonnegative=False,
+            fill=_copied(lambda g, n, p: g.standard_cauchy(n))),
+    _Family("t", ("student", "studentt"), ("df",), nonnegative=False,
+            fill=_copied(lambda g, n, p: g.standard_t(p[0], n))),
+    _Family("pareto", ("paretoshifted",), ("gamma",), nonnegative=True,
+            fill=lambda g, row, p: g.random(out=row), transform=_pareto),
+    _Family("weibull", (), ("gamma",), nonnegative=True,
+            fill=lambda g, row, p: g.random(out=row), transform=_weibull),
+    _Family("loggamma", (), ("shape", "scale"), nonnegative=True,
+            fill=lambda g, row, p: g.standard_gamma(p[0], out=row), transform=_loggamma),
 )
 
 _BY_NAME = {}
@@ -126,19 +126,11 @@ for _fam in _CATALOGUE:
 FAMILIES = tuple(f.key for f in _CATALOGUE)
 
 
-def _pareto_sample(g: np.random.Generator, n: int, p: tuple[float, ...]) -> np.ndarray:
-    # inverse transform on F-bar(x) = 1/(1 + x^gamma)
-    u = g.random(n)
-    return (u / (1.0 - u)) ** (1.0 / p[0])
-
-
 def _lookup(name: str) -> _Family:
     fam = _BY_NAME.get(str(name).strip().lower())
     if fam is None:
-        raise ValueError(
-            f"unknown distribution family {name!r}; valid families: "
-            + ", ".join(FAMILIES)
-        )
+        raise ValueError(f"unknown distribution family {name!r}; valid families: "
+                         + ", ".join(FAMILIES))
     return fam
 
 
@@ -155,51 +147,53 @@ def parse_spec(text: str) -> DistributionSpec:
 
 
 def format_spec(spec: DistributionSpec) -> str:
-    """``family:param[,param]``; a parameter prints as :g when that reads back as the
-    same float, else as its repr, so that parse_spec(format_spec(s)) == s."""
+    """``family:param[,param]``, each parameter a float_label, so that
+    parse_spec(format_spec(s)) == s."""
     if not spec.params:
         return spec.family
-    return spec.family + ":" + ",".join(
-        f"{p:g}" if float(f"{p:g}") == p else repr(p) for p in spec.params)
+    return spec.family + ":" + ",".join(map(float_label, spec.params))
 
 
-def sample(
-    spec: DistributionSpec,
-    n: int,
-    seed: SeedSpec | int | np.random.Generator,
-) -> np.ndarray:
-    """Draw n i.i.d. values from the spec'd law.
-
-    `seed` may be a SeedSpec, a bare base seed, or an already-made stream.
-    """
+def sample(spec: DistributionSpec, n: int,
+           seed: SeedSpec | int | np.random.Generator) -> np.ndarray:
+    """Draw n i.i.d. values from the spec'd law: the fill into one row, then the transform.
+    `seed` may be a SeedSpec, a bare base seed, or an already-made stream."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     stream = seed if isinstance(seed, np.random.Generator) else make_stream(seed)
-    return _lookup(spec.family).sample(stream, int(n), spec.params)
+    fam, values = _lookup(spec.family), np.empty(int(n))
+    fam.fill(stream, values, spec.params)
+    fam.transform(values, spec.params)
+    return values
 
 
 def replicate_chunks(spec: DistributionSpec, n: int, seed: int, reps: int):
     """(first, draws) per chunk for run_plan and Bryson's table: draws is a new C-contiguous
-    (rows, n) array, rows = max(1, 2**14 // n) (fewer in the last chunk), and replicate
-    first + i is drawn into row i. The one place replicate streams are made: one Philox bit
-    generator per call is re-keyed to (seed, r) with counter 0 before replicate r's draw,
-    bit-identical to make_stream(SeedSpec(seed, r)) at a tenth of the cost."""
+    (rows, n) array, rows = max(1, 2**14 // n) (fewer in the last chunk). Replicate first + i
+    is filled raw into row i and the law's transform runs once over the chunk, so each row
+    is sample() on stream (seed, first + i), bit for bit. The one place replicate streams are
+    made: one Philox bit generator per call, re-keyed to (seed, r) with counter 0 before
+    replicate r's fill, is bit-identical to make_stream(SeedSpec(seed, r)) and far cheaper."""
     if n < 1:  # before n divides anything
         raise ValueError(f"n must be >= 1, got {n}")
     seed = SeedSpec(seed).base_seed  # a bad seed fails here, not at the first draw
-    draw, n, params = _lookup(spec.family).sample, int(n), spec.params
+    fam, n, params = _lookup(spec.family), int(n), spec.params
     rows = max(1, _CHUNK_VALUES // n)
 
     def chunks():
-        stream = np.random.Generator(np.random.Philox(0))
+        stream = np.random.Generator(bitgen := np.random.Philox(0))
+        # counter 0, empty buffer, no spare 32 bits: nothing of the last draw survives.
+        # The setter copies the values, so one dict serves every replicate.
+        state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": [seed, 0]},
+                 "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        key = state["state"]["key"]
         for first in range(0, reps, rows):
             chunk = np.empty((min(rows, reps - first), n))
-            for i in range(len(chunk)):
-                # counter 0, empty buffer, no spare 32 bits: nothing of the last draw survives
-                stream.bit_generator.state = {"bit_generator": "Philox", "state": {
-                    "counter": [0] * 4, "key": [seed, first + i]}, "buffer": [0] * 4,
-                    "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-                chunk[i] = draw(stream, n, params)
+            for r, row in enumerate(chunk, first):
+                key[1] = r
+                bitgen.state = state
+                fam.fill(stream, row, params)
+            fam.transform(chunk, params)
             yield first, chunk
 
     return chunks()

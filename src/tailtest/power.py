@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import EQUAL, LONG, MEDIUM, NONFINITE, REFUSED, SHORT, NonFiniteDrawError
-from .base import check_alpha, classify
+from .base import check_alpha, classify, float_label
 from .blocking import block_scores, block_sizes
 from .distributions import DistributionSpec, format_spec, parse_spec, replicate_chunks
 from .rng import erlang_criticals
@@ -183,7 +183,7 @@ def _emit_csv(reports) -> str:
     for report in reports:
         for row in report.rows:
             rates = (row.short_rate, row.long_rate, row.stderr_short, row.stderr_long)
-            writer.writerow([report.dist, row.n, row.k, f"{row.alpha:g}",
+            writer.writerow([report.dist, row.n, row.k, float_label(row.alpha),
                              *(f"{x:.6f}" for x in rates), row.error_count, row.seed])
     return buf.getvalue()
 

@@ -2,7 +2,8 @@
 
 Everything here is computed from first principles: mpmath for the Erlang
 distribution functions and the frozen constants, closed-form CDFs (erf,
-atan, log) for the sampler checks. Nothing imports the package under test,
+atan, log) for the sampler checks, and each catalogue law's sampler as one
+numpy expression per replicate. Nothing imports the package under test,
 so agreement between the two routes is evidence, not tautology.
 """
 from __future__ import annotations
@@ -179,6 +180,31 @@ def run_row_ref(draws, n: int, k: int, lower: float, upper: float, smallmax: str
             total = left_to_right_sum(out)
             counts[0 if total < lower else 2 if total > upper else 1] += 1
     return (*counts, notes)
+
+
+# The catalogue's samplers as one expression per law, each drawing a 1-D replicate on its
+# own: the package's raw fills plus chunk-wide in-place transforms must match them bit for bit.
+_SAMPLERS = {
+    "exp": lambda g, n, p: g.standard_exponential(n) / p[0],
+    "logistic": lambda g, n, p: g.logistic(0.0, 1.0, n),
+    "gamma": lambda g, n, p: g.standard_gamma(p[0], n),
+    "uniform": lambda g, n, p: g.random(n),
+    "normal": lambda g, n, p: g.standard_normal(n),
+    "lognormal": lambda g, n, p: np.exp(g.standard_normal(n)),
+    "gumbel": lambda g, n, p: EULER_GAMMA - g.gumbel(0.0, 1.0, n),
+    "cauchy": lambda g, n, p: g.standard_cauchy(n),
+    "t": lambda g, n, p: g.standard_t(p[0], n),
+    "pareto": lambda g, n, p: (lambda u: (u / (1.0 - u)) ** (1.0 / p[0]))(g.random(n)),
+    "weibull": lambda g, n, p: (-np.log(g.random(n))) ** (1.0 / p[0]),
+    "loggamma": lambda g, n, p: np.exp(p[1] * g.standard_gamma(p[0], n)),
+}
+
+
+def sample_ref(family: str, params, n: int, seed: int, r: int) -> np.ndarray:
+    """Replicate r of a catalogue law at size n: its sampler on a fresh Philox(key=[seed, r])."""
+    stream = np.random.Generator(np.random.Philox(key=np.array([seed, r], dtype=np.uint64)))
+    with np.errstate(over="ignore"):
+        return _SAMPLERS[family](stream, n, tuple(params))
 
 
 def ks_distance(values: np.ndarray, cdf) -> float:

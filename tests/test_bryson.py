@@ -184,6 +184,16 @@ class TestQuantileTables:
         t = simulate_bryson_quantiles(parse_spec("gamma:2"), 30, reps=1500, seed=5)
         assert t.dist == "gamma:2"
 
+    def test_unscoreable_replicate_is_named(self):
+        # a gamma:0.002 draw underflows to 0 about half the time; replicate 18 is the first
+        # whose three values all do. The refusal keeps its type: it is no overflow
+        with pytest.raises(ValueError) as info:
+            simulate_bryson_quantiles(parse_spec("gamma:0.002"), 3, reps=1000)
+        assert type(info.value) is ValueError
+        assert str(info.value) == (
+            "n=3, replicate 18: smallest value plus max/(n-1) is 0; "
+            "the geometric mean needs every shifted value > 0")
+
     @pytest.mark.parametrize("text", ["normal", "logistic", "gumbel", "cauchy", "t:3"])
     def test_rejects_laws_with_negative_support(self, text, monkeypatch):
         def no_draws(*args):

@@ -152,6 +152,11 @@ class TestTestCommand:
         assert main(["test", path]) == 0
         assert main(["test", path, "--alpha", "0.2"]) == 3
 
+    def test_alpha_label_keeps_every_digit(self, write_dataset, capsys):
+        # :g would print alpha=0.025, another level than the one tested
+        main(["test", write_dataset(MEDIUM), "--alpha", "0.0250000001"])
+        assert "Medium (alpha=0.0250000001)\n" in capsys.readouterr().out
+
     def test_shift_value(self, write_dataset, capsys):
         # shifting by 1.2 moves a short sample to a defined medium-band one
         path = write_dataset([2.4, 3.2, 4.9])
@@ -253,6 +258,13 @@ class TestSimulateCommand:
         assert code == 1
         assert captured.out == ""
         assert "threads must be >= 1" in captured.err
+
+    def test_alpha_column_keeps_every_digit(self, capsys):
+        # :g would write 0.0123457, a level that reads back as another float
+        code = main(["simulate", "--dist", "exp:1", "--n", "50", "--reps", "200",
+                     "--alpha", "0.0123456789"])
+        assert code == 0
+        assert capsys.readouterr().out.split("\n")[1].startswith("exp:1,50,1,0.0123456789,")
 
     def test_plan_file(self, tmp_path, capsys):
         plan = tmp_path / "plan.txt"
@@ -416,6 +428,14 @@ class TestBrysonCommands:
         assert math.isfinite(payload["t_star"])
         assert code == {"Medium": 0, "Short": 2, "Long": 3}[payload["decision"]]
 
+    def test_bryson_alpha_label_keeps_every_digit(self, write_dataset, capsys):
+        rng = np.random.default_rng(6)
+        path = write_dataset(list(rng.standard_exponential(60)))
+        main(["bryson", path, "--reps", "1000", "--alpha", "0.0250000001"])
+        out = capsys.readouterr().out
+        assert "(alpha=0.0250000001)\n" in out
+        assert "(alpha=0.025)" not in out
+
     def test_bryson_quantiles_csv(self, capsys):
         code = main([
             "bryson-quantiles", "--dist", "exp:1", "--n", "30",
@@ -439,6 +459,14 @@ class TestBrysonCommands:
         assert code == 0
         assert len(rows) == 3
         assert rows[1][0] == "gamma:2"
+
+    def test_bryson_quantiles_probs_that_differ_past_six_digits(self, capsys):
+        # :g labelled both rows 0.0123457
+        code = main(["bryson-quantiles", "--dist", "exp:1", "--n", "30", "--reps", "1000",
+                     "--probs", "0.0123456789,0.0123457"])
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert code == 0
+        assert [r[4] for r in rows[1:]] == ["0.0123456789", "0.0123457"]
 
     def test_bryson_quantiles_unparseable_probs_names_the_flag(self, capsys):
         code = main([
@@ -488,6 +516,17 @@ class TestBrysonCommands:
         assert captured.err == (
             "tailtest: error: n=3000, replicate 875: "
             "draw overflowed to inf; sample maximum must be finite\n"
+        )
+
+    def test_bryson_quantiles_unscoreable_replicate_is_named(self, capsys):
+        # every gamma:1e-300 draw underflows to 0, so no replicate has a positive maximum
+        code = main(["bryson-quantiles", "--dist", "gamma:1e-300", "--n", "50", "--reps", "1000"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "tailtest: error: n=50, replicate 0: smallest value plus max/(n-1) is 0; "
+            "the geometric mean needs every shifted value > 0\n"
         )
 
     def test_bryson_rejects_negative_data(self, write_dataset, capsys):

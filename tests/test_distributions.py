@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tailtest import TailClass
+from tailtest.base import float_label
 from tailtest.distributions import (
     FAMILIES,
     DistributionSpec,
@@ -26,6 +27,9 @@ CATALOGUE_SPECS = [
     "exp:1", "logistic", "gamma:0.7", "uniform", "normal", "lognormal",
     "gumbel", "cauchy", "t:3", "pareto:1", "weibull:0.5", "loggamma:0.5,1",
 ]
+# Parameters at the edge of float64: draws that overflow to inf (pareto, loggamma), powers
+# of 100 (weibull) and a shape so small that nearly every gamma draw is 0
+EXTREME_SPECS = ["weibull:0.01", "pareto:0.01", "loggamma:1,800", "gamma:1e-300"]
 
 
 class TestParseFormat:
@@ -102,6 +106,15 @@ class TestParseFormat:
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_spec(bad)
+
+    @pytest.mark.parametrize("x,label", [
+        (0.05, "0.05"), (0.0123457, "0.0123457"), (0.0123456789, "0.0123456789"),
+        (0.0250000001, "0.0250000001"), (123456789.0, "123456789.0"), (np.float64(0.1), "0.1"),
+    ])
+    def test_float_label(self, x, label):
+        # :g where it reads back as the same float, else every digit
+        assert float_label(x) == label
+        assert float(label) == x
 
     def test_spec_str_is_format(self):
         assert str(parse_spec("pareto:2")) == "pareto:2"
@@ -228,18 +241,26 @@ class TestSampling:
             with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
                 replicate_chunks(parse_spec("exp:1"), n, 0, 5)
 
-    @pytest.mark.parametrize("text", CATALOGUE_SPECS)
-    def test_replicate_chunks_are_sample_on_replicate_streams(self, text):
-        # replicate r is sample() on stream (seed, r), bit for bit, so a
-        # replicate can be redrawn on its own. Sizes 1, 3 and 257 leave part
-        # of Philox's four-word buffer unused, which replicate r+1 must not see;
-        # at 257 the 64 replicates span two chunks of 63 and a last one of 1.
+    @pytest.mark.parametrize("seed", [13, 2**64 - 1])
+    @pytest.mark.parametrize("n", [1, 3, 37, 257, 1000, 5000])
+    @pytest.mark.parametrize("text", CATALOGUE_SPECS + EXTREME_SPECS)
+    def test_rows_and_sample_equal_reference_draws(self, text, n, seed):
+        # replicate r, as a chunk row and as sample() on stream (seed, r), is bit for bit
+        # the law's one-expression sampler on a fresh Philox(key=[seed, r]): the raw fill
+        # plus the chunk-wide in-place transform change no bit. Sizes 1, 3, 37 and 257 leave
+        # part of Philox's four-word buffer unused, which replicate r+1 must not see; each
+        # call runs one replicate past the first chunk, and the replicates around its end
+        # are checked with the first few
         spec = parse_spec(text)
-        for n in (1, 3, 257):
-            draws = _replicates(spec, n, 13, 64)
-            assert len(draws) == 64
-            for r, values in enumerate(draws):
-                assert values.tobytes() == _fresh_draw(spec, n, 13, r).tobytes()
+        rows = max(1, 2**14 // n)
+        with np.errstate(over="ignore"):
+            draws = _replicates(spec, n, seed, rows + 1)
+            for r in sorted({*range(min(rows, 4)), rows - 1, rows}):
+                expected = oracles.sample_ref(spec.family, spec.params, n, seed, r).tobytes()
+                assert draws[r].tobytes() == expected
+                assert sample(spec, n, SeedSpec(seed, r)).tobytes() == expected
+        if text == "pareto:0.01":
+            assert np.isinf(draws).any()  # rows that overflowed are compared too
 
     def test_chunks_are_contiguous_runs_of_replicates(self):
         # 2**14 // 3000 = 5 replicates per chunk, so 12 make chunks of 5, 5 and 2
@@ -272,12 +293,14 @@ class TestSampling:
             assert values.tobytes() == more[r].tobytes() == _fresh_draw(spec, 5, 3, r).tobytes()
 
     @pytest.mark.parametrize("n", [10, 250])
-    def test_chunk_is_drawn_in_place(self, n):
-        # each replicate is drawn into its row of the chunk: exp:1 makes two rows (the
-        # draw and its scaling) on top of the chunk, and a kilobyte covers the array
-        # headers and the re-keyed state. Holding a chunk's draws in a list first cost
-        # about one more chunk, and at n = 10 three
-        chunks = replicate_chunks(parse_spec("exp:1"), n, 5, 10 * (2**14 // n))
+    @pytest.mark.parametrize("text", CATALOGUE_SPECS)
+    def test_chunk_is_drawn_in_place(self, text, n):
+        # each replicate is filled into its row of the chunk and the transform runs in place
+        # over the chunk. On top of the chunk: two rows (a law numpy draws without out=
+        # makes its 1-D draw, then copies it), and for pareto its one chunk-sized 1 - u;
+        # a kilobyte covers the array headers and the re-keyed state. A list of row draws
+        # or an out-of-place transform costs at least one chunk more
+        chunks = replicate_chunks(parse_spec(text), n, 5, 10 * (2**14 // n))
         next(chunks)  # the stream is made
         tracemalloc.start()
         try:
@@ -285,7 +308,8 @@ class TestSampling:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= chunk.nbytes + 2 * chunk[0].nbytes + 1024
+        temporaries = chunk.nbytes if text.startswith("pareto") else 0
+        assert peak <= chunk.nbytes + temporaries + 2 * chunk[0].nbytes + 1024
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_replicate_chunks_rejects_bad_seed_at_the_call(self, seed):
