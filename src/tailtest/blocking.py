@@ -23,16 +23,18 @@ MIN_BLOCK = 3  # a block needs X_(n), X_(n-1) and a nondegenerate survival
 
 @dataclass(frozen=True)
 class BlockedTestResult:
+    """The block T's, their sum and its critical values; the CLI's text lists them in this order."""
+
     k: int
+    block_sizes: tuple[int, ...]
     block_stats: tuple[float, ...]
     sum_stat: float
     lower_crit: float
     upper_crit: float
-    decision: TailClass
-    block_sizes: tuple[int, ...]
-    alpha: float
     p_short: float
     p_long: float
+    decision: TailClass
+    alpha: float
 
 
 def block_sizes(n: int, k: int) -> tuple[int, ...]:
@@ -133,15 +135,15 @@ def blocked_test(
     p_short = gamma_cdf(max(total, 0.0), k)
     return BlockedTestResult(
         k=k,
+        block_sizes=sizes,
         block_stats=tuple(scores[0].tolist()),
         sum_stat=total,
         lower_crit=lower,
         upper_crit=upper,
-        decision=decide(total, lower, upper),
-        block_sizes=sizes,
-        alpha=alpha,
         p_short=p_short,
         p_long=1.0 - p_short,
+        decision=decide(total, lower, upper),
+        alpha=alpha,
     )
 
 

@@ -86,15 +86,17 @@ class BrysonQuantileTable:
 
 @dataclass(frozen=True)
 class BrysonResult:
-    t_star: float
+    """T*, its simulated null and critical values; the CLI's text lists them in this order."""
+
     n: int
-    decision: TailClass
-    alpha: float
-    lower_crit: float
-    upper_crit: float
+    t_star: float
     null_dist: str
     reps: int
     seed: int
+    lower_crit: float
+    upper_crit: float
+    decision: TailClass
+    alpha: float
 
 
 def _null_stats(spec: DistributionSpec, n: int, reps: int, seed: int) -> np.ndarray:
@@ -170,13 +172,13 @@ def bryson_test(sample, alpha: float = 0.05, reps: int = 10_000, seed: int = 0) 
     stats = _null_stats(null, s.n, reps, seed)
     lower, upper = np.quantile(stats, (alpha / 2.0, 1.0 - alpha / 2.0), method="linear").tolist()
     return BrysonResult(
-        t_star=t_star,
         n=s.n,
-        decision=decide(t_star, lower, upper),
-        alpha=alpha,
-        lower_crit=lower,
-        upper_crit=upper,
+        t_star=t_star,
         null_dist=format_spec(null),
         reps=int(reps),
         seed=int(seed),
+        lower_crit=lower,
+        upper_crit=upper,
+        decision=decide(t_star, lower, upper),
+        alpha=alpha,
     )

@@ -20,7 +20,8 @@ from .base import DatasetError, TailClass, float_label, listed
 from .blocking import blocked_test
 from .bryson import bryson_test, simulate_bryson_quantiles
 from .distributions import parse_spec
-from .power import SMALLMAX_POLICIES, SimulationPlan, emit_table, parse_plan_file, run_plan
+from .power import PLAN_KEYS, SMALLMAX_POLICIES, SimulationPlan, emit_table, parse_plan_file
+from .power import run_plan
 from .tail_test import shift_sample, tail_test
 
 _EXIT_CODE = {TailClass.MEDIUM: 0, TailClass.SHORT: 2, TailClass.LONG: 3}
@@ -88,20 +89,29 @@ def _parse_list(flag: str, text: str, convert) -> tuple:
         raise ValueError(f"could not parse --{flag}={text!r}") from None
 
 
-def _print_kv(pairs) -> None:
-    width = max(len(key) for key, _ in pairs)
-    for key, value in pairs:
+def _print_result(rows, res) -> None:
+    """Print the (key, text) rows and then the decision at its alpha, keys padded to one width."""
+    rows.append(("decision", f"{res.decision} (alpha={float_label(res.alpha)})"))
+    width = max(len(key) for key, _ in rows)
+    for key, value in rows:
         print(f"{key:<{width}}  {value}")
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.6g}"
+def _print_json(payload: dict) -> None:
+    """One line of strict JSON with sorted keys: a non-finite float, in a tuple too, is null."""
+    def strict(value):
+        if isinstance(value, tuple):
+            return [strict(v) for v in value]
+        return None if isinstance(value, float) and not math.isfinite(value) else value
+
+    print(json.dumps({key: strict(v) for key, v in payload.items()},
+                     sort_keys=True, allow_nan=False))
 
 
 def _text(value) -> str:
-    if isinstance(value, list):
+    if isinstance(value, tuple):
         return " ".join(_text(v) for v in value)
-    return _fmt(value) if isinstance(value, float) else str(value)
+    return f"{value:.6g}" if isinstance(value, float) else str(value)
 
 
 def _cmd_test(args) -> int:
@@ -113,61 +123,45 @@ def _cmd_test(args) -> int:
     sample = shift_sample(values, _parse_shift(args.shift))
 
     if args.blocks != 1:
+        mode = "blocked"
         res = blocked_test(
             sample, args.blocks, args.alpha, strategy=args.block_strategy, seed=args.block_seed
         )
-        fields = {
-            "mode": "blocked",
-            "k": res.k,
-            "block_sizes": list(res.block_sizes),
-            "block_stats": list(res.block_stats),
-            "sum_stat": res.sum_stat,
-            "lower_crit": res.lower_crit,
-            "upper_crit": res.upper_crit,
-        }
     else:
+        mode = "plain"
         res = tail_test(sample, alpha=args.alpha)
-        fields = {
-            "mode": "plain",
-            "t_stat": res.t_stat,
-            "theta_hat": res.theta_hat,
-            "spacing": res.spacing,
-            "surv_at_log_max": res.surv_at_log_max,
-            "tied_max": res.tied_max,
-        }
-    fields.update(p_short=res.p_short, p_long=res.p_long)
 
     if args.json:
-        payload = {
+        _print_json({
             "command": "test",
             "path": args.path,
-            "n": sample.n,
+            "n": sample.n,  # the blocked result has no n
             "skipped_lines": skipped,
             "shift": sample.shift,
-            "negate": bool(args.negate),
-            "abs": bool(args.abs),
-            "alpha": args.alpha,
-            "decision": str(res.decision),
-            **fields,
-        }
-        print(json.dumps(payload, sort_keys=True))
+            "negate": args.negate,
+            "abs": args.abs,
+            "mode": mode,
+            **vars(res),
+        })
     else:
-        rows = [("n", sample.n), ("shift", _fmt(sample.shift))]
-        for key, value in fields.items():
-            if key in ("mode", "tied_max"):
-                continue
-            rows.append(("T" if key == "t_stat" else key, _text(value)))
-            if key == "t_stat" and res.tied_max:
-                rows.append(("warning", "top two order statistics tie; T forced to 0"))
-        rows.append(("decision", f"{res.decision} (alpha={float_label(args.alpha)})"))
-        _print_kv(rows)
+        rows = [("n", sample.n), ("shift", _text(sample.shift))]
+        for key, value in vars(res).items():
+            if key == "t_stat":
+                rows.append(("T", _text(value)))
+                if res.tied_max:
+                    rows.append(("warning", "top two order statistics tie; T forced to 0"))
+            elif key not in ("n", "tied_max", "decision", "alpha"):
+                rows.append((key, _text(value)))
+        _print_result(rows, res)
     return _EXIT_CODE[res.decision]
 
 
 def _cmd_simulate(args) -> int:
+    given = [key for key in PLAN_KEYS if getattr(args, key) is not None]
     if args.plan:
-        if args.dist or args.n:
-            raise ValueError("--plan and --dist/--n are mutually exclusive")
+        if given:
+            flags = "/".join("--" + key.replace("_", "-") for key in given)
+            raise ValueError(f"--plan and {flags} are mutually exclusive")
         plan = parse_plan_file(args.plan)
     else:
         if not args.dist or not args.n:
@@ -175,11 +169,7 @@ def _cmd_simulate(args) -> int:
         plan = SimulationPlan(
             spec=parse_spec(args.dist),
             n_grid=_parse_list("n", args.n, int),
-            k_blocks=args.k,
-            alpha=args.alpha,
-            reps=args.reps,
-            base_seed=args.seed,
-            smallmax_policy=args.smallmax_policy,
+            **{PLAN_KEYS[key][0]: getattr(args, key) for key in given if key not in ("dist", "n")},
         )
     report = run_plan(plan, threads=args.threads)
     text = emit_table(report, args.format)
@@ -196,32 +186,15 @@ def _cmd_bryson(args) -> int:
     sample = shift_sample(values, None)
     res = bryson_test(sample, alpha=args.alpha, reps=args.reps, seed=args.seed)
     if args.json:
-        payload = {
-            "command": "bryson",
-            "path": args.path,
-            "n": res.n,
-            "skipped_lines": skipped,
-            "alpha": res.alpha,
-            "t_star": res.t_star,
-            "lower_crit": res.lower_crit,
-            "upper_crit": res.upper_crit,
-            "null_dist": res.null_dist,
-            "reps": res.reps,
-            "seed": res.seed,
-            "decision": str(res.decision),
-        }
-        print(json.dumps(payload, sort_keys=True))
+        _print_json({"command": "bryson", "path": args.path, "skipped_lines": skipped, **vars(res)})
     else:
-        _print_kv(
-            [
-                ("n", res.n),
-                ("t_star", _fmt(res.t_star)),
-                ("null", f"{res.null_dist} ({res.reps} reps, seed {res.seed})"),
-                ("lower_crit", _fmt(res.lower_crit)),
-                ("upper_crit", _fmt(res.upper_crit)),
-                ("decision", f"{res.decision} (alpha={float_label(res.alpha)})"),
-            ]
-        )
+        rows = []
+        for key, value in vars(res).items():
+            if key == "null_dist":
+                rows.append(("null", f"{value} ({res.reps} reps, seed {res.seed})"))
+            elif key not in ("reps", "seed", "decision", "alpha"):
+                rows.append((key, _text(value)))
+        _print_result(rows, res)
     return _EXIT_CODE[res.decision]
 
 
@@ -265,11 +238,12 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--plan", help="plan file of key=value lines")
     p_sim.add_argument("--dist", help="distribution, e.g. exp:1, pareto:2, weibull:0.5")
     p_sim.add_argument("--n", help="comma-separated sample sizes")
-    p_sim.add_argument("--k", type=int, default=1)
-    p_sim.add_argument("--alpha", type=float, default=0.05)
-    p_sim.add_argument("--reps", type=int, default=10_000)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--smallmax-policy", choices=SMALLMAX_POLICIES, default="raw")
+    # unset options take SimulationPlan's defaults; a plan file takes none of them
+    p_sim.add_argument("--k", type=int)
+    p_sim.add_argument("--alpha", type=float)
+    p_sim.add_argument("--reps", type=int)
+    p_sim.add_argument("--seed", type=int)
+    p_sim.add_argument("--smallmax-policy", choices=SMALLMAX_POLICIES)
     p_sim.add_argument("--threads", type=int, default=1, help="must be >= 1; has no effect")
     p_sim.add_argument("--format", choices=("csv", "json", "md"), default="csv")
     p_sim.add_argument("--out", help="write the table here instead of stdout")

@@ -61,19 +61,19 @@ class SimulationPlan:
                 f"smallmax_policy must be one of {SMALLMAX_POLICIES}, "
                 f"got {self.smallmax_policy!r}"
             )
-        for n in self.n_grid:
+        for i, n in enumerate(self.n_grid):
+            if n in self.n_grid[:i]:  # each n is one row, and md keys its rows by n
+                raise ValueError(f"sample size n={n} is repeated")
             block_sizes(n, self.k_blocks)  # raises BlockTooSmallError if infeasible
 
 
 @dataclass(frozen=True)
 class RateRow:
-    """Rejection rates for one sample size, with exact tally counts."""
+    """Rejection rates for one sample size, with exact tally counts; k, alpha and
+    the seed are the plan's."""
 
     n: int
-    k: int
-    alpha: float
     reps: int
-    seed: int
     short_count: int
     medium_count: int
     long_count: int
@@ -132,10 +132,9 @@ def _run_row(plan: SimulationPlan, n: int) -> RateRow:
                 codes = np.where(firsts, firsts, codes)  # a refused or rule-Short replicate
             counts += np.bincount(codes, minlength=len(counts))
 
-    return RateRow(n=n, k=k, alpha=plan.alpha, reps=plan.reps, seed=plan.base_seed,
-                   short_count=int(counts[SHORT]), medium_count=int(counts[MEDIUM]),
-                   long_count=int(counts[LONG]), error_count=int(counts[EQUAL] + counts[REFUSED]),
-                   error_notes=tuple(notes))
+    return RateRow(n=n, reps=plan.reps, short_count=int(counts[SHORT]),
+                   medium_count=int(counts[MEDIUM]), long_count=int(counts[LONG]),
+                   error_count=int(counts[EQUAL] + counts[REFUSED]), error_notes=tuple(notes))
 
 
 def run_plan(plan: SimulationPlan, threads: int = 1) -> SimulationReport:
@@ -181,10 +180,11 @@ def _emit_csv(reports) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER.split(","))
     for report in reports:
+        plan = report.plan
         for row in report.rows:
             rates = (row.short_rate, row.long_rate, row.stderr_short, row.stderr_long)
-            writer.writerow([report.dist, row.n, row.k, float_label(row.alpha),
-                             *(f"{x:.6f}" for x in rates), row.error_count, row.seed])
+            writer.writerow([report.dist, row.n, plan.k_blocks, float_label(plan.alpha),
+                             *(f"{x:.6f}" for x in rates), row.error_count, plan.base_seed])
     return buf.getvalue()
 
 
@@ -238,14 +238,25 @@ def _emit_markdown(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
-_PLAN_KEYS = ("dist", "n", "k", "alpha", "reps", "seed", "smallmax_policy")
+# plan-file key, which is also simulate's option: the SimulationPlan field it sets
+# and the reading of its text
+PLAN_KEYS = {
+    "dist": ("spec", parse_spec),
+    "n": ("n_grid", lambda text: tuple(int(tok) for tok in text.split(","))),
+    "k": ("k_blocks", int),
+    "alpha": ("alpha", float),
+    "reps": ("reps", int),
+    "seed": ("base_seed", int),
+    "smallmax_policy": ("smallmax_policy", str),
+}
 
 
 def parse_plan_file(path) -> SimulationPlan:
     """Read a flat key=value plan file.
 
     Keys: dist (required), n (required, comma-separated sizes), k, alpha,
-    reps, seed, smallmax_policy. Blank lines and #-comments are ignored.
+    reps, seed, smallmax_policy; SimulationPlan's defaults fill in the rest.
+    Blank lines and #-comments are ignored.
     """
     entries: dict[str, str] = {}
     try:
@@ -261,10 +272,10 @@ def parse_plan_file(path) -> SimulationPlan:
         key = key.strip().lower()
         if not sep or not value.strip():
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
-        if key not in _PLAN_KEYS:
+        if key not in PLAN_KEYS:
             raise ValueError(
                 f"{path}:{lineno}: unknown key {key!r}; valid keys: "
-                + ", ".join(_PLAN_KEYS)
+                + ", ".join(PLAN_KEYS)
             )
         if key in entries:
             raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
@@ -274,18 +285,13 @@ def parse_plan_file(path) -> SimulationPlan:
         if required not in entries:
             raise ValueError(f"{path}: missing required plan key {required!r}")
 
-    def number(key, convert, default=None):
+    fields = {}
+    for key, text in entries.items():
+        field, read = PLAN_KEYS[key]
         try:
-            return convert(entries[key]) if key in entries else default
+            fields[field] = read(text)
         except ValueError:
-            raise ValueError(f"{path}: could not parse {key}={entries[key]!r}") from None
-
-    return SimulationPlan(
-        spec=parse_spec(entries["dist"]),
-        n_grid=number("n", lambda text: tuple(int(tok) for tok in text.split(","))),
-        k_blocks=number("k", int, 1),
-        alpha=number("alpha", float, 0.05),
-        reps=number("reps", int, 10_000),
-        base_seed=number("seed", int, 0),
-        smallmax_policy=entries.get("smallmax_policy", "raw"),
-    )
+            if key == "dist":  # parse_spec's message names the text
+                raise
+            raise ValueError(f"{path}: could not parse {key}={text!r}") from None
+    return SimulationPlan(**fields)

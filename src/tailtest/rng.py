@@ -10,8 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# numpy loads numpy.random lazily; load it here so the cost falls at import
-import numpy.random  # noqa: F401
 
 from .base import check_alpha
 

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, output schemas, preprocessing flags."""
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tailtest import DatasetError
+from tailtest import BlockedTestResult, BrysonResult, DatasetError, TailTestResult
 from tailtest.cli import build_parser, main, read_dataset
 from tailtest.power import CSV_HEADER
 
@@ -22,6 +23,19 @@ DATA = Path(__file__).resolve().parents[1] / "data" / "synthetic"
 MEDIUM = [E, E**2, E**3]                                  # T inside the medium band
 SHORT = [1.2, 1.5, 2.0]                                   # all above ln(max): T = 0
 LONG = list(np.linspace(2.0, 100.0, 99)) + [1e8]          # giant extreme spacing
+HUGE = [-1.7e308, -1.6e308, 1.7e308]                      # the top spacing overflows to inf
+BLOCKED = ["--blocks", "2", "--block-strategy", "sequential"]
+
+
+def field_names(result_type) -> set:
+    return {field.name for field in dataclasses.fields(result_type)}
+
+
+def strict_json(text: str):
+    """Parse text as JSON, refusing NaN, Infinity and -Infinity as strict parsers do."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
 
 
 class TestReadDataset:
@@ -137,6 +151,35 @@ class TestTestCommand:
         assert payload["p_long"] == pytest.approx(math.exp(-payload["t_stat"]), rel=1e-12)
         # stable schema: dumping the parsed payload reproduces the line
         assert json.dumps(payload, sort_keys=True) == out.strip()
+
+    @pytest.mark.parametrize("blocks, result_type",
+                             [([], TailTestResult), (BLOCKED, BlockedTestResult)])
+    def test_json_keys_are_the_result_fields_and_the_cli_keys(
+            self, blocks, result_type, write_dataset, capsys):
+        # a field added to a result reaches the JSON with no edit to the CLI
+        main(["test", write_dataset(MEDIUM * 2), *blocks, "--json"])
+        cli_keys = {"command", "path", "n", "skipped_lines", "shift", "negate", "abs", "mode"}
+        assert set(json.loads(capsys.readouterr().out)) == field_names(result_type) | cli_keys
+
+    def test_json_writes_a_non_finite_value_as_null(self, write_dataset, capsys):
+        path = write_dataset(HUGE)
+        code = main(["test", path, "--json"])
+        payload = strict_json(capsys.readouterr().out)
+        assert code == 3
+        assert (payload["spacing"], payload["t_stat"], payload["decision"]) == (None, None, "Long")
+        # the text output and exit code are as before
+        assert main(["test", path]) == 3
+        assert "\nT                inf\n" in capsys.readouterr().out
+
+    def test_blocked_json_writes_a_non_finite_block_stat_as_null(self, write_dataset, capsys):
+        path = write_dataset(HUGE + MEDIUM)  # the first of two sequential blocks gives T = inf
+        code = main(["test", path, *BLOCKED, "--json"])
+        payload = strict_json(capsys.readouterr().out)
+        assert code == 3
+        assert payload["block_stats"][0] is None and payload["sum_stat"] is None
+        assert payload["block_stats"][1] == pytest.approx(1.7159933233335359, abs=1e-12)
+        assert main(["test", path, *BLOCKED]) == 3
+        assert "\nblock_stats  inf 1.71599\n" in capsys.readouterr().out
 
     def test_json_schema_is_stable_across_runs(self, write_dataset, capsys):
         path = write_dataset(MEDIUM)
@@ -282,6 +325,41 @@ class TestSimulateCommand:
         assert code == 1
         assert "mutually exclusive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option", [["--k", "5"], ["--alpha", "0.1"], ["--reps", "200"],
+                                        ["--seed", "9"], ["--smallmax-policy", "short"]])
+    def test_plan_refuses_each_other_plan_option(self, option, tmp_path, capsys):
+        # the plan file states the whole plan; an option beside it was once dropped unread
+        plan = tmp_path / "plan.txt"
+        plan.write_text("dist=exp:1\nn=60\nreps=100\n", encoding="utf-8")
+        code = main(["simulate", "--plan", str(plan), *option])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"tailtest: error: --plan and {option[0]} are mutually exclusive\n"
+
+    def test_plan_refusal_names_every_option_given(self, tmp_path, capsys):
+        plan = tmp_path / "plan.txt"
+        plan.write_text("dist=exp:1\nn=60\n", encoding="utf-8")
+        code = main(["simulate", "--plan", str(plan), "--k", "5", "--reps", "200", "--seed", "9"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "tailtest: error: --plan and --k/--reps/--seed are mutually exclusive\n")
+
+    @pytest.mark.parametrize("n", ["50,50", "50,100,50"])
+    def test_repeated_n_exits_one(self, n, capsys):
+        # the CSV would repeat the row and the md table would show it once
+        code = main(["simulate", "--dist", "exp:1", "--n", n, "--reps", "100"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "tailtest: error: sample size n=50 is repeated\n"
+
+    def test_repeated_n_in_a_plan_file_exits_one(self, tmp_path, capsys):
+        plan = tmp_path / "plan.txt"
+        plan.write_text("dist=exp:1\nn = 50, 100, 50\nreps=100\n", encoding="utf-8")
+        assert main(["simulate", "--plan", str(plan)]) == 1
+        assert capsys.readouterr().err == "tailtest: error: sample size n=50 is repeated\n"
+
     def test_needs_dist_and_n(self, capsys):
         assert main(["simulate", "--dist", "exp:1"]) == 1
         assert main(["simulate"]) == 1
@@ -419,6 +497,7 @@ class TestBrysonCommands:
         assert payload["null_dist"] == "exp:1"
         assert payload["decision"] in ("Short", "Medium", "Long")
         assert code == {"Medium": 0, "Short": 2, "Long": 3}[payload["decision"]]
+        assert set(payload) == field_names(BrysonResult) | {"command", "path", "skipped_lines"}
 
     @pytest.mark.parametrize("values", [[1e160, 5.0, 3.0, 2.0], [1e-200, 2e-200, 3e-200, 5e-200]])
     def test_bryson_far_from_unit_scale_decides(self, values, write_dataset, capsys):
@@ -610,6 +689,14 @@ def test_cli_import_leaves_scipy_out():
     # numpy is the only runtime dependency; a fresh interpreter shows what the CLI loads
     proc = run_fresh("-c", "import sys, tailtest.cli; sys.exit('scipy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr or "importing tailtest.cli loaded scipy"
+
+
+def test_plain_test_leaves_numpy_random_unloaded():
+    # a plain test draws nothing; a blocked one loads numpy.random at its shuffle
+    code = ("import sys; from tailtest.cli import main; main(['test', sys.argv[1], '--json']); "
+            "sys.exit('numpy.random' in sys.modules)")
+    proc = run_fresh("-c", code, str(DATA / "fibers.txt"))
+    assert proc.returncode == 0, proc.stderr or "a plain test loaded numpy.random"
 
 
 def test_module_entry_point_exits_with_the_decision():

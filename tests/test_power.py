@@ -63,6 +63,10 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             small_plan(smallmax_policy="ignore")
 
+    def test_rejects_repeated_n(self):
+        with pytest.raises(ValueError, match=r"^sample size n=50 is repeated$"):
+            small_plan(n=(50, 100, 50))
+
     def test_rejects_infeasible_blocks(self):
         with pytest.raises(BlockTooSmallError):
             small_plan(n=(10,), k_blocks=4)
@@ -278,8 +282,7 @@ def _reference_row(plan, n):
     if isinstance(out, str):
         return out
     short, medium, long, notes = out
-    return RateRow(n, plan.k_blocks, plan.alpha, plan.reps, plan.base_seed,
-                   short, medium, long, len(notes), tuple(notes[:10]))
+    return RateRow(n, plan.reps, short, medium, long, len(notes), tuple(notes[:10]))
 
 
 class TestChunkedEngineMatchesReplicateLoop:
@@ -569,6 +572,12 @@ class TestPlanFiles:
         assert plan.reps == 10_000
         assert plan.base_seed == 0
         assert plan.smallmax_policy == "raw"
+
+    def test_repeated_n_is_refused(self, tmp_path):
+        path = tmp_path / "plan.txt"
+        path.write_text("dist=exp:1\nn = 50, 50\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"^sample size n=50 is repeated$"):
+            parse_plan_file(str(path))
 
     def test_unknown_key_names_line(self, tmp_path):
         path = tmp_path / "plan.txt"
