@@ -30,10 +30,34 @@ def check_alpha(alpha: float) -> float:
     return alpha
 
 
+def check_integer(name: str, value) -> int:
+    """value as an int; a float, even 100.0, or a bool is refused with an error naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def listed(numbers) -> str:
     """The first ten of `numbers`, comma-separated, and how many more: "2, 4 (+3 more)"."""
     more = "" if len(numbers) <= 10 else f" (+{len(numbers) - 10} more)"
     return ", ".join(str(x) for x in numbers[:10]) + more
+
+
+def text_lines(path) -> tuple[list[tuple[int, str]], int]:
+    """The one reader of dataset and plan files: (number, stripped text) of each line but blank
+    and # lines, and how many it skipped. UTF-8, less a byte-order mark on any line (utf-8-sig
+    takes ~0.4 ms to load); an unreadable file raises ValueError("{path}: {reason}")."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    lines = []
+    for lineno, line in enumerate(raw, start=1):
+        line = line.lstrip("\ufeff").strip()
+        if line and not line.startswith("#"):
+            lines.append((lineno, line))
+    return lines, len(raw) - len(lines)
 
 
 def float_label(x: float) -> str:

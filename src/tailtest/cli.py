@@ -13,15 +13,15 @@ import json
 import locale  # noqa: F401
 import math
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
-from .base import DatasetError, TailClass, float_label, listed
+from .base import DatasetError, TailClass, float_label, listed, text_lines
 from .blocking import blocked_test
 from .bryson import bryson_test, simulate_bryson_quantiles
 from .distributions import parse_spec
-from .power import PLAN_KEYS, SMALLMAX_POLICIES, SimulationPlan, emit_table, parse_plan_file
-from .power import run_plan
+from .power import PLAN_KEYS, SMALLMAX_POLICIES, emit_table, parse_plan_file, read_plan, run_plan
 from .tail_test import shift_sample, tail_test
 
 _EXIT_CODE = {TailClass.MEDIUM: 0, TailClass.SHORT: 2, TailClass.LONG: 3}
@@ -37,25 +37,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def read_dataset(path: str) -> tuple[np.ndarray, int]:
-    """Read one value per line; blank lines and #-comments are skipped.
+    """Read one value per line of the lines base.text_lines keeps.
 
-    Returns (values, skipped line count). Unparseable or non-finite lines
-    raise DatasetError naming the line numbers.
+    Returns (values, skipped line count). An unreadable file, or unparseable or
+    non-finite lines, raise DatasetError naming the file or the line numbers.
     """
     values: list[float] = []
     bad: list[int] = []
-    skipped = 0
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DatasetError(f"cannot read {path}: {exc}") from exc
-    for lineno, raw in enumerate(lines, start=1):
-        # a byte-order mark is not data (the utf-8-sig codec takes ~0.4 ms to load)
-        line = raw.lstrip("\ufeff").strip()
-        if not line or line.startswith("#"):
-            skipped += 1
-            continue
+        lines, skipped = text_lines(path)
+    except ValueError as exc:
+        raise DatasetError(f"cannot read {exc}") from exc
+    for lineno, line in lines:
         try:
             value = float(line)
         except ValueError:
@@ -80,13 +73,6 @@ def _parse_shift(text: str):
         return float(text)
     except ValueError:
         raise ValueError(f"--shift must be 'none', 'min', or a number, got {text!r}") from None
-
-
-def _parse_list(flag: str, text: str, convert) -> tuple:
-    try:
-        return tuple(convert(tok) for tok in text.split(","))
-    except ValueError:
-        raise ValueError(f"could not parse --{flag}={text!r}") from None
 
 
 def _print_result(rows, res) -> None:
@@ -157,7 +143,7 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    given = [key for key in PLAN_KEYS if getattr(args, key) is not None]
+    given = {key: getattr(args, key) for key in PLAN_KEYS if getattr(args, key) is not None}
     if args.plan:
         if given:
             flags = "/".join("--" + key.replace("_", "-") for key in given)
@@ -166,18 +152,10 @@ def _cmd_simulate(args) -> int:
     else:
         if not args.dist or not args.n:
             raise ValueError("simulate needs either --plan FILE or both --dist and --n")
-        plan = SimulationPlan(
-            spec=parse_spec(args.dist),
-            n_grid=_parse_list("n", args.n, int),
-            **{PLAN_KEYS[key][0]: getattr(args, key) for key in given if key not in ("dist", "n")},
-        )
-    report = run_plan(plan, threads=args.threads)
-    text = emit_table(report, args.format)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        plan = read_plan(given)
+    # the table's file is opened before the first replicate runs, as a redirection is
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
+        fh.write(emit_table(run_plan(plan, threads=args.threads), args.format))
     return 0
 
 
@@ -199,7 +177,10 @@ def _cmd_bryson(args) -> int:
 
 
 def _cmd_bryson_quantiles(args) -> int:
-    probs = _parse_list("probs", args.probs, float)
+    try:
+        probs = tuple(float(tok) for tok in args.probs.split(","))
+    except ValueError:
+        raise ValueError(f"could not parse --probs={args.probs!r}") from None
     table = simulate_bryson_quantiles(
         parse_spec(args.dist), args.n, reps=args.reps, seed=args.seed, probs=probs
     )
@@ -238,12 +219,12 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--plan", help="plan file of key=value lines")
     p_sim.add_argument("--dist", help="distribution, e.g. exp:1, pareto:2, weibull:0.5")
     p_sim.add_argument("--n", help="comma-separated sample sizes")
-    # unset options take SimulationPlan's defaults; a plan file takes none of them
-    p_sim.add_argument("--k", type=int)
-    p_sim.add_argument("--alpha", type=float)
-    p_sim.add_argument("--reps", type=int)
-    p_sim.add_argument("--seed", type=int)
-    p_sim.add_argument("--smallmax-policy", choices=SMALLMAX_POLICIES)
+    # text, read as a plan file's keys are (power.read_plan); unset ones take the plan's defaults
+    p_sim.add_argument("--k")
+    p_sim.add_argument("--alpha")
+    p_sim.add_argument("--reps")
+    p_sim.add_argument("--seed")
+    p_sim.add_argument("--smallmax-policy", help="one of " + ", ".join(SMALLMAX_POLICIES))
     p_sim.add_argument("--threads", type=int, default=1, help="must be >= 1; has no effect")
     p_sim.add_argument("--format", choices=("csv", "json", "md"), default="csv")
     p_sim.add_argument("--out", help="write the table here instead of stdout")

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import EQUAL, LONG, MEDIUM, NONFINITE, REFUSED, SHORT, NonFiniteDrawError
-from .base import check_alpha, classify, float_label
+from .base import check_alpha, check_integer, classify, float_label, text_lines
 from .blocking import block_scores, block_sizes
 from .distributions import DistributionSpec, format_spec, parse_spec, replicate_chunks
-from .rng import erlang_criticals
+from .rng import SeedSpec, erlang_criticals
 from .tail_test import _RULE, verdict
 
 SMALLMAX_POLICIES = tuple(_RULE)
@@ -50,7 +50,11 @@ class SimulationPlan:
     smallmax_policy: str = "raw"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+        n_grid = tuple(check_integer("each n of n_grid", n) for n in self.n_grid)
+        object.__setattr__(self, "n_grid", n_grid)
+        for name in ("k_blocks", "reps"):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name)))
+        object.__setattr__(self, "base_seed", int(SeedSpec(self.base_seed).base_seed))
         if not self.n_grid:
             raise ValueError("n_grid is empty")
         check_alpha(self.alpha)
@@ -251,27 +255,34 @@ PLAN_KEYS = {
 }
 
 
+def read_plan(texts: dict[str, str], path=None) -> SimulationPlan:
+    """The plan some PLAN_KEYS' texts give, from a plan file at `path` or simulate's options
+    (path None); a text fails as "{path}: could not parse n='ten'" or "... --n='ten'"."""
+    fields = {}
+    for key, text in texts.items():
+        field, read = PLAN_KEYS[key]
+        try:
+            fields[field] = read(text)
+        except ValueError:
+            if key == "dist":  # parse_spec's message names the text
+                raise
+            where, name = ("", "--" + key.replace("_", "-")) if path is None else (f"{path}: ", key)
+            raise ValueError(f"{where}could not parse {name}={text!r}") from None
+    return SimulationPlan(**fields)
+
+
 def parse_plan_file(path) -> SimulationPlan:
-    """Read a flat key=value plan file.
+    """Read a flat key=value plan file from the lines base.text_lines keeps.
 
     Keys: dist (required), n (required, comma-separated sizes), k, alpha,
-    reps, seed, smallmax_policy; SimulationPlan's defaults fill in the rest.
-    Blank lines and #-comments are ignored.
+    reps, seed, smallmax_policy; read_plan reads their values.
     """
     entries: dict[str, str] = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in text_lines(path)[0]:
         key, sep, value = line.partition("=")
         key = key.strip().lower()
         if not sep or not value.strip():
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         if key not in PLAN_KEYS:
             raise ValueError(
                 f"{path}:{lineno}: unknown key {key!r}; valid keys: "
@@ -284,14 +295,4 @@ def parse_plan_file(path) -> SimulationPlan:
     for required in ("dist", "n"):
         if required not in entries:
             raise ValueError(f"{path}: missing required plan key {required!r}")
-
-    fields = {}
-    for key, text in entries.items():
-        field, read = PLAN_KEYS[key]
-        try:
-            fields[field] = read(text)
-        except ValueError:
-            if key == "dist":  # parse_spec's message names the text
-                raise
-            raise ValueError(f"{path}: could not parse {key}={text!r}") from None
-    return SimulationPlan(**fields)
+    return read_plan(entries, path)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import check_alpha
+from .base import check_alpha, check_integer
 
 _UINT64_MAX = 2**64 - 1
 
@@ -53,11 +53,10 @@ def make_stream(seed: SeedSpec | int, stream_id: int = 0) -> np.random.Generator
 
 
 def _check_shape(k: int) -> int:
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise ValueError(f"shape k must be a positive integer, got {k!r}")
+    k = check_integer("shape k", k)
     if k < 1:
         raise ValueError(f"shape k must be >= 1, got {k}")
-    return int(k)
+    return k
 
 
 def gamma_cdf(x: float, k: int) -> float:
@@ -102,50 +101,60 @@ def gamma_cdf(x: float, k: int) -> float:
     return min(1.0, max(0.0, 1.0 - total))
 
 
-def _gamma_pdf(x: float, k: int) -> float:
-    """Density of gamma(k, 1): the Poisson(x) pmf at k-1."""
-    if x <= 0.0:
-        return 0.0 if k > 1 else math.exp(-x)
-    lg = -x + (k - 1) * math.log(x) - math.lgamma(k)
-    return math.exp(lg) if lg > -745.0 else 0.0
+def _log_tail(x: float, k: int, upper: bool) -> tuple[float, float]:
+    """log P(G <= x), or log P(G > x) if `upper`, for G ~ gamma(k, 1) and x > 0, and its
+    derivative in x. The Poisson(x) sum P(N >= k), or P(N < k), is taken relative to its
+    term at k, or at k - 1, whose log is exact, so no tail underflows."""
+    rel, term = 0.0, 1.0
+    if upper:  # sum over i < k of x^(i - k + 1) (k - 1)! / i!, largest at x > k - 1
+        for i in range(k - 1, -1, -1):
+            rel += term
+            term *= i / x
+        return -x + (k - 1) * math.log(x) - math.lgamma(k) + math.log(rel), -1.0 / rel
+    i = k
+    while term > rel * 1e-18:  # sum over i >= k of x^(i - k) k! / i!
+        rel += term
+        i += 1
+        term *= x / i
+    return -x + k * math.log(x) - math.lgamma(k + 1) + math.log(rel), k / (x * rel)
+
+
+def _tail_root(alpha: float, k: int, upper: bool) -> float:
+    """The x where gamma(k, 1)'s lower tail, or upper tail if `upper`, equals alpha <= 1/2.
+
+    Newton steps on log(tail / alpha), concave in x as the density is log-concave, so each
+    step nears the root from one side: from (alpha k!)^(1/k), where the lower tail is below
+    x^k / k! = alpha, and, for the upper tail, from k after one step. Stops one step after
+    the tail is within 1e-13 * (x - log alpha) of alpha relative to alpha, a bound that
+    grows with the logs whose difference gives the gap, and so with its rounding.
+    """
+    log_alpha = math.log(alpha)
+    x = float(k) if upper else math.exp((log_alpha + math.lgamma(k + 1)) / k)
+    for _ in range(100):
+        log_tail, slope = _log_tail(x, k, upper)
+        gap = log_tail - log_alpha
+        done = abs(gap) <= 1e-13 * (x - log_alpha)
+        x -= gap / slope
+        if done:
+            break
+    return x
 
 
 def gamma_quantile(p: float, k: int) -> float:
-    """Inverse CDF of gamma(k, 1) for integer k, to absolute tolerance 1e-10.
-
-    Brackets the root then polishes with Newton steps on the closed-form CDF,
-    falling back to bisection whenever a step leaves the bracket.
-    """
+    """Inverse CDF of gamma(k, 1) for integer k, solved on the tail below 1/2 to a
+    relative tolerance of 1e-13 in that tail's probability."""
     k = _check_shape(k)
     p = float(p)
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
     if k == 1:
         return -math.log1p(-p)
-
-    lo, hi = 0.0, float(k)
-    while gamma_cdf(hi, k) < p:
-        lo = hi
-        hi *= 2.0
-    x = 0.5 * (lo + hi)
-    for _ in range(200):
-        f = gamma_cdf(x, k) - p
-        if abs(f) <= 1e-12:
-            break
-        if f > 0.0:
-            hi = x
-        else:
-            lo = x
-        d = _gamma_pdf(x, k)
-        step = x - f / d if d > 0.0 else math.nan
-        x = step if lo < step < hi else 0.5 * (lo + hi)
-        if hi - lo <= 1e-13 * max(1.0, hi):
-            break
-    return x
+    return _tail_root(p, k, False) if p <= 0.5 else _tail_root(1.0 - p, k, True)
 
 
 def erlang_criticals(alpha: float, k: int) -> tuple[float, float]:
-    """Lower and upper gamma(k,1) critical values at one-sided level alpha.
+    """Lower and upper gamma(k,1) critical values at one-sided level alpha, each
+    solved on the tail that holds alpha, so a small alpha keeps its relative accuracy.
 
     At k=1 the exact exponential-quantile forms are returned so the blocked
     test reduces bitwise to the plain test's thresholds.
@@ -154,4 +163,4 @@ def erlang_criticals(alpha: float, k: int) -> tuple[float, float]:
     k = _check_shape(k)
     if k == 1:
         return -math.log1p(-alpha), -math.log(alpha)
-    return gamma_quantile(alpha, k), gamma_quantile(1.0 - alpha, k)
+    return _tail_root(alpha, k, False), _tail_root(alpha, k, True)

@@ -75,6 +75,28 @@ def erlang_quantile_ref(p: float, k: int) -> float:
     return float((lo + hi) / 2)
 
 
+def erlang_tail_quantile_ref(alpha: float, k: int, upper: bool) -> float:
+    """The x with P(G <= x) = alpha, or P(G > x) = alpha if upper, for G ~ gamma(k, 1):
+    bisection at mpmath precision on that tail itself, to 1e-25 relative in x, so a
+    tiny alpha keeps every digit that 1 - alpha would lose."""
+    alpha = mp.mpf(alpha)
+
+    def below_root(x):
+        if upper:
+            return mp.gammainc(k, x, mp.inf, regularized=True) > alpha
+        return mp.gammainc(k, 0, x, regularized=True) < alpha
+
+    lo, hi = mp.mpf(0), mp.mpf(max(4 * k, 10))
+    while below_root(hi):
+        hi *= 2
+    for _ in range(400):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if below_root(mid) else (lo, mid)
+        if hi - lo < hi * mp.mpf("1e-25"):
+            break
+    return float((lo + hi) / 2)
+
+
 def spacing_statistic_ref(values) -> float:
     """T = theta_hat * (X_(n) - X_(n-1)) from the sorted values in plain Python.
 

@@ -15,7 +15,7 @@ import pytest
 
 from tailtest import BlockedTestResult, BrysonResult, DatasetError, TailTestResult
 from tailtest.cli import build_parser, main, read_dataset
-from tailtest.power import CSV_HEADER
+from tailtest.power import CSV_HEADER, PLAN_KEYS
 
 E = math.e
 DATA = Path(__file__).resolve().parents[1] / "data" / "synthetic"
@@ -268,6 +268,16 @@ class TestTestCommand:
         assert main(["test", write_dataset(MEDIUM), "--blocks", "2"]) == 1
         assert "feasible" in capsys.readouterr().err
 
+    def test_blocked_test_at_a_tiny_level_decides(self, capsys):
+        # the upper critical value is solved on its own tail: at alpha = 1e-20,
+        # 1 - alpha is 1.0 and no quantile of it exists. Fibers' block sum lies
+        # between the two values there
+        code = main(["test", str(DATA / "fibers.txt"), "--blocks", "5", "--alpha", "1e-20",
+                     "--json"])
+        payload = strict_json(capsys.readouterr().out)
+        assert (code, payload["decision"]) == (0, "Medium")
+        assert 0.0 < payload["lower_crit"] < payload["sum_stat"] < payload["upper_crit"] < 60.0
+
     def test_tied_max_warning(self, write_dataset, capsys):
         code = main(["test", write_dataset([1.0, 2.0, 3.0, 3.0])])
         out = capsys.readouterr().out
@@ -470,11 +480,80 @@ class TestSimulateCommand:
         assert captured.out == ""
         assert captured.err == "tailtest: error: could not parse --n='5,x'\n"
 
+    def test_unparseable_k_names_the_flag(self, capsys):
+        # --k is read by the plan key's reader, as --n is, not by argparse
+        code = main(["simulate", "--dist", "exp:1", "--n", "50", "--k", "abc"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "tailtest: error: could not parse --k='abc'\n"
+
+    def test_unwritable_out_fails_before_any_replicate(self, tmp_path, monkeypatch, capsys):
+        # the table's file is opened as a shell redirection would, before the plan runs
+        def never(plan, threads=1):
+            raise AssertionError("run_plan ran before --out was opened")
+
+        monkeypatch.setattr("tailtest.cli.run_plan", never)
+        out = tmp_path / "missing" / "table.csv"
+        code = main(["simulate", "--dist", "exp:1", "--n", "50", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("tailtest: error: [Errno 2] No such file or directory")
+
     def test_strategy_flag_is_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--dist", "exp:1", "--n", "50", "--strategy", "shuffle"])
         assert exc.value.code == 1
         assert "unrecognized arguments: --strategy shuffle" in capsys.readouterr().err
+
+
+class _Planned(Exception):
+    """Raised by a stand-in run_plan to hand back the plan `simulate` built."""
+
+
+def simulate_plan(argv, monkeypatch, capsys):
+    """(plan, None) for the plan `simulate argv` builds, without running it, or
+    (None, stderr) when it exits 1 before running."""
+    def stop(plan, threads=1):
+        raise _Planned(plan)
+
+    monkeypatch.setattr("tailtest.cli.run_plan", stop)
+    try:
+        code = main(["simulate", *argv])
+    except _Planned as planned:
+        return planned.args[0], None
+    assert code == 1
+    return None, capsys.readouterr().err
+
+
+# one readable and one unreadable text for every plan key
+PLAN_KEY_TEXTS = [
+    ("dist", "pareto:2"), ("dist", "nosuch"), ("n", "50, 100"), ("n", "ten"),
+    ("k", "2"), ("k", "two"), ("alpha", "0.1"), ("alpha", "5%"), ("reps", "500"),
+    ("reps", "1e4"), ("seed", "9"), ("seed", "-1"), ("smallmax_policy", "short"),
+    ("smallmax_policy", "ignore"),
+]
+
+
+@pytest.mark.parametrize("key,text", PLAN_KEY_TEXTS)
+def test_options_read_as_plan_keys(key, text, tmp_path, monkeypatch, capsys):
+    # a value given as simulate's option and as a plan-file line gives the same plan,
+    # or the same error bar the file's "{path}: " and the option's "--"
+    assert key in PLAN_KEYS
+    texts = {"dist": "exp:1", "n": "100", key: text}
+    path = tmp_path / "plan.txt"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in texts.items()), encoding="utf-8")
+    flag = "--" + key.replace("_", "-")
+    options = [arg for k, v in texts.items() for arg in ("--" + k.replace("_", "-"), v)]
+    from_file = simulate_plan(["--plan", str(path)], monkeypatch, capsys)
+    from_options = simulate_plan(options, monkeypatch, capsys)
+    if from_file[0] is not None:
+        assert from_options == from_file
+    else:
+        assert from_options[1] == from_file[1].replace(f"{path}: ", "").replace(
+            f"could not parse {key}=", f"could not parse {flag}=")
+        assert from_options[1].startswith("tailtest: error: ")
 
 
 class TestBrysonCommands:

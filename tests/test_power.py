@@ -67,6 +67,22 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match=r"^sample size n=50 is repeated$"):
             small_plan(n=(50, 100, 50))
 
+    @pytest.mark.parametrize("field,value", [
+        ("n_grid", (100.7,)), ("n_grid", (100.0,)), ("reps", 150.5), ("k_blocks", 2.5),
+        ("k_blocks", True), ("base_seed", -1), ("base_seed", 2**64), ("base_seed", 3.0),
+    ])
+    def test_rejects_a_field_it_cannot_run(self, field, value):
+        # once truncated (n=100.7 ran as n=100) or failing mid-run (reps=150.5)
+        with pytest.raises(ValueError, match=f"^(each n of )?{field}"):
+            small_plan(**{"n" if field == "n_grid" else field: value})
+
+    def test_numpy_integers_are_stored_as_int(self):
+        plan = small_plan(n=(np.int64(50),), k_blocks=np.int32(2), reps=np.int64(200),
+                          base_seed=np.uint64(3))
+        fields = (*plan.n_grid, plan.k_blocks, plan.reps, plan.base_seed)
+        assert fields == (50, 2, 200, 3)
+        assert all(type(v) is int for v in fields)
+
     def test_rejects_infeasible_blocks(self):
         with pytest.raises(BlockTooSmallError):
             small_plan(n=(10,), k_blocks=4)
@@ -572,6 +588,14 @@ class TestPlanFiles:
         assert plan.reps == 10_000
         assert plan.base_seed == 0
         assert plan.smallmax_policy == "raw"
+
+    def test_byte_order_marks_are_dropped(self, tmp_path):
+        # a plan saved with a BOM reads as the same file without one, on any line
+        text = "# a comment\ndist = pareto:2\nn = 50, 100\nk = 2\nreps = 500\n"
+        plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text("\ufeff" + text.replace("k = 2", "\ufeffk = 2"), encoding="utf-8")
+        assert parse_plan_file(str(bom)) == parse_plan_file(str(plain))
 
     def test_repeated_n_is_refused(self, tmp_path):
         path = tmp_path / "plan.txt"

@@ -15,7 +15,7 @@ from tailtest.rng import (
     make_stream,
 )
 
-from .oracles import erlang_cdf_ref, erlang_quantile_ref
+from .oracles import erlang_cdf_ref, erlang_quantile_ref, erlang_tail_quantile_ref
 
 
 class TestSeedSpec:
@@ -156,11 +156,21 @@ class TestErlangCriticals:
         assert lo == pytest.approx(erlang_quantile_ref(0.05, 2), abs=1e-9)
         assert hi == pytest.approx(erlang_quantile_ref(0.95, 2), abs=1e-9)
 
-    def test_consistent_with_quantile(self):
-        for k in (2, 5, 10, 25):
-            lo, hi = erlang_criticals(0.05, k)
-            assert lo == gamma_quantile(0.05, k)
-            assert hi == gamma_quantile(0.95, k)
+    @pytest.mark.parametrize("k", [2, 5, 10, 25])
+    @pytest.mark.parametrize("alpha", [0.05, 1e-3, 1e-6, 1e-9, 1e-12, 1e-15, 1e-20])
+    def test_each_tail_matches_mpmath(self, alpha, k):
+        # each value is solved on the tail that holds alpha: the quantile at 1 - alpha
+        # loses alpha's digits, and 1 - alpha rounds to 1.0 below ~5.6e-17
+        lo, hi = erlang_criticals(alpha, k)
+        assert lo == pytest.approx(erlang_tail_quantile_ref(alpha, k, upper=False), rel=1e-10)
+        assert hi == pytest.approx(erlang_tail_quantile_ref(alpha, k, upper=True), rel=1e-10)
+
+    @pytest.mark.parametrize("k", [2, 25, 1000])
+    @pytest.mark.parametrize("alpha", [1e-300, 5e-324, 0.4999])
+    def test_extreme_levels_give_ordered_finite_values(self, alpha, k):
+        # no tail underflows on the way: the smallest subnormal level still solves
+        lo, hi = erlang_criticals(alpha, k)
+        assert 0.0 < lo < hi < math.inf
 
     @pytest.mark.parametrize("bad", [0.0, 0.5, 0.9, -0.05])
     def test_rejects_bad_alpha(self, bad):
