@@ -41,7 +41,7 @@ from .power import (
     parse_plan_file,
     run_plan,
 )
-from .rng import SeedSpec, gamma_cdf, gamma_quantile, make_stream
+from .rng import SeedSpec, erlang_tails, make_stream
 from .tail_test import (
     Sample,
     TailTestResult,
@@ -71,9 +71,8 @@ __all__ = [
     "bryson_statistic",
     "bryson_test",
     "emit_table",
+    "erlang_tails",
     "format_spec",
-    "gamma_cdf",
-    "gamma_quantile",
     "make_stream",
     "parse_plan_file",
     "parse_spec",

@@ -15,7 +15,7 @@ from itertools import accumulate
 import numpy as np
 
 from .base import BlockTooSmallError, TailClass, check_alpha, decide
-from .rng import erlang_criticals, gamma_cdf, make_stream
+from .rng import erlang_criticals, erlang_tails, make_stream
 from .tail_test import Sample, as_sample, spacing_rows, verdict
 
 MIN_BLOCK = 3  # a block needs X_(n), X_(n-1) and a nondegenerate survival
@@ -132,7 +132,7 @@ def blocked_test(
 
     total = totals.item(0)
     lower, upper = erlang_criticals(alpha, k)
-    p_short = gamma_cdf(max(total, 0.0), k)
+    p_short, p_long = erlang_tails(total, k)
     return BlockedTestResult(
         k=k,
         block_sizes=sizes,
@@ -141,7 +141,7 @@ def blocked_test(
         lower_crit=lower,
         upper_crit=upper,
         p_short=p_short,
-        p_long=1.0 - p_short,
+        p_long=p_long,
         decision=decide(total, lower, upper),
         alpha=alpha,
     )

@@ -1,4 +1,4 @@
-"""Seeded random streams plus the Erlang distribution functions the tests rely on.
+"""Seeded random streams plus the Erlang tails and critical values the tests rely on.
 
 Counter-based Philox streams are keyed by (base_seed, stream_id), so replicate r
 sees the same variates in any order. Monte Carlo loops re-key one bit generator per
@@ -24,10 +24,11 @@ class SeedSpec:
     stream_id: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("base_seed", "stream_id"):
-            v = getattr(self, name)
+        # base_seed is what every command's seed option and a plan's seed key set
+        for v, rule in ((self.base_seed, "seed must be an integer from 0 to 2**64 - 1"),
+                        (self.stream_id, "stream_id must be an unsigned 64-bit integer")):
             if not isinstance(v, (int, np.integer)) or not 0 <= int(v) <= _UINT64_MAX:
-                raise ValueError(f"{name} must be an unsigned 64-bit integer, got {v!r}")
+                raise ValueError(f"{rule}, got {v!r}")
 
 
 def make_stream(seed: SeedSpec | int, stream_id: int = 0) -> np.random.Generator:
@@ -45,10 +46,11 @@ def make_stream(seed: SeedSpec | int, stream_id: int = 0) -> np.random.Generator
 # ---------------------------------------------------------------------------
 # Erlang (integer-shape gamma, scale 1) distribution functions.
 #
-# The blocked test compares a sum of k block statistics against gamma(k,1)
-# quantiles, so only integer shapes are ever needed and the closed form
-#   P(G <= x) = 1 - e^(-x) * sum_{i<k} x^i / i!
-# applies. Sums are accumulated as Poisson probabilities so no term exceeds 1.
+# The blocked test compares a sum of k block statistics against gamma(k,1), and the
+# plain test its T against gamma(1,1) = Exp(1), so only integer shapes are needed:
+#   P(G <= x) = P(N >= k) and P(G > x) = P(N < k) for N ~ Poisson(x).
+# _log_tail sums either tail in log space, relative to its term at k or k - 1, so
+# none underflows; the p-values and the critical values both rest on it.
 # ---------------------------------------------------------------------------
 
 
@@ -59,46 +61,24 @@ def _check_shape(k: int) -> int:
     return k
 
 
-def gamma_cdf(x: float, k: int) -> float:
-    """CDF of gamma(k, 1) at x for integer k >= 1."""
+def erlang_tails(x: float, k: int) -> tuple[float, float]:
+    """P(G <= x) and P(G > x) for G ~ gamma(k, 1), integer k >= 1, and x >= 0.
+
+    The tail on x's side of k is summed by _log_tail, so however small it keeps its
+    relative accuracy; the other tail is 1 minus it. At k=1 and x > 1 the upper
+    tail is exp(-x) to the bit.
+    """
     k = _check_shape(k)
     x = float(x)
     if math.isnan(x) or x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
     if x == 0.0:
-        return 0.0
+        return 0.0, 1.0
     if x == math.inf:
-        return 1.0
-    if x <= k:
-        # Lower tail. Summing P(Poisson(x) >= k) forward keeps full relative
-        # accuracy; the 1 - sum route would cancel to noise below ~1e-16.
-        # The first term is built in log space so deep-tail values survive.
-        lg = -x + k * math.log(x) - math.lgamma(k + 1)
-        term = math.exp(lg)
-        total = 0.0
-        i = k
-        while term > 0.0:
-            total += term
-            i += 1
-            term *= x / i
-            if term < total * 1e-18:
-                break
-        return min(1.0, total)
-    if x > 700.0:
-        # e^(-x) underflows; work with log Poisson terms instead.
-        logs = [-x + i * math.log(x) - math.lgamma(i + 1) for i in range(k)]
-        m = max(logs)
-        if m < -745.0:
-            return 1.0
-        tail = math.exp(m) * math.fsum(math.exp(v - m) for v in logs)
-        return min(1.0, max(0.0, 1.0 - tail))
-    # Upper half (x > k): the survival sum is below 1/2, so no cancellation.
-    term = math.exp(-x)  # Poisson(x) pmf at 0
-    total = term
-    for i in range(1, k):
-        term *= x / i
-        total += term
-    return min(1.0, max(0.0, 1.0 - total))
+        return 1.0, 0.0
+    upper = x > k
+    tail = math.exp(_log_tail(x, k, upper)[0])
+    return (1.0 - tail, tail) if upper else (tail, 1.0 - tail)
 
 
 def _log_tail(x: float, k: int, upper: bool) -> tuple[float, float]:
@@ -138,18 +118,6 @@ def _tail_root(alpha: float, k: int, upper: bool) -> float:
         if done:
             break
     return x
-
-
-def gamma_quantile(p: float, k: int) -> float:
-    """Inverse CDF of gamma(k, 1) for integer k, solved on the tail below 1/2 to a
-    relative tolerance of 1e-13 in that tail's probability."""
-    k = _check_shape(k)
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie in (0, 1), got {p}")
-    if k == 1:
-        return -math.log1p(-p)
-    return _tail_root(p, k, False) if p <= 0.5 else _tail_root(1.0 - p, k, True)
 
 
 def erlang_criticals(alpha: float, k: int) -> tuple[float, float]:

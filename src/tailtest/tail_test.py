@@ -14,7 +14,7 @@ import numpy as np
 
 from .base import DegenerateSampleError, MaxNotAboveOneError, NonFiniteDrawError, TailClass
 from .base import EQUAL, NONFINITE, REFUSED, SCORED, SHORT, check_alpha, decide, listed
-from .rng import erlang_criticals
+from .rng import erlang_criticals, erlang_tails
 
 
 @dataclass(frozen=True)
@@ -150,13 +150,13 @@ def tail_test(sample, alpha: float = 0.05) -> TailTestResult:
     if code[0]:  # under 'error' no code is SHORT
         raise verdict(int(code[0]), mx)
     t_stat, spacing = stats.item(0), mx - second
-    p_long = math.exp(-t_stat)
+    p_short, p_long = erlang_tails(t_stat, 1)
     return TailTestResult(
         t_stat=t_stat,
         theta_hat=theta.item(0),
         spacing=spacing,
         surv_at_log_max=surv.item(0),
-        p_short=1.0 - p_long,
+        p_short=p_short,
         p_long=p_long,
         decision=decide(t_stat, *erlang_criticals(alpha, 1)),
         alpha=alpha,

@@ -58,6 +58,15 @@ def erlang_cdf_ref(x: float, k: int) -> float:
     return float(mp.gammainc(k, 0, mp.mpf(x), regularized=True))
 
 
+def erlang_tails_ref(x: float, k: int) -> tuple[float, float]:
+    """P(G <= x) and P(G > x) for G ~ gamma(k, 1), each its own incomplete gamma at
+    50 digits: 1 minus the lower tail would cancel the upper one to nothing."""
+    with mp.workdps(50):
+        x = mp.mpf(x)
+        lower = mp.gammainc(k, 0, x, regularized=True)
+        return float(lower), float(mp.gammainc(k, x, mp.inf, regularized=True))
+
+
 def erlang_quantile_ref(p: float, k: int) -> float:
     """Inverse of erlang_cdf_ref by bisection at mpmath precision."""
     p_ = mp.mpf(p)

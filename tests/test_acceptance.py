@@ -30,7 +30,7 @@ from tailtest import (
 )
 from tailtest.cli import read_dataset
 from tailtest.distributions import parse_spec, sample as draw
-from tailtest.rng import SeedSpec, gamma_cdf, gamma_quantile
+from tailtest.rng import SeedSpec, erlang_criticals, erlang_tails
 
 from . import oracles
 
@@ -180,8 +180,9 @@ def test_known_value_bryson_statistic():
 
 
 def test_known_value_gamma_quantile():
-    """gamma(2,1) 0.95 quantile equals the published 4.7439 to 1e-4."""
-    assert abs(gamma_quantile(0.95, 2) - 4.7439) <= 1e-4
+    """gamma(2,1) 0.95 quantile, the upper critical value at alpha 0.05, equals the
+    published 4.7439 to 1e-4."""
+    assert abs(erlang_criticals(0.05, 2)[1] - 4.7439) <= 1e-4
 
 
 # --- Property suites ----------------------------------------------------------
@@ -216,10 +217,12 @@ def test_property_blocked_k1_equals_plain_test():
 
 
 def test_property_gamma_round_trip():
-    """cdf(quantile(p, k), k) returns p to 1e-10 on a wide grid."""
+    """Each gamma(k,1) tail at its critical value returns the level to 1e-10 on a wide grid."""
     for k in (1, 2, 3, 5, 10, 25, 50):
-        for p in (1e-6, 0.025, 0.05, 0.5, 0.95, 0.975, 1 - 1e-6):
-            assert abs(gamma_cdf(gamma_quantile(p, k), k) - p) <= 1e-10
+        for alpha in (1e-6, 0.025, 0.05):  # p and 1 - p, as 0.5 is no level
+            lower, upper = erlang_criticals(alpha, k)
+            assert abs(erlang_tails(lower, k)[0] - alpha) <= 1e-10
+            assert abs(erlang_tails(upper, k)[1] - alpha) <= 1e-10
 
 
 def test_property_csv_identical_across_thread_counts():

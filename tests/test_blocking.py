@@ -26,7 +26,7 @@ from tailtest.blocking import block_scores, block_sizes
 from tailtest.cli import read_dataset
 from tailtest.distributions import parse_spec, sample as draw
 from tailtest.power import SimulationPlan, run_plan
-from tailtest.rng import SeedSpec, erlang_criticals, gamma_cdf
+from tailtest.rng import SeedSpec, erlang_criticals, erlang_tails
 
 from . import oracles
 from .test_golden import GOLDEN
@@ -170,7 +170,7 @@ class TestBlockedKnownAnswers:
             assert res.decision is TailClass.LONG
         else:
             assert res.decision is TailClass.MEDIUM
-        assert res.p_short == pytest.approx(gamma_cdf(res.sum_stat, 5), abs=1e-12)
+        assert res.p_short == pytest.approx(erlang_tails(res.sum_stat, 5)[0], abs=1e-12)
 
     @given(seed=st.integers(min_value=0, max_value=2000), k=st.integers(min_value=1, max_value=6))
     @settings(max_examples=60, deadline=None)
@@ -403,6 +403,27 @@ class TestTotalsDoNotDependOnPythonVersion:
         [expected] = run_plan(plan).rows
         monkeypatch.setattr(builtins, "sum", _compensated_sum)
         assert run_plan(plan).rows == (expected,)
+
+
+class TestPValues:
+    @pytest.mark.parametrize("shift, sum_stat", [(None, 35.4756), ("min", 44.6292)])
+    def test_long_p_value_of_a_golden_sum_matches_mpmath(self, shift, sum_stat):
+        # p_long is summed on its own tail: at these two sums of claims' five blocks
+        # 1 - p_short keeps only 1e-6 and 5e-3 relative accuracy
+        values, _ = read_dataset(str(GOLDEN.parents[1] / "data/synthetic/claims.txt"))
+        res = blocked_test(shift_sample(values, shift), 5)
+        assert res.sum_stat == pytest.approx(sum_stat, rel=1e-5)
+        lower, upper = oracles.erlang_tails_ref(res.sum_stat, 5)
+        assert res.p_long == pytest.approx(upper, rel=1e-14, abs=0)
+        assert res.p_short == pytest.approx(lower, rel=1e-15, abs=0)
+
+    def test_long_p_value_far_past_the_critical_value(self):
+        # one block's T is ln 3 * 313.8 / ln 314 = 59.97 and four are 0, so the upper
+        # tail is about 5e-21, where 1 - p_short is 0.0
+        res = blocked_test([0.1, 0.2, 314.0] + [1.2, 1.5, 2.0] * 4, 5, strategy="sequential")
+        assert res.sum_stat == pytest.approx(59.97, abs=0.01)
+        assert res.p_long == pytest.approx(oracles.erlang_tails_ref(res.sum_stat, 5)[1],
+                                           rel=1e-13, abs=0)
 
 
 class TestRecommendBlocks:

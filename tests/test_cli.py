@@ -556,6 +556,22 @@ def test_options_read_as_plan_keys(key, text, tmp_path, monkeypatch, capsys):
         assert from_options[1].startswith("tailtest: error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--dist", "exp:1", "--n", "50", "--seed", "-1"],
+    ["simulate", "--plan", "PLAN"],
+    ["test", str(DATA / "claims.txt"), "--blocks", "5", "--block-seed", "-1"],
+    ["bryson", str(DATA / "claims.txt"), "--seed", "-1"],
+    ["bryson-quantiles", "--dist", "exp:1", "--n", "50", "--seed", "-1"],
+])
+def test_seed_refusal_names_the_seed(argv, tmp_path, capsys):
+    # every command's seed, and a plan's seed key, is SeedSpec's base_seed
+    plan = tmp_path / "plan.txt"
+    plan.write_text("dist = exp:1\nn = 50\nseed = -1\n", encoding="utf-8")
+    assert main([str(plan) if arg == "PLAN" else arg for arg in argv]) == 1
+    assert capsys.readouterr().err == (
+        "tailtest: error: seed must be an integer from 0 to 2**64 - 1, got -1\n")
+
+
 class TestBrysonCommands:
     def test_bryson_on_exponential_data(self, write_dataset, capsys):
         rng = np.random.default_rng(6)

@@ -314,7 +314,7 @@ class TestSampling:
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_replicate_chunks_rejects_bad_seed_at_the_call(self, seed):
         # the seed fails when the iterator is made, not at its first draw
-        message = f"^base_seed must be an unsigned 64-bit integer, got {seed}$"
+        message = rf"^seed must be an integer from 0 to 2\*\*64 - 1, got {seed}$"
         with pytest.raises(ValueError, match=message):
             replicate_chunks(parse_spec("exp:1"), 10, seed, 5)
 

@@ -72,8 +72,9 @@ class TestPlanValidation:
         ("k_blocks", True), ("base_seed", -1), ("base_seed", 2**64), ("base_seed", 3.0),
     ])
     def test_rejects_a_field_it_cannot_run(self, field, value):
-        # once truncated (n=100.7 ran as n=100) or failing mid-run (reps=150.5)
-        with pytest.raises(ValueError, match=f"^(each n of )?{field}"):
+        # once truncated (n=100.7 ran as n=100) or failing mid-run (reps=150.5); the
+        # base seed's message names it as every command's option does: "seed"
+        with pytest.raises(ValueError, match=f"^(each n of )?{field.removeprefix('base_')}"):
             small_plan(**{"n" if field == "n_grid" else field: value})
 
     def test_numpy_integers_are_stored_as_int(self):

@@ -1,4 +1,4 @@
-"""Seeded streams, draws from them, and the hand-rolled Erlang distribution functions."""
+"""Seeded streams, draws from them, and the hand-rolled Erlang tails and critical values."""
 import math
 
 import numpy as np
@@ -10,12 +10,11 @@ from tailtest.distributions import DistributionSpec, parse_spec, sample
 from tailtest.rng import (
     SeedSpec,
     erlang_criticals,
-    gamma_cdf,
-    gamma_quantile,
+    erlang_tails,
     make_stream,
 )
 
-from .oracles import erlang_cdf_ref, erlang_quantile_ref, erlang_tail_quantile_ref
+from .oracles import erlang_cdf_ref, erlang_quantile_ref, erlang_tail_quantile_ref, erlang_tails_ref
 
 
 class TestSeedSpec:
@@ -60,46 +59,59 @@ class TestMakeStream:
         assert np.array_equal(a, b)
 
 
-class TestGammaCdf:
+class TestErlangTails:
     def test_matches_reference_on_grid(self):
         # independent route: mpmath regularized incomplete gamma
         for k in (1, 2, 3, 5, 10, 25, 50):
             for x in (0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0):
-                assert gamma_cdf(x, k) == pytest.approx(
+                assert erlang_tails(x, k)[0] == pytest.approx(
                     erlang_cdf_ref(x, k), rel=1e-12, abs=1e-13
                 )
 
     def test_deep_lower_tail_keeps_relative_accuracy(self):
         # these are ~1e-25 and ~1e-40; a 1 - sum formulation would return 0
         for x, k in ((1.5, 27), (0.5, 30), (5.0, 50)):
-            assert gamma_cdf(x, k) == pytest.approx(erlang_cdf_ref(x, k), rel=1e-12)
+            assert erlang_tails(x, k)[0] == pytest.approx(erlang_cdf_ref(x, k), rel=1e-12, abs=0)
 
-    def test_log_space_branch_above_700(self):
+    def test_where_exp_of_minus_x_underflows(self):
         # e^(-x) underflows there; the log-space sum must still agree
         for k, x in ((1, 710.0), (5, 750.0), (50, 800.0), (50, 7.0e2 + 0.5)):
-            assert gamma_cdf(x, k) == pytest.approx(erlang_cdf_ref(x, k), abs=1e-13)
-        assert gamma_cdf(5000.0, 3) == 1.0
+            assert erlang_tails(x, k)[0] == pytest.approx(erlang_cdf_ref(x, k), abs=1e-13)
+        assert erlang_tails(5000.0, 3)[0] == 1.0
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 10, 25, 60, 200])
+    def test_each_tail_matches_mpmath(self, k):
+        # the smaller tail keeps its relative accuracy down to 1e-300: the upper one
+        # too, which 1 - P(G <= x) rounds away once it falls below ~1e-16
+        for x in np.geomspace(1e-3, 5000.0, 120).tolist():
+            for got, ref in zip(erlang_tails(x, k), erlang_tails_ref(x, k)):
+                if ref > 1e-300:
+                    assert got == pytest.approx(ref, rel=1e-12, abs=0), (x, k)
 
     @pytest.mark.parametrize("k", [1, 3, 25])
     def test_infinity_is_one(self, k):
-        # the log-space branch would form 0 * inf for the i = 0 term
-        assert gamma_cdf(math.inf, k) == 1.0
+        # the i = 0 term of a log-space sum would form 0 * inf
+        assert erlang_tails(math.inf, k) == (1.0, 0.0)
 
     def test_k1_is_exponential(self):
         for x in (0.05, 1.0, 3.0):
-            assert gamma_cdf(x, 1) == pytest.approx(-math.expm1(-x), abs=1e-15)
+            assert erlang_tails(x, 1)[0] == pytest.approx(-math.expm1(-x), abs=1e-15)
+
+    def test_k1_upper_tail_above_one_is_exp_to_the_bit(self):
+        for x in (1.5, 3.0, 40.0, 745.0):
+            assert erlang_tails(x, 1)[1] == math.exp(-x)
 
     def test_boundaries(self):
-        assert gamma_cdf(0.0, 4) == 0.0
+        assert erlang_tails(0.0, 4) == (0.0, 1.0)
         with pytest.raises(ValueError):
-            gamma_cdf(-0.1, 2)
+            erlang_tails(-0.1, 2)
         with pytest.raises(ValueError):
-            gamma_cdf(math.nan, 2)
+            erlang_tails(math.nan, 2)
 
     @pytest.mark.parametrize("bad", [0, -3, 2.5, True])
     def test_rejects_bad_shape(self, bad):
         with pytest.raises(ValueError):
-            gamma_cdf(1.0, bad)
+            erlang_tails(1.0, bad)
 
     @given(
         x=st.floats(min_value=0.0, max_value=900.0, allow_nan=False),
@@ -107,42 +119,7 @@ class TestGammaCdf:
         k=st.integers(min_value=1, max_value=60),
     )
     def test_monotone_in_x(self, x, dx, k):
-        assert gamma_cdf(x + dx, k) >= gamma_cdf(x, k)
-
-
-class TestGammaQuantile:
-    def test_matches_reference(self):
-        for k in (1, 2, 5, 10, 25, 50):
-            for p in (0.001, 0.025, 0.05, 0.5, 0.95, 0.975, 0.999):
-                assert gamma_quantile(p, k) == pytest.approx(
-                    erlang_quantile_ref(p, k), rel=1e-10, abs=1e-10
-                )
-
-    def test_k1_closed_form(self):
-        assert gamma_quantile(0.05, 1) == -math.log1p(-0.05)
-        assert gamma_quantile(0.95, 1) == pytest.approx(-math.log(0.05), abs=1e-14)
-
-    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.7, math.nan])
-    def test_rejects_bad_p(self, bad):
-        with pytest.raises(ValueError):
-            gamma_quantile(bad, 3)
-
-    @given(
-        p=st.floats(min_value=1e-6, max_value=1 - 1e-6),
-        k=st.integers(min_value=1, max_value=60),
-    )
-    @settings(max_examples=200)
-    def test_round_trip(self, p, k):
-        # cdf(quantile(p)) == p to 1e-10, the advertised tolerance
-        assert gamma_cdf(gamma_quantile(p, k), k) == pytest.approx(p, abs=1e-10)
-
-    @given(
-        p=st.floats(min_value=0.01, max_value=0.98),
-        dp=st.floats(min_value=1e-4, max_value=0.01),
-        k=st.integers(min_value=1, max_value=40),
-    )
-    def test_monotone_in_p(self, p, dp, k):
-        assert gamma_quantile(p + dp, k) > gamma_quantile(p, k)
+        assert erlang_tails(x + dx, k)[0] >= erlang_tails(x, k)[0]
 
 
 class TestErlangCriticals:
@@ -172,10 +149,41 @@ class TestErlangCriticals:
         lo, hi = erlang_criticals(alpha, k)
         assert 0.0 < lo < hi < math.inf
 
-    @pytest.mark.parametrize("bad", [0.0, 0.5, 0.9, -0.05])
+    def test_matches_reference(self):
+        for k in (1, 2, 5, 10, 25, 50):
+            for alpha in (0.001, 0.025, 0.05):
+                lo, hi = erlang_criticals(alpha, k)
+                assert lo == pytest.approx(erlang_quantile_ref(alpha, k), rel=1e-10, abs=1e-10)
+                assert hi == pytest.approx(
+                    erlang_quantile_ref(1 - alpha, k), rel=1e-10, abs=1e-10
+                )
+
+    @given(
+        alpha=st.floats(min_value=1e-6, max_value=0.5, exclude_max=True),
+        k=st.integers(min_value=1, max_value=60),
+    )
+    @settings(max_examples=200)
+    def test_round_trip(self, alpha, k):
+        # each tail at its critical value is alpha to 1e-10, the advertised tolerance
+        lo, hi = erlang_criticals(alpha, k)
+        assert erlang_tails(lo, k)[0] == pytest.approx(alpha, abs=1e-10)
+        assert erlang_tails(hi, k)[1] == pytest.approx(alpha, abs=1e-10)
+
+    @given(
+        alpha=st.floats(min_value=0.01, max_value=0.48),
+        dalpha=st.floats(min_value=1e-4, max_value=0.01),
+        k=st.integers(min_value=1, max_value=40),
+    )
+    def test_monotone_in_alpha(self, alpha, dalpha, k):
+        lo, hi = erlang_criticals(alpha, k)
+        lo_wider, hi_wider = erlang_criticals(alpha + dalpha, k)
+        assert lo_wider > lo and hi_wider < hi
+
+    @pytest.mark.parametrize("bad", [0.0, 0.5, 0.9, -0.05, 1.0, 1.7, math.nan])
     def test_rejects_bad_alpha(self, bad):
-        with pytest.raises(ValueError):
-            erlang_criticals(bad, 1)
+        for k in (1, 3):
+            with pytest.raises(ValueError):
+                erlang_criticals(bad, k)
 
 
 

@@ -245,6 +245,15 @@ class TestKnownAnswers:
         assert res.p_short == 0.0
         assert res.p_long == 1.0
 
+    def test_tiny_statistic_keeps_its_short_p_value(self):
+        # the top two values are one ulp apart: T = ln(3/2) * 2**-51 / ln(e + 2**-51),
+        # about 1.8e-16, where 1 - exp(-T) is two ulps of 1 and so 23% off
+        top = math.nextafter(E, math.inf)
+        res = tail_test([0.5, E, top])
+        assert 1e-16 < res.t_stat < 2e-16
+        assert res.p_short == pytest.approx(-math.expm1(-res.t_stat), rel=1e-14, abs=0)
+        assert res.p_long == 1.0 - res.p_short
+
     def test_huge_spacing_is_long(self):
         values = list(np.linspace(2.0, 100.0, 99)) + [1e8]
         res = tail_test(values)
