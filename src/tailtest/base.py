@@ -37,6 +37,16 @@ def check_integer(name: str, value) -> int:
     return int(value)
 
 
+def read_text(name: str, text: str, read, path=None):
+    """read(text); a ValueError from it becomes "could not parse --name='text'" for an option
+    (path None) or "{path}: could not parse name='text'" for a plan file's key."""
+    try:
+        return read(text)
+    except ValueError:
+        where, name = ("", "--" + name.replace("_", "-")) if path is None else (f"{path}: ", name)
+        raise ValueError(f"{where}could not parse {name}={text!r}") from None
+
+
 def listed(numbers) -> str:
     """The first ten of `numbers`, comma-separated, and how many more: "2, 4 (+3 more)"."""
     more = "" if len(numbers) <= 10 else f" (+{len(numbers) - 10} more)"

@@ -14,7 +14,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .base import BlockTooSmallError, TailClass, check_alpha, decide
+from .base import BlockTooSmallError, TailClass, check_alpha, check_integer, decide
 from .rng import erlang_criticals, erlang_tails, make_stream
 from .tail_test import Sample, as_sample, spacing_rows, verdict
 
@@ -39,7 +39,7 @@ class BlockedTestResult:
 
 def block_sizes(n: int, k: int) -> tuple[int, ...]:
     """Sizes of k blocks covering n points, larger blocks first, differing by <= 1."""
-    if k < 1:
+    if (k := check_integer("k", k)) < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if n < MIN_BLOCK:
         raise BlockTooSmallError(f"n={n} is below the {MIN_BLOCK}-point minimum of a block")
@@ -72,7 +72,7 @@ def _arrange(sample, k: int, strategy: str, seed: int):
     if strategy == "sequential":
         values = s.values.view()
     elif strategy == "shuffle":
-        values = make_stream(int(seed)).permutation(s.values)
+        values = make_stream(seed).permutation(s.values)
     else:
         raise ValueError(f"unknown partition strategy {strategy!r}")
     values.setflags(write=False)  # and so every block, a view into it

@@ -14,13 +14,14 @@ import numpy as np
 # np.quantile imports numpy.ma on first use; load it here so the cost falls at import
 import numpy.ma  # noqa: F401
 
-from .base import NONFINITE, TailClass, check_alpha, decide
+from .base import NONFINITE, TailClass, check_alpha, check_integer, decide
 from .distributions import DistributionSpec, format_spec, nonnegative, replicate_chunks
 from .rng import SeedSpec, make_stream
 from .tail_test import as_sample, verdict
 
 DEFAULT_PROBS = (0.025, 0.05, 0.95, 0.975)
 _BOOTSTRAP_RESAMPLES = 200
+MIN_TABLE_REPS = 1000  # replicates of a simulated T* table, at least
 
 
 def bryson_statistic(sample) -> float:
@@ -105,8 +106,8 @@ def _null_stats(spec: DistributionSpec, n: int, reps: int, seed: int) -> np.ndar
         raise ValueError(
             f"{format_spec(spec)} takes negative values; T* needs nonnegative data"
         )
-    if reps < 1000:
-        raise ValueError(f"reps must be >= 1000 for a usable table, got {reps}")
+    if (reps := check_integer("reps", reps)) < MIN_TABLE_REPS:
+        raise ValueError(f"reps must be >= {MIN_TABLE_REPS} for a usable table, got {reps}")
     chunks = replicate_chunks(spec, n, seed, reps)  # refuses n < 1 first
     _check_size(n)
     stats = np.empty(reps)

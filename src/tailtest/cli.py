@@ -17,11 +17,12 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from .base import DatasetError, TailClass, float_label, listed, text_lines
+from .base import DatasetError, TailClass, float_label, listed, read_text, text_lines
 from .blocking import blocked_test
-from .bryson import bryson_test, simulate_bryson_quantiles
+from .bryson import MIN_TABLE_REPS, bryson_test, simulate_bryson_quantiles
 from .distributions import parse_spec
-from .power import PLAN_KEYS, SMALLMAX_POLICIES, emit_table, parse_plan_file, read_plan, run_plan
+from .power import MIN_PLAN_REPS, PLAN_KEYS, SMALLMAX_POLICIES, emit_table, parse_plan_file
+from .power import read_plan, run_plan
 from .tail_test import shift_sample, tail_test
 
 _EXIT_CODE = {TailClass.MEDIUM: 0, TailClass.SHORT: 2, TailClass.LONG: 3}
@@ -65,16 +66,6 @@ def read_dataset(path: str) -> tuple[np.ndarray, int]:
     return np.array(values), skipped
 
 
-def _parse_shift(text: str):
-    lowered = text.strip().lower()
-    if lowered in ("none", "min"):
-        return None if lowered == "none" else "min"
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(f"--shift must be 'none', 'min', or a number, got {text!r}") from None
-
-
 def _print_result(rows, res) -> None:
     """Print the (key, text) rows and then the decision at its alpha, keys padded to one width."""
     rows.append(("decision", f"{res.decision} (alpha={float_label(res.alpha)})"))
@@ -106,7 +97,7 @@ def _cmd_test(args) -> int:
         values = -values
     if args.abs:
         values = np.abs(values)
-    sample = shift_sample(values, _parse_shift(args.shift))
+    sample = shift_sample(values, args.shift)
 
     if args.blocks != 1:
         mode = "blocked"
@@ -144,15 +135,12 @@ def _cmd_test(args) -> int:
 
 def _cmd_simulate(args) -> int:
     given = {key: getattr(args, key) for key in PLAN_KEYS if getattr(args, key) is not None}
-    if args.plan:
-        if given:
-            flags = "/".join("--" + key.replace("_", "-") for key in given)
-            raise ValueError(f"--plan and {flags} are mutually exclusive")
-        plan = parse_plan_file(args.plan)
-    else:
-        if not args.dist or not args.n:
-            raise ValueError("simulate needs either --plan FILE or both --dist and --n")
-        plan = read_plan(given)
+    if args.plan and given:
+        flags = "/".join("--" + key.replace("_", "-") for key in given)
+        raise ValueError(f"--plan and {flags} are mutually exclusive")
+    if not (args.plan or (args.dist and args.n)):
+        raise ValueError("simulate needs either --plan FILE or both --dist and --n")
+    plan = parse_plan_file(args.plan) if args.plan else read_plan(given)
     # the table's file is opened before the first replicate runs, as a redirection is
     with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
         fh.write(emit_table(run_plan(plan, threads=args.threads), args.format))
@@ -177,12 +165,8 @@ def _cmd_bryson(args) -> int:
 
 
 def _cmd_bryson_quantiles(args) -> int:
-    try:
-        probs = tuple(float(tok) for tok in args.probs.split(","))
-    except ValueError:
-        raise ValueError(f"could not parse --probs={args.probs!r}") from None
     table = simulate_bryson_quantiles(
-        parse_spec(args.dist), args.n, reps=args.reps, seed=args.seed, probs=probs
+        parse_spec(args.dist), args.n, reps=args.reps, seed=args.seed, probs=args.probs
     )
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["dist", "n", "reps", "seed", "prob", "quantile", "stderr"])
@@ -192,6 +176,12 @@ def _cmd_bryson_quantiles(args) -> int:
     return 0
 
 
+def _shift(text: str):
+    """None for 'none', "min" for 'min' (in any case, spaces stripped), else a float."""
+    word = text.strip().lower()
+    return {"none": None, "min": "min"}[word] if word in ("none", "min") else float(text)
+
+
 @functools.cache  # parsing leaves the parser as it was, and building it costs ~0.7 ms
 def build_parser() -> _Parser:
     parser = _Parser(prog="tailtest", description=__doc__)
@@ -199,62 +189,65 @@ def build_parser() -> _Parser:
 
     p_test = sub.add_parser("test", help="classify the tail of a dataset file")
     p_test.add_argument("path")
-    p_test.add_argument("--alpha", type=float, default=0.05)
+    p_test.add_argument("--alpha", default="0.05")
     p_test.add_argument(
         "--shift",
         default="none",
         help="'none', 'min' (subtract the smallest value), or a number to subtract",
     )
-    p_test.add_argument("--blocks", type=int, default=1, metavar="K")
+    p_test.add_argument("--blocks", default="1", metavar="K")
     p_test.add_argument(
         "--block-strategy", choices=("shuffle", "sequential"), default="shuffle"
     )
-    p_test.add_argument("--block-seed", type=int, default=0)
+    p_test.add_argument("--block-seed", default="0")
     p_test.add_argument("--negate", action="store_true", help="test the left tail via -X")
     p_test.add_argument("--abs", action="store_true", help="test |X| (after any --negate)")
     p_test.add_argument("--json", action="store_true")
-    p_test.set_defaults(func=_cmd_test)
+    p_test.set_defaults(func=_cmd_test, read={"alpha": float, "shift": _shift, "blocks": int,
+                                              "block_seed": int})
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo rejection-rate plan")
     p_sim.add_argument("--plan", help="plan file of key=value lines")
     p_sim.add_argument("--dist", help="distribution, e.g. exp:1, pareto:2, weibull:0.5")
     p_sim.add_argument("--n", help="comma-separated sample sizes")
-    # text, read as a plan file's keys are (power.read_plan); unset ones take the plan's defaults
+    # read as a plan file's keys are (power.read_plan); unset ones take the plan's defaults
     p_sim.add_argument("--k")
     p_sim.add_argument("--alpha")
-    p_sim.add_argument("--reps")
+    p_sim.add_argument("--reps", help=f"replicates per sample size, at least {MIN_PLAN_REPS}")
     p_sim.add_argument("--seed")
     p_sim.add_argument("--smallmax-policy", help="one of " + ", ".join(SMALLMAX_POLICIES))
-    p_sim.add_argument("--threads", type=int, default=1, help="must be >= 1; has no effect")
+    p_sim.add_argument("--threads", default="1", help="must be >= 1; has no effect")
     p_sim.add_argument("--format", choices=("csv", "json", "md"), default="csv")
     p_sim.add_argument("--out", help="write the table here instead of stdout")
-    p_sim.set_defaults(func=_cmd_simulate)
+    p_sim.set_defaults(func=_cmd_simulate, read={"threads": int})
 
     p_bry = sub.add_parser("bryson", help="Bryson T* with a simulated exponential null")
     p_bry.add_argument("path")
-    p_bry.add_argument("--alpha", type=float, default=0.05)
-    p_bry.add_argument("--reps", type=int, default=10_000)
-    p_bry.add_argument("--seed", type=int, default=0)
+    p_bry.add_argument("--alpha", default="0.05")
+    p_bry.add_argument("--reps", default="10000", help=f"replicates, at least {MIN_TABLE_REPS}")
+    p_bry.add_argument("--seed", default="0")
     p_bry.add_argument("--json", action="store_true")
-    p_bry.set_defaults(func=_cmd_bryson)
+    p_bry.set_defaults(func=_cmd_bryson, read={"alpha": float, "reps": int, "seed": int})
 
     p_bq = sub.add_parser(
         "bryson-quantiles", help="simulate a T* quantile table for one law"
     )
     p_bq.add_argument("--dist", required=True)
-    p_bq.add_argument("--n", type=int, required=True)
-    p_bq.add_argument("--reps", type=int, default=10_000)
-    p_bq.add_argument("--seed", type=int, default=0)
+    p_bq.add_argument("--n", required=True)
+    p_bq.add_argument("--reps", default="10000", help=f"replicates, at least {MIN_TABLE_REPS}")
+    p_bq.add_argument("--seed", default="0")
     p_bq.add_argument("--probs", default="0.025,0.05,0.95,0.975")
-    p_bq.set_defaults(func=_cmd_bryson_quantiles)
+    p_bq.set_defaults(func=_cmd_bryson_quantiles, read={
+        "n": int, "reps": int, "seed": int, "probs": lambda t: tuple(map(float, t.split(",")))})
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        for name, read in args.read.items():  # each command's option texts, by their readers
+            setattr(args, name, read_text(name, getattr(args, name), read))
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:
         print(f"tailtest: error: {exc}", file=sys.stderr)

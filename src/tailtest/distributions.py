@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .base import float_label
+from .base import check_integer, float_label
 from .rng import SeedSpec, make_stream
 
 _EULER = 0.5772156649015329  # Euler-Mascheroni constant
@@ -158,10 +158,10 @@ def sample(spec: DistributionSpec, n: int,
            seed: SeedSpec | int | np.random.Generator) -> np.ndarray:
     """Draw n i.i.d. values from the spec'd law: the fill into one row, then the transform.
     `seed` may be a SeedSpec, a bare base seed, or an already-made stream."""
-    if n < 1:
+    if (n := check_integer("n", n)) < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     stream = seed if isinstance(seed, np.random.Generator) else make_stream(seed)
-    fam, values = _lookup(spec.family), np.empty(int(n))
+    fam, values = _lookup(spec.family), np.empty(n)
     fam.fill(stream, values, spec.params)
     fam.transform(values, spec.params)
     return values
@@ -174,10 +174,10 @@ def replicate_chunks(spec: DistributionSpec, n: int, seed: int, reps: int):
     is sample() on stream (seed, first + i), bit for bit. The one place replicate streams are
     made: one Philox bit generator per call, re-keyed to (seed, r) with counter 0 before
     replicate r's fill, is bit-identical to make_stream(SeedSpec(seed, r)) and far cheaper."""
-    if n < 1:  # before n divides anything
+    if (n := check_integer("n", n)) < 1:  # before n divides anything
         raise ValueError(f"n must be >= 1, got {n}")
     seed = SeedSpec(seed).base_seed  # a bad seed fails here, not at the first draw
-    fam, n, params = _lookup(spec.family), int(n), spec.params
+    fam, params = _lookup(spec.family), spec.params
     rows = max(1, _CHUNK_VALUES // n)
 
     def chunks():

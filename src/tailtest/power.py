@@ -22,13 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import EQUAL, LONG, MEDIUM, NONFINITE, REFUSED, SHORT, NonFiniteDrawError
-from .base import check_alpha, check_integer, classify, float_label, text_lines
+from .base import check_alpha, check_integer, classify, float_label, read_text, text_lines
 from .blocking import block_scores, block_sizes
 from .distributions import DistributionSpec, format_spec, parse_spec, replicate_chunks
 from .rng import SeedSpec, erlang_criticals
 from .tail_test import _RULE, verdict
 
 SMALLMAX_POLICIES = tuple(_RULE)
+MIN_PLAN_REPS = 100  # fewer replicates give no usable rejection rate
 _MAX_ERROR_NOTES = 10
 
 
@@ -58,8 +59,8 @@ class SimulationPlan:
         if not self.n_grid:
             raise ValueError("n_grid is empty")
         check_alpha(self.alpha)
-        if self.reps < 100:
-            raise ValueError(f"reps must be >= 100, got {self.reps}")
+        if self.reps < MIN_PLAN_REPS:
+            raise ValueError(f"reps must be >= {MIN_PLAN_REPS}, got {self.reps}")
         if self.smallmax_policy not in SMALLMAX_POLICIES:
             raise ValueError(
                 f"smallmax_policy must be one of {SMALLMAX_POLICIES}, "
@@ -257,17 +258,11 @@ PLAN_KEYS = {
 
 def read_plan(texts: dict[str, str], path=None) -> SimulationPlan:
     """The plan some PLAN_KEYS' texts give, from a plan file at `path` or simulate's options
-    (path None); a text fails as "{path}: could not parse n='ten'" or "... --n='ten'"."""
+    (path None); base.read_text reads each text but dist's, whose parse_spec message names it."""
     fields = {}
     for key, text in texts.items():
         field, read = PLAN_KEYS[key]
-        try:
-            fields[field] = read(text)
-        except ValueError:
-            if key == "dist":  # parse_spec's message names the text
-                raise
-            where, name = ("", "--" + key.replace("_", "-")) if path is None else (f"{path}: ", key)
-            raise ValueError(f"{where}could not parse {name}={text!r}") from None
+        fields[field] = read(text) if key == "dist" else read_text(key, text, read, path)
     return SimulationPlan(**fields)
 
 

@@ -38,7 +38,7 @@ def make_stream(seed: SeedSpec | int, stream_id: int = 0) -> np.random.Generator
     independent streams. Accepts either a SeedSpec or a bare base seed.
     """
     if not isinstance(seed, SeedSpec):
-        seed = SeedSpec(int(seed), stream_id)
+        seed = SeedSpec(seed, stream_id)
     key = np.array([seed.base_seed, seed.stream_id], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

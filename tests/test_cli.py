@@ -15,7 +15,8 @@ import pytest
 
 from tailtest import BlockedTestResult, BrysonResult, DatasetError, TailTestResult
 from tailtest.cli import build_parser, main, read_dataset
-from tailtest.power import CSV_HEADER, PLAN_KEYS
+from tailtest.bryson import MIN_TABLE_REPS
+from tailtest.power import CSV_HEADER, MIN_PLAN_REPS, PLAN_KEYS
 
 E = math.e
 DATA = Path(__file__).resolve().parents[1] / "data" / "synthetic"
@@ -572,6 +573,54 @@ def test_seed_refusal_names_the_seed(argv, tmp_path, capsys):
         "tailtest: error: seed must be an integer from 0 to 2**64 - 1, got -1\n")
 
 
+# what each command needs besides the option under test
+COMMAND_ARGS = {
+    "test": [str(DATA / "claims.txt")],
+    "simulate": ["--dist", "exp:1", "--n", "50"],
+    "bryson": [str(DATA / "claims.txt")],
+    "bryson-quantiles": ["--dist", "exp:1", "--n", "50"],
+}
+# one text each command's reader refuses, for every option read from text but --dist
+BAD_OPTION_TEXTS = [
+    ("test", "--alpha", "5%"), ("test", "--blocks", "two"), ("test", "--block-seed", "1.5"),
+    ("test", "--shift", "median"),
+    ("simulate", "--n", "abc"), ("simulate", "--k", "two"), ("simulate", "--alpha", "5%"),
+    ("simulate", "--reps", "1e4"), ("simulate", "--seed", "x"), ("simulate", "--threads", "two"),
+    ("bryson", "--alpha", "5%"), ("bryson", "--reps", "1e4"), ("bryson", "--seed", "x"),
+    ("bryson-quantiles", "--n", "abc"), ("bryson-quantiles", "--reps", "1e4"),
+    ("bryson-quantiles", "--seed", "x"), ("bryson-quantiles", "--probs", "0.5,x"),
+]
+
+
+@pytest.mark.parametrize("cmd,flag,text", BAD_OPTION_TEXTS)
+def test_every_option_is_refused_one_way(cmd, flag, text, capsys):
+    code = main([cmd, *COMMAND_ARGS[cmd], flag, text])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == f"tailtest: error: could not parse {flag}={text!r}\n"
+
+
+def test_no_option_is_read_by_argparse():
+    # every option is text; main reads those each command lists, and all of them are above
+    [commands] = [action.choices for action in build_parser()._actions
+                  if isinstance(action.choices, dict)]
+    for cmd, parser in commands.items():
+        assert all(action.type is None for action in parser._actions)
+        read = {"--" + name.replace("_", "-") for name in parser.get_default("read")}
+        assert read <= {flag for c, flag, _ in BAD_OPTION_TEXTS if c == cmd}
+
+
+@pytest.mark.parametrize("cmd,least", [
+    ("simulate", MIN_PLAN_REPS), ("bryson", MIN_TABLE_REPS), ("bryson-quantiles", MIN_TABLE_REPS),
+])
+def test_reps_help_states_the_minimum_its_check_refuses(cmd, least, capsys):
+    with pytest.raises(SystemExit):
+        main([cmd, "--help"])
+    assert f"at least {least}" in " ".join(capsys.readouterr().out.split())
+    assert main([cmd, *COMMAND_ARGS[cmd], "--reps", str(least - 1)]) == 1
+    assert f"reps must be >= {least}" in capsys.readouterr().err
+
+
 class TestBrysonCommands:
     def test_bryson_on_exponential_data(self, write_dataset, capsys):
         rng = np.random.default_rng(6)
@@ -758,10 +807,9 @@ class TestUsageErrors:
         capsys.readouterr()
 
     def test_bad_flag_value(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["test", "file.txt", "--blocks", "two"])
-        assert exc.value.code == 1
-        capsys.readouterr()
+        # read by the command's reader in main, before the file is opened
+        assert main(["test", "file.txt", "--blocks", "two"]) == 1
+        assert capsys.readouterr().err == "tailtest: error: could not parse --blocks='two'\n"
 
     def test_exit_codes_never_collide_with_short(self):
         # usage and runtime errors use 1; the decision codes are 0, 2, 3

@@ -28,6 +28,7 @@ from tailtest import (
     tail_test,
 )
 from tailtest.base import BlockTooSmallError, decide
+from tailtest.bryson import bryson_test, simulate_bryson_quantiles
 from tailtest.blocking import block_scores, block_sizes
 from tailtest.distributions import parse_spec, replicate_chunks
 from tailtest.power import CSV_HEADER, SMALLMAX_POLICIES, RateRow
@@ -87,6 +88,26 @@ class TestPlanValidation:
     def test_rejects_infeasible_blocks(self):
         with pytest.raises(BlockTooSmallError):
             small_plan(n=(10,), k_blocks=4)
+
+
+# a count or seed SimulationPlan refuses, given to each library entry point that takes one:
+# each once truncated it (seed 2.5 ran as 2, n = 50.7 as 50) or failed in numpy or range()
+@pytest.mark.parametrize("call,message", [
+    (lambda: make_stream(2.5), "seed must be an integer"),
+    (lambda: make_stream(3.0), "seed must be an integer"),
+    (lambda: blocked_test(np.arange(1.0, 101.0), 5, seed=2.5), "seed must be an integer"),
+    (lambda: blocked_test(np.arange(1.0, 101.0), 5.0), "k must be an integer"),
+    (lambda: block_sizes(100, 2.5), "k must be an integer"),
+    (lambda: draw_sample(parse_spec("exp:1"), 2.5, 0), "n must be an integer"),
+    (lambda: replicate_chunks(parse_spec("exp:1"), 50.0, 0, 100), "n must be an integer"),
+    (lambda: simulate_bryson_quantiles(parse_spec("exp:1"), 50.7, reps=1000),
+     "n must be an integer"),
+    (lambda: bryson_test(np.arange(1.0, 101.0), reps=1000.5), "reps must be an integer"),
+], ids=["make_stream", "make_stream_whole", "blocked_test_seed", "blocked_test_k", "block_sizes",
+        "sample", "replicate_chunks", "simulate_bryson_quantiles", "bryson_test"])
+def test_entry_points_refuse_what_the_plan_refuses(call, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call()
 
 
 class TestDeterminism:
