@@ -30,10 +30,13 @@ def check_alpha(alpha: float) -> float:
     return alpha
 
 
-def check_integer(name: str, value) -> int:
-    """value as an int; a float, even 100.0, or a bool is refused with an error naming it."""
+def check_integer(name: str, value, least: int | None = None) -> int:
+    """value as an int; a float, even 100.0, or a bool is refused with an error naming it,
+    and so, if `least` is given, is a value below it: "{name} must be >= {least}, got {value}"."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
     return int(value)
 
 

@@ -39,8 +39,7 @@ class BlockedTestResult:
 
 def block_sizes(n: int, k: int) -> tuple[int, ...]:
     """Sizes of k blocks covering n points, larger blocks first, differing by <= 1."""
-    if (k := check_integer("k", k)) < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = check_integer("k", k, 1)
     if n < MIN_BLOCK:
         raise BlockTooSmallError(f"n={n} is below the {MIN_BLOCK}-point minimum of a block")
     if n // k < MIN_BLOCK:

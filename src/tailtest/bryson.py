@@ -106,8 +106,7 @@ def _null_stats(spec: DistributionSpec, n: int, reps: int, seed: int) -> np.ndar
         raise ValueError(
             f"{format_spec(spec)} takes negative values; T* needs nonnegative data"
         )
-    if (reps := check_integer("reps", reps)) < MIN_TABLE_REPS:
-        raise ValueError(f"reps must be >= {MIN_TABLE_REPS} for a usable table, got {reps}")
+    reps = check_integer("reps", reps, MIN_TABLE_REPS)
     chunks = replicate_chunks(spec, n, seed, reps)  # refuses n < 1 first
     _check_size(n)
     stats = np.empty(reps)

@@ -158,8 +158,7 @@ def sample(spec: DistributionSpec, n: int,
            seed: SeedSpec | int | np.random.Generator) -> np.ndarray:
     """Draw n i.i.d. values from the spec'd law: the fill into one row, then the transform.
     `seed` may be a SeedSpec, a bare base seed, or an already-made stream."""
-    if (n := check_integer("n", n)) < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = check_integer("n", n, 1)
     stream = seed if isinstance(seed, np.random.Generator) else make_stream(seed)
     fam, values = _lookup(spec.family), np.empty(n)
     fam.fill(stream, values, spec.params)
@@ -174,9 +173,9 @@ def replicate_chunks(spec: DistributionSpec, n: int, seed: int, reps: int):
     is sample() on stream (seed, first + i), bit for bit. The one place replicate streams are
     made: one Philox bit generator per call, re-keyed to (seed, r) with counter 0 before
     replicate r's fill, is bit-identical to make_stream(SeedSpec(seed, r)) and far cheaper."""
-    if (n := check_integer("n", n)) < 1:  # before n divides anything
-        raise ValueError(f"n must be >= 1, got {n}")
-    seed = SeedSpec(seed).base_seed  # a bad seed fails here, not at the first draw
+    n = check_integer("n", n, 1)  # before n divides anything
+    seed = SeedSpec(seed).base_seed  # a bad seed or reps fails here, not at the first draw
+    reps = check_integer("reps", reps, 0)
     fam, params = _lookup(spec.family), spec.params
     rows = max(1, _CHUNK_VALUES // n)
 

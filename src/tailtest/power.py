@@ -53,14 +53,12 @@ class SimulationPlan:
     def __post_init__(self) -> None:
         n_grid = tuple(check_integer("each n of n_grid", n) for n in self.n_grid)
         object.__setattr__(self, "n_grid", n_grid)
-        for name in ("k_blocks", "reps"):
-            object.__setattr__(self, name, check_integer(name, getattr(self, name)))
+        object.__setattr__(self, "k_blocks", check_integer("k_blocks", self.k_blocks))
+        object.__setattr__(self, "reps", check_integer("reps", self.reps, MIN_PLAN_REPS))
         object.__setattr__(self, "base_seed", int(SeedSpec(self.base_seed).base_seed))
         if not self.n_grid:
             raise ValueError("n_grid is empty")
         check_alpha(self.alpha)
-        if self.reps < MIN_PLAN_REPS:
-            raise ValueError(f"reps must be >= {MIN_PLAN_REPS}, got {self.reps}")
         if self.smallmax_policy not in SMALLMAX_POLICIES:
             raise ValueError(
                 f"smallmax_policy must be one of {SMALLMAX_POLICIES}, "
@@ -146,11 +144,10 @@ def run_plan(plan: SimulationPlan, threads: int = 1) -> SimulationReport:
     """Run every (n, replicate) cell of the plan; deterministic in base_seed.
 
     Replicates run one after another in the calling thread. `threads` is kept
-    for callers that pass it; it must be >= 1 and changes neither the output
-    nor the speed.
+    for callers that pass it; it must be an integer >= 1 and changes neither the
+    output nor the speed.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    check_integer("threads", threads, 1)
     rows = tuple(_run_row(plan, n) for n in plan.n_grid)
     return SimulationReport(dist=format_spec(plan.spec), plan=plan, rows=rows)
 
@@ -163,21 +160,17 @@ CSV_HEADER = "dist,n,k,alpha,short_rate,long_rate,stderr_s,stderr_l,errors,seed"
 
 
 def emit_table(reports, fmt: str = "csv") -> str:
-    """Render report(s) as 'csv', 'json', or 'md' (markdown).
+    """Render report(s) as fmt "csv", "json" or "md" (markdown), exactly those words.
 
     CSV emits one row per (dist, n); markdown mirrors the published table
     shape with one row per n and paired short/long columns per law; JSON
     carries the full provenance including counts and error notes.
     """
     reports = [reports] if isinstance(reports, SimulationReport) else list(reports)
-    fmt = fmt.lower()
-    if fmt == "csv":
-        return _emit_csv(reports)
-    if fmt == "json":
-        return _emit_json(reports)
-    if fmt in ("md", "markdown"):
-        return _emit_markdown(reports)
-    raise ValueError(f"unknown format {fmt!r}; use csv, json, or md")
+    emit = {"csv": _emit_csv, "json": _emit_json, "md": _emit_markdown}.get(fmt)
+    if emit is None:
+        raise ValueError(f"unknown format {fmt!r}; use csv, json, or md")
+    return emit(reports)
 
 
 def _emit_csv(reports) -> str:

@@ -25,20 +25,21 @@ class SeedSpec:
 
     def __post_init__(self) -> None:
         # base_seed is what every command's seed option and a plan's seed key set
-        for v, rule in ((self.base_seed, "seed must be an integer from 0 to 2**64 - 1"),
-                        (self.stream_id, "stream_id must be an unsigned 64-bit integer")):
-            if not isinstance(v, (int, np.integer)) or not 0 <= int(v) <= _UINT64_MAX:
-                raise ValueError(f"{rule}, got {v!r}")
+        for name, v in (("seed", self.base_seed), ("stream_id", self.stream_id)):
+            if not 0 <= check_integer(name, v) <= _UINT64_MAX:
+                raise ValueError(f"{name} must be an integer from 0 to 2**64 - 1, got {v!r}")
 
 
 def make_stream(seed: SeedSpec | int, stream_id: int = 0) -> np.random.Generator:
     """Return the generator for (base_seed, stream_id).
 
     Identical keys give bit-identical streams; distinct stream ids give
-    independent streams. Accepts either a SeedSpec or a bare base seed.
+    independent streams. Accepts a SeedSpec, which holds its stream id, or a bare base seed.
     """
     if not isinstance(seed, SeedSpec):
         seed = SeedSpec(seed, stream_id)
+    elif stream_id:
+        raise ValueError(f"stream_id {stream_id!r} given beside {seed}; put it in the SeedSpec")
     key = np.array([seed.base_seed, seed.stream_id], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -54,13 +55,6 @@ def make_stream(seed: SeedSpec | int, stream_id: int = 0) -> np.random.Generator
 # ---------------------------------------------------------------------------
 
 
-def _check_shape(k: int) -> int:
-    k = check_integer("shape k", k)
-    if k < 1:
-        raise ValueError(f"shape k must be >= 1, got {k}")
-    return k
-
-
 def erlang_tails(x: float, k: int) -> tuple[float, float]:
     """P(G <= x) and P(G > x) for G ~ gamma(k, 1), integer k >= 1, and x >= 0.
 
@@ -68,7 +62,7 @@ def erlang_tails(x: float, k: int) -> tuple[float, float]:
     relative accuracy; the other tail is 1 minus it. At k=1 and x > 1 the upper
     tail is exp(-x) to the bit.
     """
-    k = _check_shape(k)
+    k = check_integer("shape k", k, 1)
     x = float(x)
     if math.isnan(x) or x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
@@ -128,7 +122,7 @@ def erlang_criticals(alpha: float, k: int) -> tuple[float, float]:
     test reduces bitwise to the plain test's thresholds.
     """
     alpha = check_alpha(alpha)
-    k = _check_shape(k)
+    k = check_integer("shape k", k, 1)
     if k == 1:
         return -math.log1p(-alpha), -math.log(alpha)
     return _tail_root(alpha, k, False), _tail_root(alpha, k, True)

@@ -31,9 +31,9 @@ class Sample:
 
 
 def shift_sample(values, mode=None) -> Sample:
-    """Build a Sample, optionally shifting: mode None, 'min', or a number.
+    """Build a Sample, optionally shifting: mode None (no shift), "min", or a number.
 
-    'min' subtracts the smallest observation (leaving it at exactly 0);
+    "min" subtracts the smallest observation (leaving it at exactly 0);
     a number c subtracts c from every value.
     """
     arr = np.asarray(values, dtype=float).reshape(-1)
@@ -43,9 +43,9 @@ def shift_sample(values, mode=None) -> Sample:
     if bad.size:
         raise ValueError(f"non-finite values at position(s) {listed(bad + 1)}")
 
-    if mode is None or (isinstance(mode, str) and mode.lower() == "none"):
+    if mode is None:
         shift = 0.0
-    elif isinstance(mode, str) and mode.lower() == "min":
+    elif mode == "min":
         shift = float(arr.min())
     else:
         shift = float(mode)

@@ -216,6 +216,13 @@ class TestTestCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["shift"] == 3.0
 
+    @pytest.mark.parametrize("text,shift", [(" MIN ", 3.0), ("NONE", 0.0)])
+    def test_shift_words_in_any_case_and_spacing(self, text, shift, write_dataset, capsys):
+        # cli._shift is the one reader of --shift's words; shift_sample takes only "min"
+        code = main(["test", write_dataset([3.0, 4.0, 5.0, 9.0]), "--shift", text, "--json"])
+        assert code in (0, 2, 3)
+        assert json.loads(capsys.readouterr().out)["shift"] == shift
+
     def test_shift_parse_error(self, write_dataset, capsys):
         code = main(["test", write_dataset(MEDIUM), "--shift", "median"])
         assert code == 1

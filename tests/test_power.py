@@ -35,7 +35,7 @@ from tailtest.power import CSV_HEADER, SMALLMAX_POLICIES, RateRow
 from tailtest.base import EQUAL, NONFINITE, REFUSED, SCORED, SHORT
 from tailtest.tail_test import spacing_rows, verdict
 from tailtest.distributions import sample as draw_sample
-from tailtest.rng import SeedSpec, erlang_criticals, make_stream
+from tailtest.rng import SeedSpec, erlang_criticals, erlang_tails, make_stream
 
 from . import oracles
 from .test_golden import FAMILY_SPECS
@@ -91,20 +91,31 @@ class TestPlanValidation:
 
 
 # a count or seed SimulationPlan refuses, given to each library entry point that takes one:
-# each once truncated it (seed 2.5 ran as 2, n = 50.7 as 50) or failed in numpy or range()
+# each once truncated it (seed 2.5 ran as 2, n = 50.7 as 50), read True as 1, ignored it
+# (threads 2.5) or failed in numpy or range(). Each check is base.check_integer's, and a
+# count below its bound reads "{name} must be >= {least}, got {value}"
 @pytest.mark.parametrize("call,message", [
     (lambda: make_stream(2.5), "seed must be an integer"),
     (lambda: make_stream(3.0), "seed must be an integer"),
+    (lambda: make_stream(True), "seed must be an integer, got True$"),
+    (lambda: SeedSpec(0, True), "stream_id must be an integer, got True$"),
+    (lambda: small_plan(base_seed=True), "seed must be an integer, got True$"),
     (lambda: blocked_test(np.arange(1.0, 101.0), 5, seed=2.5), "seed must be an integer"),
     (lambda: blocked_test(np.arange(1.0, 101.0), 5.0), "k must be an integer"),
     (lambda: block_sizes(100, 2.5), "k must be an integer"),
     (lambda: draw_sample(parse_spec("exp:1"), 2.5, 0), "n must be an integer"),
     (lambda: replicate_chunks(parse_spec("exp:1"), 50.0, 0, 100), "n must be an integer"),
+    (lambda: replicate_chunks(parse_spec("exp:1"), 50, 0, 2.5), "reps must be an integer"),
+    (lambda: run_plan(small_plan(), 2.5), "threads must be an integer, got 2.5$"),
+    (lambda: block_sizes(10, 0), "k must be >= 1, got 0$"),
+    (lambda: erlang_tails(1.0, 0), "shape k must be >= 1, got 0$"),
     (lambda: simulate_bryson_quantiles(parse_spec("exp:1"), 50.7, reps=1000),
      "n must be an integer"),
     (lambda: bryson_test(np.arange(1.0, 101.0), reps=1000.5), "reps must be an integer"),
-], ids=["make_stream", "make_stream_whole", "blocked_test_seed", "blocked_test_k", "block_sizes",
-        "sample", "replicate_chunks", "simulate_bryson_quantiles", "bryson_test"])
+], ids=["make_stream", "make_stream_whole", "make_stream_bool", "seedspec_bool", "plan_seed_bool",
+        "blocked_test_seed", "blocked_test_k", "block_sizes", "sample", "replicate_chunks",
+        "replicate_chunks_reps", "run_plan_threads", "block_sizes_bound", "erlang_tails_bound",
+        "simulate_bryson_quantiles", "bryson_test"])
 def test_entry_points_refuse_what_the_plan_refuses(call, message):
     with pytest.raises(ValueError, match=f"^{message}"):
         call()
@@ -471,9 +482,11 @@ class TestEmitters:
         assert len(lines) == 4  # header, rule, n=50, n=100
         assert lines[3].split("|")[4].strip() == ""  # pareto has no n=100 row
 
-    def test_unknown_format(self):
-        with pytest.raises(ValueError):
-            emit_table(run_plan(small_plan()), "xml")
+    @pytest.mark.parametrize("fmt", ["xml", "markdown", "CSV"])
+    def test_unknown_format(self, fmt):
+        # the words --format offers, as written: the CLI reads them, emit_table does not
+        with pytest.raises(ValueError, match=f"^unknown format '{fmt}'"):
+            emit_table(run_plan(small_plan()), fmt)
 
 
 @dataclass(frozen=True)

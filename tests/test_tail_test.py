@@ -49,8 +49,11 @@ class TestShiftSample:
         assert s.shift == 1.2
         assert s.values.max() == pytest.approx(7.8)
 
-    def test_none_string_is_no_shift(self):
-        assert shift_sample([1.0, 2.0], "none").shift == 0.0
+    @pytest.mark.parametrize("mode", ["none", "MIN"])
+    def test_reads_no_word_but_min(self, mode):
+        # cli._shift reads --shift's words; the library takes None, "min" or a number
+        with pytest.raises(ValueError):
+            shift_sample([1.0, 2.0], mode)
 
     def test_rejects_empty_and_nonfinite(self):
         with pytest.raises(ValueError):
