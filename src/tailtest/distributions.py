@@ -166,9 +166,14 @@ def sample(spec: DistributionSpec, n: int,
     return values
 
 
+def chunk_rows(n: int) -> int:
+    """Replicates of size n per chunk: 2**14 // n, at least one."""
+    return max(1, _CHUNK_VALUES // n)
+
+
 def replicate_chunks(spec: DistributionSpec, n: int, seed: int, reps: int):
     """(first, draws) per chunk for run_plan and Bryson's table: draws is a new C-contiguous
-    (rows, n) array, rows = max(1, 2**14 // n) (fewer in the last chunk). Replicate first + i
+    (rows, n) array, rows = chunk_rows(n) (fewer in the last chunk). Replicate first + i
     is filled raw into row i and the law's transform runs once over the chunk, so each row
     is sample() on stream (seed, first + i), bit for bit. The one place replicate streams are
     made: one Philox bit generator per call, re-keyed to (seed, r) with counter 0 before
@@ -177,7 +182,7 @@ def replicate_chunks(spec: DistributionSpec, n: int, seed: int, reps: int):
     seed = SeedSpec(seed).base_seed  # a bad seed or reps fails here, not at the first draw
     reps = check_integer("reps", reps, 0)
     fam, params = _lookup(spec.family), spec.params
-    rows = max(1, _CHUNK_VALUES // n)
+    rows = chunk_rows(n)
 
     def chunks():
         stream = np.random.Generator(bitgen := np.random.Philox(0))

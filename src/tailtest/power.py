@@ -1,15 +1,19 @@
 """Monte Carlo engine: rejection-rate tables for the plain and blocked tail test.
 
 Replicate r draws from stream (base_seed, r) and is cut into k consecutive
-blocks, equal in law to any split of i.i.d. draws. The engine and the T* table
-walk the same ~128 KB row chunks (distributions.replicate_chunks), and one
-blocking.block_scores call scores every block of a chunk once and adds each
-replicate's block T's. base.classify makes each total Short, Medium or Long, as it
-does for the single-sample tests. A replicate with a nonzero outcome code takes its
-first such code instead: Short, an error (the first 10 get a note from
-tail_test.verdict), or, for a draw that overflowed to inf, an abort of the plan. One
-bincount per chunk counts the codes. Every count is the one scoring each replicate
-alone gives.
+blocks, equal in law to any split of i.i.d. draws. It is drawn once per plan, at
+the grid's largest n, in the ~128 KB row chunks the T* table walks too
+(distributions.replicate_chunks). Its sample at a smaller n is the first n values
+of that draw, so each smaller n copies the prefixes into a chunk of its own size
+(distributions.chunk_rows) and scores it when full: every n is scored in the
+chunks a plan of that n alone has. One blocking.block_scores call scores every
+block of a chunk once and adds each replicate's block T's. base.classify makes
+each total Short, Medium or Long, as it does for the single-sample tests. A
+replicate with a nonzero outcome code takes its first such code instead: Short,
+an error (the first 10 get a note from tail_test.verdict), or, for a draw that
+overflowed to inf, an abort of the plan, named by the first n in grid order that
+met one. One bincount per chunk counts the codes. Every count is the one drawing
+and scoring each replicate alone at each n gives.
 """
 from __future__ import annotations
 
@@ -24,7 +28,8 @@ import numpy as np
 from .base import EQUAL, LONG, MEDIUM, NONFINITE, REFUSED, SHORT, NonFiniteDrawError
 from .base import check_alpha, check_integer, classify, float_label, read_text, text_lines
 from .blocking import block_scores, block_sizes
-from .distributions import DistributionSpec, format_spec, parse_spec, replicate_chunks
+from .distributions import DistributionSpec, chunk_rows, format_spec, parse_spec
+from .distributions import replicate_chunks
 from .rng import SeedSpec, erlang_criticals
 from .tail_test import _RULE, verdict
 
@@ -113,31 +118,60 @@ class SimulationReport:
     rows: tuple[RateRow, ...]
 
 
-def _run_row(plan: SimulationPlan, n: int) -> RateRow:
+def _run_rows(plan: SimulationPlan) -> tuple[RateRow, ...]:
     k, policy = plan.k_blocks, plan.smallmax_policy
     lower, upper = erlang_criticals(plan.alpha, k)
+    top = max(plan.n_grid)
+    counts = {n: np.zeros(NONFINITE + 1, dtype=np.int64) for n in plan.n_grid}  # by outcome code
+    notes = {n: [] for n in plan.n_grid}
+    aborts = {}  # n: the message of its first overflowing replicate
+    live = list(plan.n_grid)  # grid order; an overflow drops its n and every n after it
+    # each smaller n gathers its replicates' prefixes into a chunk of its own size
+    buffers = {n: np.empty((chunk_rows(n), n)) for n in plan.n_grid if n < top}
+    filled = dict.fromkeys(buffers, 0)
 
-    counts = np.zeros(NONFINITE + 1, dtype=np.int64)  # replicates by outcome code
-    notes = []
+    def score(n, first, chunk):
+        _, totals, refused = block_scores(chunk, k, policy)
+        codes = classify(totals, lower, upper)
+        if refused is not None:
+            firsts, blocks, maxima = refused
+            if (overflowed := np.flatnonzero(firsts == NONFINITE)).size:
+                r = overflowed.item(0)  # no later replicate of n, nor any later n, is reported
+                aborts[n] = f"n={n}, replicate {first + r}: {verdict(NONFINITE, maxima.item(r))}"
+                del live[live.index(n):]
+                return
+            for r in np.flatnonzero(firsts >= EQUAL)[:_MAX_ERROR_NOTES - len(notes[n])].tolist():
+                error = verdict(firsts.item(r), maxima.item(r), blocks.item(r), k)
+                notes[n].append(f"replicate {first + r}: {error}")  # EQUAL or REFUSED
+            codes = np.where(firsts, firsts, codes)  # a refused or rule-Short replicate
+        counts[n] += np.bincount(codes, minlength=NONFINITE + 1)
+
     with np.errstate(over="ignore"):  # the rule names a draw that overflowed
-        for first, chunk in replicate_chunks(plan.spec, n, plan.base_seed, plan.reps):
-            _, totals, refused = block_scores(chunk, k, policy)
-            codes = classify(totals, lower, upper)
-            if refused is not None:
-                firsts, blocks, maxima = refused
-                if (overflowed := np.flatnonzero(firsts == NONFINITE)).size:
-                    r = overflowed.item(0)  # abort, naming where it stopped
-                    raise NonFiniteDrawError(
-                        f"n={n}, replicate {first + r}: {verdict(NONFINITE, maxima.item(r))}")
-                for r in np.flatnonzero(firsts >= EQUAL)[:_MAX_ERROR_NOTES - len(notes)].tolist():
-                    error = verdict(firsts.item(r), maxima.item(r), blocks.item(r), k)
-                    notes.append(f"replicate {first + r}: {error}")  # EQUAL or REFUSED
-                codes = np.where(firsts, firsts, codes)  # a refused or rule-Short replicate
-            counts += np.bincount(codes, minlength=len(counts))
+        for first, chunk in replicate_chunks(plan.spec, top, plan.base_seed, plan.reps):
+            if top in live:
+                score(top, first, chunk)
+            for n, buffer in buffers.items():
+                row = 0
+                while row < len(chunk) and n in live:
+                    take = min(len(buffer) - filled[n], len(chunk) - row)
+                    buffer[filled[n]:filled[n] + take] = chunk[row:row + take, :n]
+                    filled[n], row = filled[n] + take, row + take
+                    if filled[n] == len(buffer):
+                        score(n, first + row - len(buffer), buffer)
+                        filled[n] = 0
+            if not live:  # the grid's first n overflowed: no other message can be raised
+                break
+        for n, buffer in buffers.items():
+            if filled[n] and n in live:
+                score(n, plan.reps - filled[n], buffer[:filled[n]])
 
-    return RateRow(n=n, reps=plan.reps, short_count=int(counts[SHORT]),
-                   medium_count=int(counts[MEDIUM]), long_count=int(counts[LONG]),
-                   error_count=int(counts[EQUAL] + counts[REFUSED]), error_notes=tuple(notes))
+    if aborts:  # the plan stops at the first n, in grid order, that overflowed
+        raise NonFiniteDrawError(aborts[min(aborts, key=plan.n_grid.index)])
+    return tuple(
+        RateRow(n=n, reps=plan.reps, short_count=int(c[SHORT]), medium_count=int(c[MEDIUM]),
+                long_count=int(c[LONG]), error_count=int(c[EQUAL] + c[REFUSED]),
+                error_notes=tuple(notes[n]))
+        for n, c in counts.items())
 
 
 def run_plan(plan: SimulationPlan, threads: int = 1) -> SimulationReport:
@@ -148,8 +182,7 @@ def run_plan(plan: SimulationPlan, threads: int = 1) -> SimulationReport:
     output nor the speed.
     """
     check_integer("threads", threads, 1)
-    rows = tuple(_run_row(plan, n) for n in plan.n_grid)
-    return SimulationReport(dist=format_spec(plan.spec), plan=plan, rows=rows)
+    return SimulationReport(dist=format_spec(plan.spec), plan=plan, rows=_run_rows(plan))
 
 
 # ---------------------------------------------------------------------------

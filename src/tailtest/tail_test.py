@@ -8,6 +8,7 @@ point to a short tail and very large ones to a long tail.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,10 +32,11 @@ class Sample:
 
 
 def shift_sample(values, mode=None) -> Sample:
-    """Build a Sample, optionally shifting: mode None (no shift), "min", or a number.
+    """Build a Sample, optionally shifting: mode None (no shift), "min", or a real number.
 
     "min" subtracts the smallest observation (leaving it at exactly 0);
-    a number c subtracts c from every value.
+    a number c subtracts c from every value. Any other str, and a bool, is refused:
+    cli._shift is the one reader of --shift's words.
     """
     arr = np.asarray(values, dtype=float).reshape(-1)
     if arr.size == 0:
@@ -47,8 +49,10 @@ def shift_sample(values, mode=None) -> Sample:
         shift = 0.0
     elif mode == "min":
         shift = float(arr.min())
-    else:
+    elif isinstance(mode, numbers.Real) and not isinstance(mode, bool):
         shift = float(mode)
+    else:
+        raise ValueError(f"shift must be None, 'min' or a real number, got {mode!r}")
 
     with np.errstate(over="ignore"):  # x - 0.0 is x, -0.0 included: a copy when unshifted
         shifted = arr - shift

@@ -262,6 +262,20 @@ class TestSampling:
         if text == "pareto:0.01":
             assert np.isinf(draws).any()  # rows that overflowed are compared too
 
+    @pytest.mark.parametrize("large, small", [(3000, 37), (1000, 250), (257, 3), (101, 100)])
+    @pytest.mark.parametrize("text", CATALOGUE_SPECS + EXTREME_SPECS)
+    def test_rows_at_a_smaller_n_are_prefixes_of_rows_at_a_larger(self, text, large, small):
+        # replicate r at n is, bit for bit, the first n values of replicate r at any larger
+        # n: run_plan draws each replicate once, at the grid's largest n, and scores the
+        # smaller n's on these prefixes. numpy does not promise that a fill consumes the
+        # stream in order, so this is that loop's guard. One replicate past the small n's
+        # first chunk crosses chunk boundaries of both sizes
+        spec = parse_spec(text)
+        reps = 2**14 // small + 1
+        with np.errstate(over="ignore"):
+            prefixes = _replicates(spec, large, 13, reps)[:, :small]
+            assert prefixes.tobytes() == _replicates(spec, small, 13, reps).tobytes()
+
     def test_chunks_are_contiguous_runs_of_replicates(self):
         # 2**14 // 3000 = 5 replicates per chunk, so 12 make chunks of 5, 5 and 2
         chunks = list(replicate_chunks(parse_spec("exp:1"), 3000, 7, 12))

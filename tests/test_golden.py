@@ -33,13 +33,21 @@ FAMILY_SPECS = (
 
 
 def simulate_commands():
-    # n=101 is divisible by neither 5 nor 25, so blocks differ in size by one
+    # n=101 is divisible by neither 5 nor 25, so blocks differ in size by one. The wide,
+    # unsorted grid scores n = 100 and 250 on prefixes of the n = 1000 draws; 300
+    # replicates leave the last chunk of every n partial, and JSON keeps the error notes
     return [
         ["simulate", "--dist", dist, "--n", "75,101", "--k", str(k),
          "--smallmax-policy", policy, "--reps", "100", "--seed", "11"]
         for policy in ("error", "short", "raw")
         for k in (1, 5, 25)
         for dist in FAMILY_SPECS
+    ] + [
+        ["simulate", "--dist", dist, "--n", "1000,100,250", "--k", str(k),
+         "--smallmax-policy", policy, "--reps", "300", "--seed", "5", "--format", "json"]
+        for dist in ("uniform", "exp:1")
+        for policy in ("error", "short")
+        for k in (1, 5)
     ]
 
 

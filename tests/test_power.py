@@ -409,6 +409,59 @@ class TestChunkedEngineMatchesReplicateLoop:
         assert row.short_count + row.error_count == 2000
 
 
+class TestJointLoop:
+    """run_plan draws each replicate once, at the grid's largest n, and scores every
+    smaller n on the first n values of it, gathered into a chunk of that n's own size."""
+
+    @pytest.mark.parametrize("policy", SMALLMAX_POLICIES)
+    @pytest.mark.parametrize("k", [1, 7])
+    @pytest.mark.parametrize("dist", FAMILY_SPECS)
+    @pytest.mark.parametrize("n_grid, reps", [
+        # chunks of 16, 163 and 65 replicates: 200 leave the last of each partial
+        ((1000, 100, 250), 200),
+        # chunks of 23, 162 and 409: 421 leave the last of each partial, and n = 40
+        # fills its chunk once, from 18 chunks of n = 700 draws
+        ((700, 101, 40), 421),
+    ], ids=["1000-100-250", "700-101-40"])
+    def test_rows_equal_reference_loop(self, n_grid, reps, dist, k, policy):
+        plan = small_plan(dist, n=n_grid, k_blocks=k, reps=reps, smallmax_policy=policy)
+        rows = run_plan(plan).rows
+        assert [row.n for row in rows] == list(n_grid)
+        for row in rows:
+            assert row == _reference_row(plan, row.n)
+
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("dist, n_grid, seed", [
+        ("pareto:0.02", (40, 3000), 0),  # n = 3000 overflows first in draw order
+        ("pareto:0.02", (40, 3000), 1),  # only n = 3000 overflows
+        ("pareto:0.02", (3000, 40), 0),
+        ("pareto:0.02", (250, 100, 5000), 1),
+        ("pareto:0.01", (40, 3000), 1),
+        ("loggamma:1,800", (5000, 40, 1000), 0),
+    ], ids=lambda case: ",".join(map(str, case)) if isinstance(case, tuple) else str(case))
+    def test_abort_names_the_first_n_in_grid_order(self, dist, n_grid, seed, k):
+        # the message is that of the first n, in grid order, whose plan alone aborts
+        messages = []
+        for n in n_grid:
+            try:
+                run_plan(small_plan(dist, n=(n,), k_blocks=k, reps=1000, base_seed=seed))
+            except NonFiniteDrawError as error:
+                messages.append(str(error))
+        with pytest.raises(NonFiniteDrawError) as info:
+            run_plan(small_plan(dist, n=n_grid, k_blocks=k, reps=1000, base_seed=seed))
+        assert str(info.value) == messages[0]
+
+    def test_a_later_n_that_overflows_first_is_not_raised(self):
+        # n = 3000 meets its first overflow at replicate 875, before n = 40 meets its
+        # at 915; raising at the first overflow met would name the wrong row
+        plan = small_plan("pareto:0.02", n=(40, 3000), reps=1000, base_seed=0)
+        for n, r in ((40, 915), (3000, 875)):
+            assert _reference_row(plan, n).startswith(f"n={n}, replicate {r}: draw overflowed")
+        with pytest.raises(NonFiniteDrawError) as info:
+            run_plan(plan)
+        assert str(info.value) == _reference_row(plan, 40)
+
+
 def _peak_bytes(plan):
     tracemalloc.start()
     try:
@@ -425,6 +478,20 @@ def test_peak_memory_does_not_grow_with_reps():
     small = _peak_bytes(small_plan(n=(10,), reps=20_000))
     large = _peak_bytes(small_plan(n=(10,), reps=200_000))
     assert large < small + 100_000
+
+
+def test_joint_loop_adds_one_chunk_per_smaller_n():
+    # the replicates are drawn one chunk at a time at the largest n, as a plan of that n
+    # alone draws them, and each smaller n gathers its prefixes into one chunk of its
+    # own size (about 128 KB). So the peak is at most the highest peak of the grid's n's
+    # alone plus those chunks, and it does not grow with reps
+    grid = (100, 250, 500, 1000, 5000)
+    alone = max(_peak_bytes(small_plan(n=(n,), reps=400)) for n in grid)
+    gathered = sum(max(1, 2**14 // n) * n * 8 for n in grid[:-1])
+    small = _peak_bytes(small_plan(n=grid, reps=400))
+    large = _peak_bytes(small_plan(n=grid, reps=2000))
+    assert small < alone + gathered + 32_000
+    assert large < small + 16_000
 
 
 class TestEmitters:

@@ -1,6 +1,8 @@
 """The core spacing statistic, its pieces, and the three-way decision."""
 import itertools
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -49,11 +51,19 @@ class TestShiftSample:
         assert s.shift == 1.2
         assert s.values.max() == pytest.approx(7.8)
 
-    @pytest.mark.parametrize("mode", ["none", "MIN"])
+    @pytest.mark.parametrize("mode", ["none", "MIN", "1.5", " min", True, False, np.True_, [1.0]])
     def test_reads_no_word_but_min(self, mode):
-        # cli._shift reads --shift's words; the library takes None, "min" or a number
-        with pytest.raises(ValueError):
+        # cli._shift reads --shift's words; the library takes None, "min" or a real number,
+        # and no bool, though float() takes text and bools alike
+        message = rf"^shift must be None, 'min' or a real number, got {re.escape(repr(mode))}$"
+        with pytest.raises(ValueError, match=message):
             shift_sample([1.0, 2.0], mode)
+
+    @pytest.mark.parametrize("mode", [2, np.float64(0.5), np.int64(-3), Fraction(1, 2)])
+    def test_takes_any_real_number(self, mode):
+        s = shift_sample([1.0, 2.0, 3.0], mode)
+        assert s.shift == float(mode)
+        assert s.values.tolist() == [x - float(mode) for x in (1.0, 2.0, 3.0)]
 
     def test_rejects_empty_and_nonfinite(self):
         with pytest.raises(ValueError):
