@@ -10,7 +10,6 @@ index and maximum block_scores returns: Short, or the error tail_test.verdict gi
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -57,11 +56,10 @@ def partition(sample, k: int, strategy: str = "shuffle", seed: int = 0) -> list[
     'sequential' slices the values in input order; 'shuffle' (default)
     permutes them first with the given seed, which protects real, possibly
     time-ordered data against serial structure. For i.i.d. data the two are
-    equivalent in law.
+    equivalent in law. Each block is a row of block_rows, a read-only view.
     """
-    s, values, sizes = _arrange(sample, k, strategy, seed)
-    bounds = (0, *accumulate(sizes))
-    return [Sample(values[a:b], s.shift, b - a) for a, b in zip(bounds, bounds[1:])]
+    s, values, _ = _arrange(sample, k, strategy, seed)
+    return [Sample(b, s.shift, b.size) for rows in block_rows(values[np.newaxis], k) for b in rows]
 
 
 def _arrange(sample, k: int, strategy: str, seed: int):

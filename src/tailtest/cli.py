@@ -19,7 +19,7 @@ import numpy as np
 
 from .base import DatasetError, TailClass, float_label, listed, read_text, text_lines
 from .blocking import blocked_test
-from .bryson import MIN_TABLE_REPS, bryson_test, simulate_bryson_quantiles
+from .bryson import DEFAULT_PROBS, MIN_TABLE_REPS, bryson_test, simulate_bryson_quantiles
 from .distributions import parse_spec
 from .power import MIN_PLAN_REPS, PLAN_KEYS, SMALLMAX_POLICIES, emit_table, parse_plan_file
 from .power import read_plan, run_plan
@@ -236,7 +236,7 @@ def build_parser() -> _Parser:
     p_bq.add_argument("--n", required=True)
     p_bq.add_argument("--reps", default="10000", help=f"replicates, at least {MIN_TABLE_REPS}")
     p_bq.add_argument("--seed", default="0")
-    p_bq.add_argument("--probs", default="0.025,0.05,0.95,0.975")
+    p_bq.add_argument("--probs", default=",".join(map(float_label, DEFAULT_PROBS)))
     p_bq.set_defaults(func=_cmd_bryson_quantiles, read={
         "n": int, "reps": int, "seed": int, "probs": lambda t: tuple(map(float, t.split(",")))})
 

@@ -10,10 +10,10 @@ chunks a plan of that n alone has. One blocking.block_scores call scores every
 block of a chunk once and adds each replicate's block T's. base.classify makes
 each total Short, Medium or Long, as it does for the single-sample tests. A
 replicate with a nonzero outcome code takes its first such code instead: Short,
-an error (the first 10 get a note from tail_test.verdict), or, for a draw that
-overflowed to inf, an abort of the plan, named by the first n in grid order that
-met one. One bincount per chunk counts the codes. Every count is the one drawing
-and scoring each replicate alone at each n gives.
+or an error (the first 10 get a note from tail_test.verdict). A draw that overflowed
+to inf aborts the plan where the pass meets it, and run_plan names the first n, in
+grid order, whose plan alone aborts. One bincount per chunk counts the codes. Every
+count is the one drawing and scoring each replicate alone at each n gives.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,6 +56,8 @@ class SimulationPlan:
     smallmax_policy: str = "raw"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.spec, DistributionSpec):
+            raise ValueError(f"spec must be a DistributionSpec, got {self.spec!r}")
         n_grid = tuple(check_integer("each n of n_grid", n) for n in self.n_grid)
         object.__setattr__(self, "n_grid", n_grid)
         object.__setattr__(self, "k_blocks", check_integer("k_blocks", self.k_blocks))
@@ -63,7 +65,7 @@ class SimulationPlan:
         object.__setattr__(self, "base_seed", int(SeedSpec(self.base_seed).base_seed))
         if not self.n_grid:
             raise ValueError("n_grid is empty")
-        check_alpha(self.alpha)
+        object.__setattr__(self, "alpha", check_alpha(self.alpha))
         if self.smallmax_policy not in SMALLMAX_POLICIES:
             raise ValueError(
                 f"smallmax_policy must be one of {SMALLMAX_POLICIES}, "
@@ -124,8 +126,6 @@ def _run_rows(plan: SimulationPlan) -> tuple[RateRow, ...]:
     top = max(plan.n_grid)
     counts = {n: np.zeros(NONFINITE + 1, dtype=np.int64) for n in plan.n_grid}  # by outcome code
     notes = {n: [] for n in plan.n_grid}
-    aborts = {}  # n: the message of its first overflowing replicate
-    live = list(plan.n_grid)  # grid order; an overflow drops its n and every n after it
     # each smaller n gathers its replicates' prefixes into a chunk of its own size
     buffers = {n: np.empty((chunk_rows(n), n)) for n in plan.n_grid if n < top}
     filled = dict.fromkeys(buffers, 0)
@@ -136,10 +136,9 @@ def _run_rows(plan: SimulationPlan) -> tuple[RateRow, ...]:
         if refused is not None:
             firsts, blocks, maxima = refused
             if (overflowed := np.flatnonzero(firsts == NONFINITE)).size:
-                r = overflowed.item(0)  # no later replicate of n, nor any later n, is reported
-                aborts[n] = f"n={n}, replicate {first + r}: {verdict(NONFINITE, maxima.item(r))}"
-                del live[live.index(n):]
-                return
+                r = overflowed.item(0)
+                error = verdict(NONFINITE, maxima.item(r))
+                raise NonFiniteDrawError(f"n={n}, replicate {first + r}: {error}")
             for r in np.flatnonzero(firsts >= EQUAL)[:_MAX_ERROR_NOTES - len(notes[n])].tolist():
                 error = verdict(firsts.item(r), maxima.item(r), blocks.item(r), k)
                 notes[n].append(f"replicate {first + r}: {error}")  # EQUAL or REFUSED
@@ -148,25 +147,20 @@ def _run_rows(plan: SimulationPlan) -> tuple[RateRow, ...]:
 
     with np.errstate(over="ignore"):  # the rule names a draw that overflowed
         for first, chunk in replicate_chunks(plan.spec, top, plan.base_seed, plan.reps):
-            if top in live:
-                score(top, first, chunk)
+            score(top, first, chunk)
             for n, buffer in buffers.items():
                 row = 0
-                while row < len(chunk) and n in live:
+                while row < len(chunk):
                     take = min(len(buffer) - filled[n], len(chunk) - row)
                     buffer[filled[n]:filled[n] + take] = chunk[row:row + take, :n]
                     filled[n], row = filled[n] + take, row + take
                     if filled[n] == len(buffer):
                         score(n, first + row - len(buffer), buffer)
                         filled[n] = 0
-            if not live:  # the grid's first n overflowed: no other message can be raised
-                break
         for n, buffer in buffers.items():
-            if filled[n] and n in live:
+            if filled[n]:
                 score(n, plan.reps - filled[n], buffer[:filled[n]])
 
-    if aborts:  # the plan stops at the first n, in grid order, that overflowed
-        raise NonFiniteDrawError(aborts[min(aborts, key=plan.n_grid.index)])
     return tuple(
         RateRow(n=n, reps=plan.reps, short_count=int(c[SHORT]), medium_count=int(c[MEDIUM]),
                 long_count=int(c[LONG]), error_count=int(c[EQUAL] + c[REFUSED]),
@@ -182,7 +176,13 @@ def run_plan(plan: SimulationPlan, threads: int = 1) -> SimulationReport:
     output nor the speed.
     """
     check_integer("threads", threads, 1)
-    return SimulationReport(dist=format_spec(plan.spec), plan=plan, rows=_run_rows(plan))
+    try:
+        rows = _run_rows(plan)
+    except NonFiniteDrawError:  # the first overflow the pass met, at whichever n met it
+        for n in plan.n_grid[:-1]:  # an earlier n that overflows alone names the plan's
+            _run_rows(replace(plan, n_grid=(n,)))
+        raise  # none does, so the last n met it, and it scores in replicate order
+    return SimulationReport(dist=format_spec(plan.spec), plan=plan, rows=rows)
 
 
 # ---------------------------------------------------------------------------

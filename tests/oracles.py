@@ -107,17 +107,18 @@ def erlang_tail_quantile_ref(alpha: float, k: int, upper: bool) -> float:
 
 
 def spacing_statistic_ref(values) -> float:
-    """T = theta_hat * (X_(n) - X_(n-1)) from the sorted values in plain Python.
+    """T = theta_hat * (X_(n) - X_(n-1)) from the values sorted by np.sort.
 
     theta_hat = -ln F_n(ln X_(n)) / ln X_(n), F_n counting values strictly
     above ln X_(n); theta_hat is 0 when every value lies above it. Needs
     X_(n) > 0, X_(n) != 1 and at least two values.
     """
-    xs = sorted(float(v) for v in values)
-    log_max = math.log(xs[-1])
-    surv = sum(1 for v in xs if v > log_max) / len(xs)
+    xs = np.sort(np.asarray(values, dtype=float))
+    top = float(xs[-1])
+    log_max = math.log(top)
+    surv = int(np.count_nonzero(xs > log_max)) / xs.size
     theta = 0.0 if surv == 1.0 else -math.log(surv) / log_max
-    return theta * (xs[-1] - xs[-2])
+    return theta * (top - float(xs[-2]))
 
 
 def bryson_statistic_ref(values) -> float:
@@ -143,7 +144,8 @@ def bryson_statistic_ref(values) -> float:
 
 
 def block_statistics_ref(values, k: int, smallmax: str):
-    """Per-block T of k blocks in a plain loop, with the small-maximum rule.
+    """Per-block T of k blocks in a plain loop, each block sorted by np.sort, with the
+    small-maximum rule.
 
     The blocks cut the values in order, the n mod k leading ones one value
     larger. Block by block: all-equal values are refused first, then a
@@ -151,17 +153,17 @@ def block_statistics_ref(values, k: int, smallmax: str):
     under 'raw' when inside (0, 1), and refused otherwise; a maximum that is
     not finite is refused last. Returns the list of T, None, or the refusal
     as (error class name, message), the first block to decide winning. A
-    zero maximum prints as 0, whichever sign the block's first top zero has.
+    zero maximum prints as 0, whichever sign the top zero of the sorted block has.
     """
-    xs = [float(v) for v in values]
-    base, extra = divmod(len(xs), k)
+    xs = np.asarray(values, dtype=float)
+    base, extra = divmod(xs.size, k)
     stats, start = [], 0
     for j in range(k):
-        block = xs[start : start + base + (j < extra)]
-        start += len(block)
-        top = max(block)
+        block = np.sort(xs[start : start + base + (j < extra)])
+        start += block.size
+        top = float(block[-1])
         where = f"block {j + 1} of {k}: "
-        if min(block) == top:
+        if float(block[0]) == top:
             return "DegenerateSampleError", where + "all sample values are equal"
         if top <= 1.0:
             if smallmax == "short" and top > 0.0:

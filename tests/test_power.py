@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 import tracemalloc
 from dataclasses import dataclass
@@ -88,6 +89,23 @@ class TestPlanValidation:
     def test_rejects_infeasible_blocks(self):
         with pytest.raises(BlockTooSmallError):
             small_plan(n=(10,), k_blocks=4)
+
+    @pytest.mark.parametrize("spec", ["exp:1", None, ("exp", (1.0,))], ids=["text", "none", "tuple"])
+    def test_rejects_a_spec_it_cannot_draw_from(self, spec):
+        # once accepted, so that run_plan failed with "'str' object has no attribute 'params'"
+        message = f"spec must be a DistributionSpec, got {spec!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SimulationPlan(spec=spec, n_grid=(50,))
+
+    @pytest.mark.parametrize("alpha", [np.float32(0.05), "0.05", np.float64(0.05)],
+                             ids=["float32", "text", "float64"])
+    def test_alpha_is_stored_as_the_float_it_checked(self, alpha):
+        # once kept as given: a float32 made the JSON emitter raise TypeError, and text
+        # was written to the JSON as the string "0.05"
+        plan = small_plan(alpha=alpha)
+        assert type(plan.alpha) is float and plan.alpha == float(alpha)
+        [report] = json.loads(emit_table(run_plan(plan), "json"))["reports"]
+        assert report["alpha"] == float(alpha)
 
 
 # a count or seed SimulationPlan refuses, given to each library entry point that takes one:
@@ -422,7 +440,10 @@ class TestJointLoop:
         # chunks of 23, 162 and 409: 421 leave the last of each partial, and n = 40
         # fills its chunk once, from 18 chunks of n = 700 draws
         ((700, 101, 40), 421),
-    ], ids=["1000-100-250", "700-101-40"])
+        # the benchmark's largest n: chunks of 3, 65 and 16, and 200 leave the last of
+        # each partial, and n = 250 fills its chunk three times
+        ((5000, 250, 1000), 200),
+    ], ids=["1000-100-250", "700-101-40", "5000-250-1000"])
     def test_rows_equal_reference_loop(self, n_grid, reps, dist, k, policy):
         plan = small_plan(dist, n=n_grid, k_blocks=k, reps=reps, smallmax_policy=policy)
         rows = run_plan(plan).rows
