@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# np.quantile imports numpy.ma on first use; load it here so the cost falls at import
-import numpy.ma  # noqa: F401
 
 from .base import NONFINITE, TailClass, check_alpha, check_integer, decide
 from .distributions import DistributionSpec, format_spec, nonnegative, replicate_chunks
@@ -21,6 +19,7 @@ from .tail_test import as_sample, verdict
 
 DEFAULT_PROBS = (0.025, 0.05, 0.95, 0.975)
 _BOOTSTRAP_RESAMPLES = 200
+_SORT_BLOCK = 16  # bootstrap resamples gathered and sorted at a time
 MIN_TABLE_REPS = 1000  # replicates of a simulated T* table, at least
 
 
@@ -119,6 +118,27 @@ def _null_stats(spec: DistributionSpec, n: int, reps: int, seed: int) -> np.ndar
     return stats
 
 
+def _sorted_quantiles(values: np.ndarray, probs) -> np.ndarray:
+    """numpy.quantile(values, probs, axis=-1, method="linear") bit for bit, for 1-D values
+    or 2-D rows already sorted along their last axis and free of NaN: shape
+    (len(probs),) or (len(probs), rows).
+
+    Like numpy's lerp: v = (n - 1) * p, g = v - floor(v), then a + (b - a) * g, or
+    b - (b - a) * (1 - g) when g >= 0.5, with a and b the order statistics either
+    side of v. Once v reaches n - 1 both are the largest, read at index -1 as numpy
+    does, so g = v + 1 there too (it decides the sign of a zero at n = 1).
+    """
+    n = values.shape[-1]
+    v = (n - 1) * np.asarray(probs, dtype=float)
+    top = v >= n - 1
+    lo = np.where(top, -1, np.floor(v)).astype(np.intp)
+    hi = np.where(top, -1, lo + 1)
+    g = (v - lo).reshape((-1,) + (1,) * (values.ndim - 1))
+    a, b = values.T[lo], values.T[hi]
+    d = b - a
+    return np.where(g >= 0.5, b - d * (1.0 - g), a + d * g)
+
+
 def simulate_bryson_quantiles(
     spec: DistributionSpec,
     n: int,
@@ -128,24 +148,29 @@ def simulate_bryson_quantiles(
 ) -> BrysonQuantileTable:
     """Empirical T* quantiles over seeded replicates, with bootstrap stderrs.
 
-    Quantiles use linear interpolation of order statistics; standard errors
-    come from 200 bootstrap resamples of the replicate statistics. Only laws
-    on [0, inf) are accepted, since T* needs nonnegative data.
+    Quantiles use linear interpolation of order statistics, as
+    numpy.quantile(method="linear"); standard errors come from 200 bootstrap
+    resamples of the replicate statistics, drawn and sorted 16 at a time, so
+    the bootstrap holds 16 resamples of `reps` values, not 200. Only laws on
+    [0, inf) are accepted, since T* needs nonnegative data.
     """
     for p in probs:
         if not 0.0 < p < 1.0:
             raise ValueError(f"quantile probs must lie in (0, 1), got {p}")
     stats = _null_stats(spec, n, reps, seed)
-    qs = np.quantile(stats, probs, method="linear")
 
+    # blocks read the stream in order: the same indices as one (resamples, reps) draw.
+    # boot_qs is C-contiguous; std over a transposed view adds in another order
     boot_stream = make_stream(SeedSpec(seed, reps))  # replicate ids end at reps-1
-    idx = boot_stream.integers(0, reps, size=(_BOOTSTRAP_RESAMPLES, reps))
-    boot = stats[idx]
-    # np.quantile is much faster on sorted rows, same values; in place, so the
-    # (resamples, reps) array is never copied
-    boot.sort(axis=1)
-    boot_qs = np.quantile(boot, probs, axis=1, method="linear", overwrite_input=True)
-    errs = boot_qs.std(axis=1, ddof=1)  # boot_qs is (len(probs), resamples)
+    boot_qs = np.empty((len(probs), _BOOTSTRAP_RESAMPLES))
+    for first in range(0, _BOOTSTRAP_RESAMPLES, _SORT_BLOCK):
+        rows = min(_SORT_BLOCK, _BOOTSTRAP_RESAMPLES - first)
+        block = stats[boot_stream.integers(0, reps, size=(rows, reps))]
+        block.sort(axis=1)
+        boot_qs[:, first:first + rows] = _sorted_quantiles(block, probs)
+    errs = boot_qs.std(axis=1, ddof=1)
+    stats.sort()  # only now: the resamples index the replicates in draw order
+    qs = _sorted_quantiles(stats, probs)
 
     return BrysonQuantileTable(
         dist=format_spec(spec),
@@ -170,7 +195,8 @@ def bryson_test(sample, alpha: float = 0.05, reps: int = 10_000, seed: int = 0) 
     t_star = bryson_statistic(s)
     null = DistributionSpec("exp", (1.0,))
     stats = _null_stats(null, s.n, reps, seed)
-    lower, upper = np.quantile(stats, (alpha / 2.0, 1.0 - alpha / 2.0), method="linear").tolist()
+    stats.sort()
+    lower, upper = _sorted_quantiles(stats, (alpha / 2.0, 1.0 - alpha / 2.0)).tolist()
     return BrysonResult(
         n=s.n,
         t_star=t_star,

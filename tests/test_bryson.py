@@ -1,5 +1,6 @@
 """Bryson's T* statistic and its simulated null quantile tables."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from tailtest import (
 )
 from tailtest.base import NonFiniteDrawError, decide
 from tailtest.cli import main
-from tailtest.bryson import _t_star
+from tailtest.bryson import _sorted_quantiles, _t_star
 from tailtest.distributions import parse_spec, sample as draw
 from tailtest.rng import SeedSpec, make_stream
 
@@ -210,17 +211,31 @@ class TestQuantileTables:
         t = simulate_bryson_quantiles(parse_spec(text), 20, reps=1000, seed=1)
         assert all(math.isfinite(q) for q in t.quantiles)
 
+    @pytest.mark.parametrize(("probs", "reps"), [((0.05, 0.95), 1001),
+                                                  ((0.975, 0.5, 0.5, 0.001), 12_345)])
     @pytest.mark.parametrize("n", [3, 129, 3000])
-    def test_table_matches_per_replicate_replay(self, n):
-        # 1001 replicates leave the last chunk partial; stderrs go through the bootstrap
-        spec, reps, seed = parse_spec("lognormal"), 1001, 8
+    def test_table_matches_per_replicate_replay(self, n, probs, reps):
+        # 1001 and 12,345 replicates leave the last chunk partial; stderrs go through the
+        # bootstrap, whose 200 resamples are drawn here in one call and by the table in blocks
+        spec, seed = parse_spec("lognormal"), 8
         stats = np.array([oracles.bryson_statistic_ref(draw(spec, n, SeedSpec(seed, r)))
                           for r in range(reps)])
         idx = make_stream(SeedSpec(seed, reps)).integers(0, reps, size=(200, reps))
-        boot = np.quantile(stats[idx], (0.05, 0.95), axis=1, method="linear")
-        t = simulate_bryson_quantiles(spec, n, reps=reps, seed=seed, probs=(0.05, 0.95))
-        assert t.quantiles == tuple(np.quantile(stats, (0.05, 0.95), method="linear").tolist())
+        boot = np.quantile(stats[idx], probs, axis=1, method="linear")
+        t = simulate_bryson_quantiles(spec, n, reps=reps, seed=seed, probs=probs)
+        assert t.quantiles == tuple(np.quantile(stats, probs, method="linear").tolist())
         assert t.stderrs == tuple(boot.std(axis=1, ddof=1).tolist())
+
+    def test_bootstrap_holds_a_block_of_resamples(self):
+        # 200 resamples of 20,000 indices and values at once peak near 65 MB; drawn and
+        # sorted 16 at a time, about 8 MB
+        tracemalloc.start()
+        try:
+            simulate_bryson_quantiles(EXP, 100, reps=20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     def test_heavy_tail_quantiles_are_finite(self):
         # maxima up to about 1e300: 63 of these 1000 T* values once overflowed to NaN
@@ -232,6 +247,33 @@ class TestQuantileTables:
         small = simulate_bryson_quantiles(EXP, 50, reps=4000, seed=9)
         large = simulate_bryson_quantiles(EXP, 500, reps=4000, seed=9)
         assert all(a < b for a, b in zip(large.quantiles[2:], small.quantiles[2:]))
+
+
+class TestSortedQuantiles:
+    # (n - 1) * p is whole for 0.25, 0.5, 0.75 when 4 divides n - 1; g is exactly 0.5 at
+    # p = 0.5 for even n; 1/3 and 2/3 land within an ulp of a whole number; probs repeat
+    # and are unsorted
+    PROBS = (0.975, 0.5, 0.25, 0.75, 0.5, 1 / 3, 2 / 3, 0.0, 5e-324, 1e-300, 1e-9, 0.001,
+             0.025, 0.999, 0.999999999, 1 - 2**-53, 1.0, 0.1)
+
+    @staticmethod
+    def sorted_samples(n, shape):
+        rng = np.random.default_rng(n)
+        return [np.sort(x, axis=-1) for x in (
+            rng.standard_exponential(shape),
+            rng.normal(3.0, 1e5, shape),
+            -rng.integers(0, 4, shape).astype(float),  # ties, -0.0 among them
+        )]
+
+    @pytest.mark.parametrize("n", [*range(1, 65), 1500, 10_000])
+    def test_rows_equal_numpy_linear(self, n):
+        for values in self.sorted_samples(n, n):
+            want = np.quantile(values, self.PROBS, method="linear")
+            assert _sorted_quantiles(values, self.PROBS).tobytes() == want.tobytes()
+        for rows in self.sorted_samples(n, (5, n)):
+            want = np.quantile(rows, self.PROBS, axis=1, method="linear")
+            got = _sorted_quantiles(rows, self.PROBS)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestBrysonTest:

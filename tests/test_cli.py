@@ -849,6 +849,29 @@ def test_plain_test_leaves_numpy_random_unloaded():
     assert proc.returncode == 0, proc.stderr or "a plain test loaded numpy.random"
 
 
+def test_no_command_loads_numpy_ma():
+    # np.quantile, np.percentile and np.unique load numpy.ma (np.unique through
+    # np.ma.is_masked), which would cost a timed first call its import
+    fibers = str(DATA / "fibers.txt")
+    runs = [
+        (["bryson-quantiles", "--dist", "exp:1", "--n", "50", "--reps", "1000"], 0),
+        (["bryson", fibers, "--reps", "1000"], 2),
+        (["simulate", "--dist", "exp:1", "--n", "50", "--reps", "100"], 0),
+        (["simulate", "--dist", "uniform", "--n", "50", "--reps", "100",
+          "--smallmax-policy", "error"], 0),
+        (["test", fibers], 2),
+        (["test", fibers, "--blocks", "5"], 2),
+    ]
+    code = ("import json, sys; from tailtest.cli import main; "
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
+            "print(json.dumps([codes, 'numpy.ma' in sys.modules]), file=sys.stderr)")
+    proc = run_fresh("-c", code, json.dumps([argv for argv, _ in runs]))
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stderr.splitlines()[-1])
+    assert codes == [rc for _, rc in runs], proc.stderr
+    assert not loaded, "a command loaded numpy.ma"
+
+
 def test_module_entry_point_exits_with_the_decision():
     # `python -m tailtest` goes through __main__.py, which no in-process test reaches
     proc = run_fresh("-m", "tailtest", "test", str(DATA / "fibers.txt"), "--json")
