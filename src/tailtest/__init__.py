@@ -20,6 +20,7 @@ from .blocking import (
     blocked_test,
     partition,
     recommend_blocks,
+    tail_test,
 )
 from .bryson import (
     BrysonQuantileTable,
@@ -46,7 +47,6 @@ from .tail_test import (
     Sample,
     TailTestResult,
     shift_sample,
-    tail_test,
 )
 
 __version__ = "0.1.0"

@@ -1,7 +1,8 @@
 """Blocked variant of the tail test: k block statistics summed against gamma(k,1).
 
 Splitting the sample into k blocks and summing the per-block statistics
-sharpens power; under a medium tail the sum is asymptotically gamma(k,1).
+sharpens power; under a medium tail the sum is asymptotically gamma(k,1). At
+k = 1 that law is T's Exp(1), so tail_test is blocked_test on one block, in order.
 blocked_test and the Monte Carlo engine both score blocks with block_scores, which
 also adds each replicate's block T's left to right, the total both classify. A
 replicate with a nonzero outcome code is decided by its first such block, whose code,
@@ -15,18 +16,24 @@ import numpy as np
 
 from .base import BlockTooSmallError, TailClass, check_alpha, check_integer, decide
 from .rng import erlang_criticals, erlang_tails, make_stream
-from .tail_test import Sample, as_sample, spacing_rows, verdict
+from .tail_test import Sample, TailTestResult, as_sample, spacing_rows, verdict
 
 MIN_BLOCK = 3  # a block needs X_(n), X_(n-1) and a nondegenerate survival
 
 
 @dataclass(frozen=True)
 class BlockedTestResult:
-    """The block T's, their sum and its critical values; the CLI's text lists them in this order."""
+    """The block T's, the facts behind each (its maximum, spacing X_(n) - X_(n-1), 0 at a
+    tie, theta_hat and F_n(ln X_(n))), their sum and its critical values; the CLI's text
+    lists them in this order."""
 
     k: int
     block_sizes: tuple[int, ...]
     block_stats: tuple[float, ...]
+    maxima: tuple[float, ...]
+    spacings: tuple[float, ...]
+    theta_hats: tuple[float, ...]
+    survivals: tuple[float, ...]
     sum_stat: float
     lower_crit: float
     upper_crit: float
@@ -93,18 +100,20 @@ def block_scores(values: np.ndarray, k: int, smallmax: str):
     (reps, k) array, blocks in order, from one kernel call per block size (block_rows),
     and each row's total of them, added left to right. Then None when every block's
     outcome code is 0, else each row's first nonzero code (0 when all its T's stand),
-    that block's index and its maximum. Callers check k."""
-    columns = []
+    that block's index and its maximum. Last, per block size, the kernel's partitioned
+    blocks, theta_hats and survivals (None where it read no T). Callers check k."""
+    columns, kernel = [], []
     for blocks in block_rows(values, k):
-        stats, code, part, *_ = spacing_rows(blocks, smallmax)
+        stats, code, part, theta, surv = spacing_rows(blocks, smallmax)
         columns.append([a.reshape(len(values), -1) for a in (stats, code, part[:, -1])])
+        kernel.append((part, theta, surv))
     stats, codes, maxima = (np.concatenate(arrays, axis=1) for arrays in zip(*columns))
     # accumulate adds in order on every Python and numpy version (a reduce adds pairwise)
     totals = np.add.accumulate(stats, axis=1)[:, -1]
     if not np.count_nonzero(codes):
-        return stats, totals, None
+        return stats, totals, None, kernel
     rows, block = np.arange(len(codes)), (codes != 0).argmax(axis=1)
-    return stats, totals, (codes[rows, block], block, maxima[rows, block])
+    return stats, totals, (codes[rows, block], block, maxima[rows, block]), kernel
 
 
 def blocked_test(
@@ -117,41 +126,53 @@ def blocked_test(
     """Sum the k block statistics and compare against gamma(k,1) quantiles.
 
     Any block whose maximum is not above 1 aborts the whole test (dropping
-    blocks would silently change k and with it the null law); the error
-    message names the offending block.
+    blocks would silently change k and with it the null law); when k > 1 the
+    error message names the offending block, and at k = 1 it is tail_test's.
     """
     alpha = check_alpha(alpha)
     _, values, sizes = _arrange(sample, k, strategy, seed)
-    scores, totals, refused = block_scores(values[np.newaxis], k, "error")
+    scores, totals, refused, kernel = block_scores(values[np.newaxis], k, "error")
     if refused is not None:  # under 'error' no code is SHORT
         code, block, mx = (a.item(0) for a in refused)
-        raise verdict(code, mx, block, k)
+        raise verdict(code, mx, block, k if k > 1 else 0)
 
+    # one row, so the kernel's rows are its blocks in order, each scored; the spacings
+    # are Python floats' (numpy's subtraction warns where one overflows to inf)
+    tops = [row for part, _, _ in kernel for row in part[:, -2:].tolist()]
     total = totals.item(0)
     lower, upper = erlang_criticals(alpha, k)
     p_short, p_long = erlang_tails(total, k)
     return BlockedTestResult(
-        k=k,
-        block_sizes=sizes,
-        block_stats=tuple(scores[0].tolist()),
-        sum_stat=total,
-        lower_crit=lower,
-        upper_crit=upper,
-        p_short=p_short,
-        p_long=p_long,
-        decision=decide(total, lower, upper),
-        alpha=alpha,
-    )
+        k=k, block_sizes=sizes, block_stats=tuple(scores[0].tolist()),
+        maxima=tuple(mx for _, mx in tops),
+        spacings=tuple(mx - second for second, mx in tops),
+        theta_hats=tuple(x for _, theta, _ in kernel for x in theta.tolist()),
+        survivals=tuple(x for _, _, surv in kernel for x in surv.tolist()),
+        sum_stat=total, lower_crit=lower, upper_crit=upper, p_short=p_short, p_long=p_long,
+        decision=decide(total, lower, upper), alpha=alpha)
+
+
+def tail_test(sample, alpha: float = 0.05) -> TailTestResult:
+    """Run the spacing test on a sample (n >= 3, maximum > 1): blocked_test on one
+    block, in order, read as the plain result."""
+    try:
+        res = blocked_test(sample, 1, alpha, strategy="sequential")
+    except BlockTooSmallError:
+        raise ValueError(f"need at least 3 values to test, got n={as_sample(sample).n}") from None
+    spacing = res.spacings[0]
+    return TailTestResult(
+        t_stat=res.sum_stat, theta_hat=res.theta_hats[0], spacing=spacing,
+        surv_at_log_max=res.survivals[0], p_short=res.p_short, p_long=res.p_long,
+        decision=res.decision, alpha=res.alpha, n=res.block_sizes[0], tied_max=spacing == 0.0)
 
 
 def recommend_blocks(n: int) -> tuple[int, int]:
     """Recommended inclusive range of block counts for a sample of size n.
 
     Guidance is 5-10 blocks, clipped so blocks hold at least 30 points;
-    below n=150 the advice drops toward the unblocked test.
+    below n=150 the advice drops toward the unblocked test. n must be an integer >= 15.
     """
-    if n < 15:
-        raise ValueError(f"too few points to recommend blocking, got n={n}")
+    n = check_integer("n", n, 15)
     if n < 150:
         return (1, max(1, n // 30))
     return (min(5, n // 30), min(10, n // 30))

@@ -131,7 +131,7 @@ def _run_rows(plan: SimulationPlan) -> tuple[RateRow, ...]:
     filled = dict.fromkeys(buffers, 0)
 
     def score(n, first, chunk):
-        _, totals, refused = block_scores(chunk, k, policy)
+        _, totals, refused, _ = block_scores(chunk, k, policy)
         codes = classify(totals, lower, upper)
         if refused is not None:
             firsts, blocks, maxima = refused

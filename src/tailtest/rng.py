@@ -30,16 +30,13 @@ class SeedSpec:
                 raise ValueError(f"{name} must be an integer from 0 to 2**64 - 1, got {v!r}")
 
 
-def make_stream(seed: SeedSpec | int, stream_id: int = 0) -> np.random.Generator:
-    """Return the generator for (base_seed, stream_id).
+def make_stream(seed: SeedSpec | int) -> np.random.Generator:
+    """Return the generator for a SeedSpec's (base_seed, stream_id), or a bare base seed's stream 0.
 
-    Identical keys give bit-identical streams; distinct stream ids give
-    independent streams. Accepts a SeedSpec, which holds its stream id, or a bare base seed.
+    Identical keys give bit-identical streams; distinct stream ids give independent streams.
     """
     if not isinstance(seed, SeedSpec):
-        seed = SeedSpec(seed, stream_id)
-    elif stream_id:
-        raise ValueError(f"stream_id {stream_id!r} given beside {seed}; put it in the SeedSpec")
+        seed = SeedSpec(seed)
     key = np.array([seed.base_seed, seed.stream_id], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

@@ -3,7 +3,8 @@
 The statistic is T_n = theta_hat * S_n with S_n = X_(n) - X_(n-1) and
 theta_hat = -ln F_n(ln X_(n)) / ln X_(n), where F_n is the empirical survival
 function. Under a medium tail T_n is asymptotically Exp(1); very small values
-point to a short tail and very large ones to a long tail.
+point to a short tail and very large ones to a long tail. The test itself is
+blocking.tail_test, the one-block view of the blocked test.
 """
 from __future__ import annotations
 
@@ -14,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import DegenerateSampleError, MaxNotAboveOneError, NonFiniteDrawError, TailClass
-from .base import EQUAL, NONFINITE, REFUSED, SCORED, SHORT, check_alpha, decide, listed
-from .rng import erlang_criticals, erlang_tails
+from .base import EQUAL, NONFINITE, REFUSED, SCORED, SHORT, listed
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,7 @@ def spacing_rows(blocks: np.ndarray, smallmax: str):
 
 
 def verdict(code: int, mx: float, block: int = 0, k: int = 0) -> ValueError:
-    """The exception tail_test and blocked_test raise for a row spacing_rows refused
+    """The exception the single-sample tests raise for a row spacing_rows refused
     (EQUAL, REFUSED or NONFINITE), from its code and maximum. With k blocks, a refusal
     names `block` (0-based) as "block j of k: ". The one place these messages are written."""
     where = f"block {block + 1} of {k}: " if k else ""
@@ -141,29 +141,3 @@ def verdict(code: int, mx: float, block: int = 0, k: int = 0) -> ValueError:
         return MaxNotAboveOneError(f"{where}sample maximum {mx + 0.0:g} is not above 1, so "
                                    "ln X_(n) <= 0; rescale the data or apply an explicit shift")
     return NonFiniteDrawError(f"draw overflowed to {mx:g}; sample maximum must be finite")
-
-
-def tail_test(sample, alpha: float = 0.05) -> TailTestResult:
-    """Run the spacing test on a sample (n >= 3, maximum > 1)."""
-    alpha = check_alpha(alpha)
-    s = as_sample(sample)
-    if s.n < 3:
-        raise ValueError(f"need at least 3 values to test, got n={s.n}")
-    stats, code, part, theta, surv = spacing_rows(s.values[np.newaxis], "error")
-    second, mx = part[0, -2:].tolist()
-    if code[0]:  # under 'error' no code is SHORT
-        raise verdict(int(code[0]), mx)
-    t_stat, spacing = stats.item(0), mx - second
-    p_short, p_long = erlang_tails(t_stat, 1)
-    return TailTestResult(
-        t_stat=t_stat,
-        theta_hat=theta.item(0),
-        spacing=spacing,
-        surv_at_log_max=surv.item(0),
-        p_short=p_short,
-        p_long=p_long,
-        decision=decide(t_stat, *erlang_criticals(alpha, 1)),
-        alpha=alpha,
-        n=s.n,
-        tied_max=spacing == 0.0,
-    )

@@ -14,6 +14,7 @@ from tailtest import (
     MaxNotAboveOneError,
     Sample,
     TailClass,
+    TailTestResult,
     blocked_test,
     partition,
     recommend_blocks,
@@ -108,14 +109,36 @@ class TestPartition:
 
 
 class TestBlockedEquivalence:
-    def test_k1_matches_plain_test_bitwise(self):
-        x = draw(parse_spec("exp:1"), 200, SeedSpec(31))
+    @pytest.mark.parametrize("x", [draw(parse_spec("exp:1"), 200, SeedSpec(31)),
+                                   np.array([1.5, 3.0, 2.0, 3.0])], ids=["exp", "tied"])
+    def test_k1_matches_plain_test_bitwise(self, x):
         plain = tail_test(x)
         blocked = blocked_test(x, 1)
         assert blocked.sum_stat == plain.t_stat
         assert blocked.block_stats == (plain.t_stat,)
         assert blocked.decision is plain.decision
         assert (blocked.lower_crit, blocked.upper_crit) == erlang_criticals(0.05, 1)
+        # every field of the plain result is the one block's fact
+        assert plain == TailTestResult(
+            t_stat=blocked.block_stats[0], theta_hat=blocked.theta_hats[0],
+            spacing=blocked.spacings[0], surv_at_log_max=blocked.survivals[0],
+            p_short=blocked.p_short, p_long=blocked.p_long, decision=blocked.decision,
+            alpha=blocked.alpha, n=blocked.block_sizes[0], tied_max=blocked.spacings[0] == 0.0)
+        assert blocked.maxima == (x.max(),)
+        assert plain.tied_max is (x.tolist().count(x.max()) > 1)
+
+    @pytest.mark.parametrize("x", [[2.0, 2.0, 2.0], [-3.0, -1.0, -0.5], [-3.0, -1.0, 0.0],
+                                   [0.1, 0.5, 0.9], [0.1, 0.5, 1.0]],
+                             ids=["all_equal", "max_negative", "max_zero", "max_in_0_1", "max_1"])
+    def test_k1_refuses_in_the_plain_test_words(self, x):
+        # one block is named as none: the error is tail_test's, type and message
+        with pytest.raises(ValueError) as plain:
+            tail_test(x)
+        with pytest.raises(ValueError) as blocked:
+            blocked_test(x, 1, strategy="sequential")
+        assert type(blocked.value) is type(plain.value)
+        assert str(blocked.value) == str(plain.value)
+        assert not str(plain.value).startswith("block")
 
     @given(seed=st.integers(min_value=0, max_value=5000))
     @settings(max_examples=50, deadline=None)
@@ -181,6 +204,31 @@ class TestBlockedKnownAnswers:
         assert len(res.block_stats) == k
 
 
+class TestBlockFacts:
+    @given(k=st.integers(min_value=1, max_value=8), n_extra=st.integers(min_value=0, max_value=7),
+           strategy=st.sampled_from(["sequential", "shuffle"]),
+           decimals=st.sampled_from([0, 1, 12]), seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_facts_reproduce_each_block_stat(self, k, n_extra, strategy, decimals, seed):
+        # values rounded to whole numbers or tenths often tie at the top of a block
+        rng = np.random.default_rng(seed)
+        values = 1.5 + np.round(rng.exponential(3.0, 3 * k + n_extra), decimals)
+        blocks = [b.values for b in partition(values, k, strategy, seed)]
+        try:
+            res = blocked_test(values, k, strategy=strategy, seed=seed)
+        except DegenerateSampleError:
+            assert any(b.min() == b.max() for b in blocks)
+            return
+        facts = (res.maxima, res.spacings, res.theta_hats, res.survivals)
+        assert [len(f) for f in facts] == [k] * 4
+        for j, block in enumerate(blocks):
+            top = np.sort(block)[-2:].tolist()
+            assert res.theta_hats[j] * res.spacings[j] == res.block_stats[j]  # bit for bit
+            assert res.maxima[j] == block.max() == top[1]
+            assert (res.spacings[j] == 0.0) is (top[0] == top[1])
+            assert res.survivals[j] == np.count_nonzero(block > math.log(top[1])) / block.size
+
+
 @st.composite
 def blocked_replicates(draw):
     """(k, values) with k up to 30, n often not divisible by k, and blocks that
@@ -239,7 +287,7 @@ def _block_outcome(values, k, smallmax):
     """One replicate through block_scores and its first nonzero code, in the
     reference's terms: its block T's, None when the rule calls it Short, or its
     refusal as (error class name, message)."""
-    stats, _, refused = block_scores(values[np.newaxis], k, smallmax)
+    stats, _, refused, _ = block_scores(values[np.newaxis], k, smallmax)
     if refused is None:
         return stats[0].tolist()
     code, block, mx = (a.item(0) for a in refused)
@@ -256,6 +304,13 @@ def _blocked_test_outcome(values, k):
         return list(blocked_test(values, k, strategy="sequential").block_stats)
     except ValueError as exc:
         return type(exc).__name__, str(exc)
+
+
+def _unnamed_at_one_block(expected, k):
+    """The reference's outcome as blocked_test gives it: at k = 1 a refusal names no block."""
+    if k == 1 and isinstance(expected, tuple):
+        return expected[0], expected[1].removeprefix("block 1 of 1: ")
+    return expected
 
 
 class TestBlockScores:
@@ -279,7 +334,7 @@ class TestBlockScores:
     def test_short_block_makes_whole_sample_short(self):
         # the third block is refused, but the second already calls the sample Short
         values = np.array([1.0, 2.0, 5.0, 0.1, 0.2, 0.5] + [3.0] * 3)
-        _, _, refused = block_scores(values[np.newaxis], 3, "short")
+        _, _, refused, _ = block_scores(values[np.newaxis], 3, "short")
         assert [a.tolist() for a in refused] == [[SHORT], [1], [0.5]]
         assert _block_outcome(values, 3, "short") is None
 
@@ -309,7 +364,7 @@ class TestBlockScores:
             assert _block_outcome(values, k, policy) == expected
         if np.isfinite(values).all():
             expected = oracles.block_statistics_ref(values, k, "error")
-            assert _blocked_test_outcome(values, k) == expected
+            assert _blocked_test_outcome(values, k) == _unnamed_at_one_block(expected, k)
 
     @pytest.mark.parametrize(
         "k, n",
@@ -337,7 +392,7 @@ class TestBlockScores:
                 assert _block_outcome(values, k, policy) == expected
             if variant != "inf" and base >= 3:  # blocked_test refuses blocks of two
                 expected = oracles.block_statistics_ref(values, k, "error")
-                assert _blocked_test_outcome(values, k) == expected
+                assert _blocked_test_outcome(values, k) == _unnamed_at_one_block(expected, k)
 
 
 def test_blocking_sharpens_short_tail_power():
@@ -446,6 +501,11 @@ class TestRecommendBlocks:
     def test_too_small_to_advise(self):
         with pytest.raises(ValueError):
             recommend_blocks(14)
+
+    def test_numpy_count_gives_python_ints(self):
+        # the count goes through base.check_integer, so an np.int64 is read as an int
+        assert [type(x) for x in recommend_blocks(np.int64(200))] == [int, int]
+        assert recommend_blocks(np.int64(200)) == (5, 6)
 
     @given(n=st.integers(min_value=15, max_value=100_000))
     @settings(max_examples=200)

@@ -25,6 +25,7 @@ from tailtest import (
     blocked_test,
     emit_table,
     parse_plan_file,
+    recommend_blocks,
     run_plan,
     tail_test,
 )
@@ -130,10 +131,14 @@ class TestPlanValidation:
     (lambda: simulate_bryson_quantiles(parse_spec("exp:1"), 50.7, reps=1000),
      "n must be an integer"),
     (lambda: bryson_test(np.arange(1.0, 101.0), reps=1000.5), "reps must be an integer"),
+    (lambda: recommend_blocks(150.0), "n must be an integer, got 150.0$"),
+    (lambda: recommend_blocks(100.5), "n must be an integer, got 100.5$"),
+    (lambda: recommend_blocks(14), "n must be >= 15, got 14$"),
 ], ids=["make_stream", "make_stream_whole", "make_stream_bool", "seedspec_bool", "plan_seed_bool",
         "blocked_test_seed", "blocked_test_k", "block_sizes", "sample", "replicate_chunks",
         "replicate_chunks_reps", "run_plan_threads", "block_sizes_bound", "erlang_tails_bound",
-        "simulate_bryson_quantiles", "bryson_test"])
+        "simulate_bryson_quantiles", "bryson_test", "recommend_blocks_whole",
+        "recommend_blocks", "recommend_blocks_bound"])
 def test_entry_points_refuse_what_the_plan_refuses(call, message):
     with pytest.raises(ValueError, match=f"^{message}"):
         call()
@@ -246,7 +251,7 @@ def engine_replicates(draw):
 def _engine_outcome(values, k, policy):
     """The engine's outcome of one replicate, scored as a one-row chunk by block_scores:
     (TailClass, None), or (None, error message). An overflowed draw would abort the plan."""
-    stats, _, refused = block_scores(values[np.newaxis], k, policy)
+    stats, _, refused, _ = block_scores(values[np.newaxis], k, policy)
     if refused is None:
         total = oracles.left_to_right_sum(stats[0].tolist())
         return decide(total, *erlang_criticals(0.05, k)), None
@@ -330,7 +335,7 @@ class TestEngineMatchesSingleSampleTests:
                 assert code.tolist() == [_ref_code(oracles.block_statistics_ref(block, 1, policy))]
                 assert part[0, -1] == block.max()
                 codes.append(code.item(0))
-            _, _, refused = block_scores(values[np.newaxis], k, policy)
+            _, _, refused, _ = block_scores(values[np.newaxis], k, policy)
             if not any(codes):
                 assert refused is None
                 continue
@@ -398,7 +403,7 @@ class TestChunkedEngineMatchesReplicateLoop:
         # added left to right; a replicate with a nonzero first code is exactly one it
         # does not score, and the code says how
         for _, chunk in replicate_chunks(parse_spec(dist), 101, 11, 200):
-            stats, totals, refused = block_scores(chunk, k, policy)
+            stats, totals, refused, _ = block_scores(chunk, k, policy)
             codes = np.zeros(len(chunk), int) if refused is None else refused[0]
             for row, total, code, values in zip(stats.tolist(), totals.tolist(),
                                                 codes.tolist(), chunk):

@@ -53,18 +53,6 @@ class TestMakeStream:
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_stream_id_argument(self):
-        a = make_stream(42, stream_id=5).random(8)
-        b = make_stream(SeedSpec(42, 5)).random(8)
-        assert np.array_equal(a, b)
-
-    def test_stream_id_beside_a_seed_spec_is_refused(self):
-        # it once returned stream (1, 2) and dropped the 5 without a word
-        with pytest.raises(ValueError, match=r"^stream_id 5 given beside SeedSpec"):
-            make_stream(SeedSpec(1, 2), 5)
-        assert np.array_equal(make_stream(SeedSpec(1, 2), 0).random(4),
-                              make_stream(SeedSpec(1, 2)).random(4))
-
 
 class TestErlangTails:
     def test_matches_reference_on_grid(self):
