@@ -69,16 +69,17 @@ def partition(sample, k: int, strategy: str = "shuffle", seed: int = 0) -> list[
     return [Sample(b, s.shift, b.size) for rows in block_rows(values[np.newaxis], k) for b in rows]
 
 
-def _arrange(sample, k: int, strategy: str, seed: int):
-    """The Sample, its values in block order (read-only) and the block sizes."""
+def _arrange(sample, k: int, strategy: str, seed: int, shuffle: bool = True):
+    """The Sample, its values in block order (read-only) and the block sizes; with
+    `shuffle` False the values stay in order under either strategy."""
     s = as_sample(sample)
     sizes = block_sizes(s.n, k)
-    if strategy == "sequential":
-        values = s.values.view()
-    elif strategy == "shuffle":
+    if strategy not in ("sequential", "shuffle"):
+        raise ValueError(f"unknown partition strategy {strategy!r}")
+    if strategy == "shuffle" and shuffle:
         values = make_stream(seed).permutation(s.values)
     else:
-        raise ValueError(f"unknown partition strategy {strategy!r}")
+        values = s.values.view()
     values.setflags(write=False)  # and so every block, a view into it
     return s, values, sizes
 
@@ -127,10 +128,11 @@ def blocked_test(
 
     Any block whose maximum is not above 1 aborts the whole test (dropping
     blocks would silently change k and with it the null law); when k > 1 the
-    error message names the offending block, and at k = 1 it is tail_test's.
+    error message names the offending block, and at k = 1 it is tail_test's. At k = 1
+    the sample is read in order under either strategy: no statistic depends on it.
     """
     alpha = check_alpha(alpha)
-    _, values, sizes = _arrange(sample, k, strategy, seed)
+    _, values, sizes = _arrange(sample, k, strategy, seed, k > 1)
     scores, totals, refused, kernel = block_scores(values[np.newaxis], k, "error")
     if refused is not None:  # under 'error' no code is SHORT
         code, block, mx = (a.item(0) for a in refused)

@@ -10,10 +10,11 @@ chunks a plan of that n alone has. One blocking.block_scores call scores every
 block of a chunk once and adds each replicate's block T's. base.classify makes
 each total Short, Medium or Long, as it does for the single-sample tests. A
 replicate with a nonzero outcome code takes its first such code instead: Short,
-or an error (the first 10 get a note from tail_test.verdict). A draw that overflowed
-to inf aborts the plan where the pass meets it, and run_plan names the first n, in
-grid order, whose plan alone aborts. One bincount per chunk counts the codes. Every
-count is the one drawing and scoring each replicate alone at each n gives.
+or an error. Each n keeps one tally: a bincount per chunk of the codes, and the
+first replicate of each error code with its maximum. After the one pass, run_plan
+raises tail_test.verdict's overflow error for the first n, in grid order, that met
+a draw overflowed to inf. Every count is the one drawing and scoring each replicate
+alone at each n gives.
 """
 from __future__ import annotations
 
@@ -21,11 +22,11 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .base import EQUAL, LONG, MEDIUM, NONFINITE, REFUSED, SHORT, NonFiniteDrawError
+from .base import EQUAL, NONFINITE, REFUSED, SHORT, NonFiniteDrawError
 from .base import check_alpha, check_integer, classify, float_label, read_text, text_lines
 from .blocking import block_scores, block_sizes
 from .distributions import DistributionSpec, chunk_rows, format_spec, parse_spec
@@ -35,7 +36,6 @@ from .tail_test import _RULE, verdict
 
 SMALLMAX_POLICIES = tuple(_RULE)
 MIN_PLAN_REPS = 100  # fewer replicates give no usable rejection rate
-_MAX_ERROR_NOTES = 10
 
 
 @dataclass(frozen=True)
@@ -79,16 +79,26 @@ class SimulationPlan:
 
 @dataclass(frozen=True)
 class RateRow:
-    """Rejection rates for one sample size, with exact tally counts; k, alpha and
-    the seed are the plan's."""
+    """One sample size's tally: the count of each outcome and, for each error (all
+    values equal, maximum refused), the first replicate that took it, None if none
+    did. Every other number is derived; k, alpha and the seed are the plan's."""
 
     n: int
-    reps: int
     short_count: int
     medium_count: int
     long_count: int
-    error_count: int
-    error_notes: tuple[str, ...]
+    equal_count: int
+    refused_count: int
+    first_equal: int | None
+    first_refused: int | None
+
+    @property
+    def error_count(self) -> int:
+        return self.equal_count + self.refused_count
+
+    @property
+    def reps(self) -> int:
+        return self.short_count + self.medium_count + self.long_count + self.error_count
 
     @property
     def short_rate(self) -> float:
@@ -120,12 +130,13 @@ class SimulationReport:
     rows: tuple[RateRow, ...]
 
 
-def _run_rows(plan: SimulationPlan) -> tuple[RateRow, ...]:
+def _run_rows(plan: SimulationPlan):
+    """Each n's RateRow, and (n, replicate, maximum) of each n's first overflow, in grid order."""
     k, policy = plan.k_blocks, plan.smallmax_policy
     lower, upper = erlang_criticals(plan.alpha, k)
     top = max(plan.n_grid)
     counts = {n: np.zeros(NONFINITE + 1, dtype=np.int64) for n in plan.n_grid}  # by outcome code
-    notes = {n: [] for n in plan.n_grid}
+    firsts = {n: {} for n in plan.n_grid}  # error code: (its first replicate, that maximum)
     # each smaller n gathers its replicates' prefixes into a chunk of its own size
     buffers = {n: np.empty((chunk_rows(n), n)) for n in plan.n_grid if n < top}
     filled = dict.fromkeys(buffers, 0)
@@ -134,15 +145,11 @@ def _run_rows(plan: SimulationPlan) -> tuple[RateRow, ...]:
         _, totals, refused, _ = block_scores(chunk, k, policy)
         codes = classify(totals, lower, upper)
         if refused is not None:
-            firsts, blocks, maxima = refused
-            if (overflowed := np.flatnonzero(firsts == NONFINITE)).size:
-                r = overflowed.item(0)
-                error = verdict(NONFINITE, maxima.item(r))
-                raise NonFiniteDrawError(f"n={n}, replicate {first + r}: {error}")
-            for r in np.flatnonzero(firsts >= EQUAL)[:_MAX_ERROR_NOTES - len(notes[n])].tolist():
-                error = verdict(firsts.item(r), maxima.item(r), blocks.item(r), k)
-                notes[n].append(f"replicate {first + r}: {error}")  # EQUAL or REFUSED
-            codes = np.where(firsts, firsts, codes)  # a refused or rule-Short replicate
+            reasons, _, maxima = refused
+            for code in set(reasons[reasons >= EQUAL].tolist()) - firsts[n].keys():
+                r = int((reasons == code).argmax())
+                firsts[n][code] = (first + r, maxima.item(r))
+            codes = np.where(reasons, reasons, codes)  # a refused or rule-Short replicate
         counts[n] += np.bincount(codes, minlength=NONFINITE + 1)
 
     with np.errstate(over="ignore"):  # the rule names a draw that overflowed
@@ -161,27 +168,25 @@ def _run_rows(plan: SimulationPlan) -> tuple[RateRow, ...]:
             if filled[n]:
                 score(n, plan.reps - filled[n], buffer[:filled[n]])
 
-    return tuple(
-        RateRow(n=n, reps=plan.reps, short_count=int(c[SHORT]), medium_count=int(c[MEDIUM]),
-                long_count=int(c[LONG]), error_count=int(c[EQUAL] + c[REFUSED]),
-                error_notes=tuple(notes[n]))
-        for n, c in counts.items())
+    rows = tuple(RateRow(n, *counts[n][SHORT:NONFINITE].tolist(),
+                         *(firsts[n].get(code, (None,))[0] for code in (EQUAL, REFUSED)))
+                 for n in plan.n_grid)
+    return rows, [(n, *firsts[n][NONFINITE]) for n in plan.n_grid if NONFINITE in firsts[n]]
 
 
 def run_plan(plan: SimulationPlan, threads: int = 1) -> SimulationReport:
-    """Run every (n, replicate) cell of the plan; deterministic in base_seed.
+    """Run every (n, replicate) cell of the plan in one pass; deterministic in base_seed.
 
-    Replicates run one after another in the calling thread. `threads` is kept
-    for callers that pass it; it must be an integer >= 1 and changes neither the
-    output nor the speed.
+    A draw that overflowed to inf raises NonFiniteDrawError once the pass ends, for the
+    first n in grid order that met one, at its first such replicate. Replicates run one
+    after another in the calling thread. `threads` is kept for callers that pass it; it
+    must be an integer >= 1 and changes neither the output nor the speed.
     """
     check_integer("threads", threads, 1)
-    try:
-        rows = _run_rows(plan)
-    except NonFiniteDrawError:  # the first overflow the pass met, at whichever n met it
-        for n in plan.n_grid[:-1]:  # an earlier n that overflows alone names the plan's
-            _run_rows(replace(plan, n_grid=(n,)))
-        raise  # none does, so the last n met it, and it scores in replicate order
+    rows, overflows = _run_rows(plan)
+    if overflows:
+        n, r, mx = overflows[0]
+        raise NonFiniteDrawError(f"n={n}, replicate {r}: {verdict(NONFINITE, mx)}")
     return SimulationReport(dist=format_spec(plan.spec), plan=plan, rows=rows)
 
 
@@ -197,7 +202,7 @@ def emit_table(reports, fmt: str = "csv") -> str:
 
     CSV emits one row per (dist, n); markdown mirrors the published table
     shape with one row per n and paired short/long columns per law; JSON
-    carries the full provenance including counts and error notes.
+    carries the full provenance: each row's tally fields and the rates derived from them.
     """
     reports = [reports] if isinstance(reports, SimulationReport) else list(reports)
     emit = {"csv": _emit_csv, "json": _emit_json, "md": _emit_markdown}.get(fmt)
@@ -219,6 +224,10 @@ def _emit_csv(reports) -> str:
     return buf.getvalue()
 
 
+# the RateRow properties a JSON row adds to its fields
+_DERIVED = ("error_count", "short_rate", "medium_rate", "long_rate", "stderr_short", "stderr_long")
+
+
 def _emit_json(reports) -> str:
     payload = {
         "reports": [
@@ -229,22 +238,8 @@ def _emit_json(reports) -> str:
                 "reps": report.plan.reps,
                 "seed": report.plan.base_seed,
                 "smallmax_policy": report.plan.smallmax_policy,
-                "rows": [
-                    {
-                        "n": row.n,
-                        "short_rate": row.short_rate,
-                        "medium_rate": row.medium_rate,
-                        "long_rate": row.long_rate,
-                        "stderr_short": row.stderr_short,
-                        "stderr_long": row.stderr_long,
-                        "short_count": row.short_count,
-                        "medium_count": row.medium_count,
-                        "long_count": row.long_count,
-                        "error_count": row.error_count,
-                        "error_notes": list(row.error_notes),
-                    }
-                    for row in report.rows
-                ],
+                "rows": [{**vars(row), **{key: getattr(row, key) for key in _DERIVED}}
+                         for row in report.rows],
             }
             for report in reports
         ]

@@ -188,31 +188,35 @@ def left_to_right_sum(stats) -> float:
     return total
 
 
-def run_row_ref(draws, n: int, k: int, lower: float, upper: float, smallmax: str):
+_ERRORS = ("DegenerateSampleError", "MaxNotAboveOneError", "NonFiniteDrawError")
+
+
+def run_row_ref(draws, k: int, lower: float, upper: float, smallmax: str):
     """The engine's row loop as it stood before replicates were scored in
     chunks: one replicate at a time, through block_statistics_ref.
 
-    A refused replicate is noted as "replicate r: <message>" and a replicate
-    called Short by the rule counts as Short; otherwise the sum of its block
-    T's, taken left to right, is Short below `lower`, Long above `upper` and
-    Medium on or between them. A maximum that is not finite stops the row.
-    Returns (short, medium, long, every note), or, when the row stopped, the
-    message "n=<n>, replicate r: <message>".
+    A replicate called Short by the rule counts as Short; a refused one counts
+    under its error's class name, the first of each name noted as (r, message);
+    otherwise the sum of its block T's, taken left to right, is Short below
+    `lower`, Long above `upper` and Medium on or between them. Every replicate
+    is tallied, one whose maximum is not finite too. Returns (the count of each
+    outcome, "Short", "Medium", "Long" or an error's class name; each error's
+    first replicate and message).
     """
-    counts, notes = [0, 0, 0], []
+    counts = dict.fromkeys(("Short", "Medium", "Long", *_ERRORS), 0)
+    firsts = {}
     for r, values in enumerate(draws):
         out = block_statistics_ref(values, k, smallmax)
         if isinstance(out, tuple):
             name, message = out
-            if name == "NonFiniteDrawError":
-                return f"n={n}, replicate {r}: {message}"
-            notes.append(f"replicate {r}: {message}")
+            firsts.setdefault(name, (r, message))
         elif out is None:
-            counts[0] += 1
+            name = "Short"
         else:
             total = left_to_right_sum(out)
-            counts[0 if total < lower else 2 if total > upper else 1] += 1
-    return (*counts, notes)
+            name = "Short" if total < lower else "Long" if total > upper else "Medium"
+        counts[name] += 1
+    return counts, firsts
 
 
 # The catalogue's samplers as one expression per law, each drawing a 1-D replicate on its

@@ -140,6 +140,23 @@ class TestBlockedEquivalence:
         assert str(blocked.value) == str(plain.value)
         assert not str(plain.value).startswith("block")
 
+    @pytest.mark.parametrize("seed", [0, 4, 2**40])
+    def test_k1_shuffle_reads_the_sample_in_order(self, seed, monkeypatch):
+        # no statistic at k = 1 depends on order, so no stream is built to permute it
+        x = draw(parse_spec("exp:1"), 200, SeedSpec(31))
+        expected = blocked_test(x, 1, strategy="sequential")
+
+        def no_stream(*args):
+            raise AssertionError("blocked_test built a stream at k = 1")
+
+        monkeypatch.setattr("tailtest.blocking.make_stream", no_stream)
+        assert blocked_test(x, 1, strategy="shuffle", seed=seed) == expected
+        assert blocked_test(x, 1, seed=seed) == expected
+
+    def test_k1_refuses_an_unknown_strategy(self):
+        with pytest.raises(ValueError, match="^unknown partition strategy 'sorted'$"):
+            blocked_test([1.5, 2.0, 3.0], 1, strategy="sorted")
+
     @given(seed=st.integers(min_value=0, max_value=5000))
     @settings(max_examples=50, deadline=None)
     def test_k1_equivalence_property(self, seed):

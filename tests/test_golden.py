@@ -35,7 +35,7 @@ FAMILY_SPECS = (
 def simulate_commands():
     # n=101 is divisible by neither 5 nor 25, so blocks differ in size by one. The wide,
     # unsorted grid scores n = 100 and 250 on prefixes of the n = 1000 draws; 300
-    # replicates leave the last chunk of every n partial, and JSON keeps the error notes
+    # replicates leave the last chunk of every n partial, and JSON keeps the errors by reason
     return [
         ["simulate", "--dist", dist, "--n", "75,101", "--k", str(k),
          "--smallmax-policy", policy, "--reps", "100", "--seed", "11"]

@@ -175,12 +175,29 @@ class TestAccounting:
         assert row.error_count > 0
         assert row.short_count + row.medium_count + row.long_count + row.error_count == 2000
 
-    def test_error_notes_name_replicates(self):
+    def test_first_refused_is_the_first_replicate_with_a_maximum_at_or_below_zero(self):
+        # under 'raw' a cauchy maximum in (0, 1) is scored, one at or below 0 refused
         plan = small_plan("cauchy", n=(10,), reps=2000)
         row = run_plan(plan).rows[0]
-        assert len(row.error_notes) <= 10
-        assert all(note.startswith("replicate ") for note in row.error_notes)
-        assert "maximum" in row.error_notes[0]
+        assert (row.equal_count, row.first_equal) == (0, None)
+        assert row.refused_count == row.error_count > 0
+        maxima = [draw_sample(plan.spec, 10, make_stream(SeedSpec(7, r))).max()
+                  for r in range(row.first_refused + 1)]
+        assert maxima[-1] <= 0.0 and all(mx > 0.0 for mx in maxima[:-1])
+
+    def test_tally_counts_each_reason_and_its_first_replicate(self, monkeypatch):
+        # handmade replicates of n = 4 in two chunks: under 'error' an all-equal one is
+        # EQUAL, one with its maximum below 1 REFUSED; every other is scored
+        equal, refused = {3, 60, 61}, {10, 70, 71, 99}
+        draws = np.array([[2.0] * 4 if r in equal else [0.1, 0.2, 0.3, 0.4] if r in refused
+                          else [1.5, 2.0, 3.0, 5.0] for r in range(100)])
+        monkeypatch.setattr("tailtest.power.replicate_chunks",
+                            lambda *args: iter([(0, draws[:50]), (50, draws[50:])]))
+        [row] = run_plan(small_plan(n=(4,), reps=100, smallmax_policy="error")).rows
+        assert (row.equal_count, row.first_equal) == (3, 3)
+        assert (row.refused_count, row.first_refused) == (4, 10)
+        assert row.error_count == 7
+        assert row.short_count + row.medium_count + row.long_count == 93 == row.reps - 7
 
     def test_stderr_formula(self):
         row = run_plan(small_plan(reps=500)).rows[0]
@@ -206,13 +223,14 @@ class TestSmallMaxPolicies:
         assert row.error_count == 400
         assert row.short_count == 0
 
-    def test_error_notes_use_public_message(self):
-        # replicate 0 of small_plan draws stream (7, 0)
+    def test_error_policy_tallies_every_replicate_as_refused(self):
+        # replicate 0 of small_plan draws stream (7, 0), which the public test refuses
         row = run_plan(small_plan("uniform", n=(50,), smallmax_policy="error")).rows[0]
         values = draw_sample(parse_spec("uniform"), 50, make_stream(SeedSpec(7, 0)))
-        with pytest.raises(MaxNotAboveOneError) as info:
+        with pytest.raises(MaxNotAboveOneError):
             tail_test(values)
-        assert row.error_notes[0] == f"replicate 0: block 1 of 1: {info.value}"
+        assert (row.refused_count, row.first_refused) == (400, 0)
+        assert (row.equal_count, row.first_equal) == (0, None)
 
     def test_uniform_short_policy_classifies_short(self):
         row = run_plan(small_plan("uniform", n=(50,), smallmax_policy="short")).rows[0]
@@ -344,17 +362,24 @@ class TestEngineMatchesSingleSampleTests:
 
 
 def _reference_row(plan, n):
-    """The RateRow (or abort message) of the one-replicate-at-a-time loop."""
+    """The RateRow of the one-replicate-at-a-time loop, or, when some draw overflowed,
+    the abort message "n=<n>, replicate r: <message>" of the first that did."""
     lower, upper = erlang_criticals(plan.alpha, plan.k_blocks)
     # a new stream per replicate, not the engine's re-keyed one
     draws = (draw_sample(plan.spec, n, make_stream(SeedSpec(plan.base_seed, r)))
              for r in range(plan.reps))
     with np.errstate(over="ignore"):  # a draw may overflow to inf
-        out = oracles.run_row_ref(draws, n, plan.k_blocks, lower, upper, plan.smallmax_policy)
-    if isinstance(out, str):
-        return out
-    short, medium, long, notes = out
-    return RateRow(n, plan.reps, short, medium, long, len(notes), tuple(notes[:10]))
+        counts, firsts = oracles.run_row_ref(draws, plan.k_blocks, lower, upper,
+                                             plan.smallmax_policy)
+    if "NonFiniteDrawError" in firsts:
+        r, message = firsts["NonFiniteDrawError"]
+        return f"n={n}, replicate {r}: {message}"
+    errors = ("DegenerateSampleError", "MaxNotAboveOneError")
+    row = RateRow(n, counts["Short"], counts["Medium"], counts["Long"],
+                  *(counts[name] for name in errors),
+                  *(firsts.get(name, (None,))[0] for name in errors))
+    assert row.reps == plan.reps
+    return row
 
 
 class TestChunkedEngineMatchesReplicateLoop:
@@ -385,15 +410,16 @@ class TestChunkedEngineMatchesReplicateLoop:
             run_plan(plan)
         assert str(info.value) == expected
 
-    def test_first_ten_notes_span_chunks(self):
+    def test_refusals_spanning_chunks_are_all_counted(self):
         # 16 replicates per chunk at n = 1000; under 'error', blocks of 12 and 13 values
-        # refuse about a quarter of exp:1 replicates, so the ten notes kept come from
-        # three chunks and the error count runs on past them
+        # refuse about a quarter of exp:1 replicates, more than one chunk holds, and
+        # the first of them is the row's first_refused
         plan = small_plan("exp:1", n=(1000,), k_blocks=80, reps=100, smallmax_policy="error")
         [row] = run_plan(plan).rows
         assert row == _reference_row(plan, 1000)
-        assert row.error_count > 10 and len(row.error_notes) == 10
-        assert row.error_notes[-1].startswith("replicate 42: block 43 of 80: ")
+        assert (row.equal_count, row.first_equal) == (0, None)
+        assert row.refused_count == row.error_count > 16
+        assert row.first_refused < 16
 
     @pytest.mark.parametrize("policy", SMALLMAX_POLICIES)
     @pytest.mark.parametrize("k", [1, 5, 25])
@@ -486,6 +512,19 @@ class TestJointLoop:
         with pytest.raises(NonFiniteDrawError) as info:
             run_plan(plan)
         assert str(info.value) == _reference_row(plan, 40)
+
+    def test_an_aborting_plan_makes_one_pass(self, monkeypatch):
+        # the tally keeps each n's first overflow, so naming n = 40 reruns nothing
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return replicate_chunks(*args)
+
+        monkeypatch.setattr("tailtest.power.replicate_chunks", counted)
+        with pytest.raises(NonFiniteDrawError, match="^n=40, replicate 915: "):
+            run_plan(small_plan("pareto:0.02", n=(40, 3000), reps=1000, base_seed=0))
+        assert len(calls) == 1
 
 
 def _peak_bytes(plan):
