@@ -17,9 +17,12 @@ from .base import (
 )
 from .blocking import (
     BlockedTestResult,
+    Sample,
+    TailTestResult,
     blocked_test,
     partition,
     recommend_blocks,
+    shift_sample,
     tail_test,
 )
 from .bryson import (
@@ -43,11 +46,6 @@ from .power import (
     run_plan,
 )
 from .rng import SeedSpec, erlang_tails, make_stream
-from .tail_test import (
-    Sample,
-    TailTestResult,
-    shift_sample,
-)
 
 __version__ = "0.1.0"
 

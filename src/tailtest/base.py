@@ -40,6 +40,14 @@ def check_integer(name: str, value, least: int | None = None) -> int:
     return int(value)
 
 
+def check_sequence(name: str, values) -> tuple:
+    """values as a tuple; a str, bytes or a value that cannot be iterated, a number say, is
+    refused with an error naming it (tuple() reads a str one character at a time)."""
+    if isinstance(values, (str, bytes)) or not np.iterable(values):
+        raise ValueError(f"{name} must be a sequence, got {values!r}")
+    return tuple(values)
+
+
 def read_text(name: str, text: str, read, path=None):
     """read(text); a ValueError from it becomes "could not parse --name='text'" for an option
     (path None) or "{path}: could not parse name='text'" for a plan file's key."""
@@ -80,7 +88,7 @@ def float_label(x: float) -> str:
     return f"{x:g}" if float(f"{x:g}") == x else repr(x)
 
 
-# Outcome codes. tail_test.spacing_rows gives a row SCORED when its T stands, else SHORT
+# Outcome codes. blocking.spacing_rows gives a row SCORED when its T stands, else SHORT
 # by the small-maximum rule or an error: all values EQUAL, maximum REFUSED or NONFINITE.
 SCORED, SHORT, MEDIUM, LONG, EQUAL, REFUSED, NONFINITE = range(7)
 _CLASS = np.array([SHORT, MEDIUM, LONG, MEDIUM])  # by the number of edges below, as in classify

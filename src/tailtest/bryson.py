@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import NONFINITE, TailClass, check_alpha, check_integer, decide
+from .base import NONFINITE, TailClass, check_alpha, check_integer, check_sequence, decide
+from .blocking import as_sample, verdict
 from .distributions import DistributionSpec, format_spec, nonnegative, replicate_chunks
 from .rng import SeedSpec, make_stream
-from .tail_test import as_sample, verdict
 
 DEFAULT_PROBS = (0.025, 0.05, 0.95, 0.975)
 _BOOTSTRAP_RESAMPLES = 200
@@ -154,6 +154,7 @@ def simulate_bryson_quantiles(
     the bootstrap holds 16 resamples of `reps` values, not 200. Only laws on
     [0, inf) are accepted, since T* needs nonnegative data.
     """
+    probs = check_sequence("probs", probs)
     for p in probs:
         if not 0.0 < p < 1.0:
             raise ValueError(f"quantile probs must lie in (0, 1), got {p}")

@@ -18,12 +18,10 @@ from contextlib import nullcontext
 import numpy as np
 
 from .base import DatasetError, TailClass, float_label, listed, read_text, text_lines
-from .blocking import blocked_test, tail_test
+from .blocking import SMALLMAX_POLICIES, blocked_test, shift_sample, tail_test
 from .bryson import DEFAULT_PROBS, MIN_TABLE_REPS, bryson_test, simulate_bryson_quantiles
 from .distributions import parse_spec
-from .power import MIN_PLAN_REPS, PLAN_KEYS, SMALLMAX_POLICIES, emit_table, parse_plan_file
-from .power import read_plan, run_plan
-from .tail_test import shift_sample
+from .power import MIN_PLAN_REPS, PLAN_KEYS, emit_table, parse_plan_file, read_plan, run_plan
 
 _EXIT_CODE = {TailClass.MEDIUM: 0, TailClass.SHORT: 2, TailClass.LONG: 3}
 

@@ -12,7 +12,7 @@ each total Short, Medium or Long, as it does for the single-sample tests. A
 replicate with a nonzero outcome code takes its first such code instead: Short,
 or an error. Each n keeps one tally: a bincount per chunk of the codes, and the
 first replicate of each error code with its maximum. After the one pass, run_plan
-raises tail_test.verdict's overflow error for the first n, in grid order, that met
+raises blocking.verdict's overflow error for the first n, in grid order, that met
 a draw overflowed to inf. Every count is the one drawing and scoring each replicate
 alone at each n gives.
 """
@@ -26,15 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import EQUAL, NONFINITE, REFUSED, SHORT, NonFiniteDrawError
-from .base import check_alpha, check_integer, classify, float_label, read_text, text_lines
-from .blocking import block_scores, block_sizes
+from .base import EQUAL, NONFINITE, REFUSED, SHORT, NonFiniteDrawError, check_alpha
+from .base import check_integer, check_sequence, classify, float_label, read_text, text_lines
+from .blocking import SMALLMAX_POLICIES, block_scores, block_sizes, verdict
 from .distributions import DistributionSpec, chunk_rows, format_spec, parse_spec
 from .distributions import replicate_chunks
 from .rng import SeedSpec, erlang_criticals
-from .tail_test import _RULE, verdict
 
-SMALLMAX_POLICIES = tuple(_RULE)
 MIN_PLAN_REPS = 100  # fewer replicates give no usable rejection rate
 
 
@@ -42,7 +40,7 @@ MIN_PLAN_REPS = 100  # fewer replicates give no usable rejection rate
 class SimulationPlan:
     """What to simulate: a law, sample sizes, and the test on k consecutive blocks.
 
-    smallmax_policy is passed to tail_test.spacing_rows, which states the
+    smallmax_policy is passed to blocking.spacing_rows, which states the
     rule for a (block) maximum not above 1; a replicate it refuses is tallied
     as an error, one it calls Short as Short. 'raw' is the default.
     """
@@ -58,7 +56,8 @@ class SimulationPlan:
     def __post_init__(self) -> None:
         if not isinstance(self.spec, DistributionSpec):
             raise ValueError(f"spec must be a DistributionSpec, got {self.spec!r}")
-        n_grid = tuple(check_integer("each n of n_grid", n) for n in self.n_grid)
+        n_grid = tuple(check_integer("each n of n_grid", n)
+                       for n in check_sequence("n_grid", self.n_grid))
         object.__setattr__(self, "n_grid", n_grid)
         object.__setattr__(self, "k_blocks", check_integer("k_blocks", self.k_blocks))
         object.__setattr__(self, "reps", check_integer("reps", self.reps, MIN_PLAN_REPS))
@@ -125,9 +124,14 @@ class RateRow:
 
 @dataclass(frozen=True)
 class SimulationReport:
-    dist: str
+    """The rows run_plan gave for a plan, one per n of its grid, in grid order."""
+
     plan: SimulationPlan
     rows: tuple[RateRow, ...]
+
+    @property
+    def dist(self) -> str:  # the plan's law, in parse_spec's words
+        return format_spec(self.plan.spec)
 
 
 def _run_rows(plan: SimulationPlan):
@@ -187,7 +191,7 @@ def run_plan(plan: SimulationPlan, threads: int = 1) -> SimulationReport:
     if overflows:
         n, r, mx = overflows[0]
         raise NonFiniteDrawError(f"n={n}, replicate {r}: {verdict(NONFINITE, mx)}")
-    return SimulationReport(dist=format_spec(plan.spec), plan=plan, rows=rows)
+    return SimulationReport(plan=plan, rows=rows)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from tailtest import (
     tail_test,
 )
 from tailtest.base import SHORT
-from tailtest.tail_test import verdict
+from tailtest.blocking import verdict
 from tailtest.blocking import block_scores, block_sizes
 from tailtest.cli import read_dataset
 from tailtest.distributions import parse_spec, sample as draw

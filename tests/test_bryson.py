@@ -1,5 +1,6 @@
 """Bryson's T* statistic and its simulated null quantile tables."""
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -180,6 +181,17 @@ class TestQuantileTables:
     def test_prob_validation(self):
         with pytest.raises(ValueError):
             simulate_bryson_quantiles(parse_spec("exp:1"), 50, reps=1000, probs=(0.0, 0.9))
+
+    @pytest.mark.parametrize("probs", [0.5, "0.5", np.float64(0.5)], ids=["float", "text", "numpy"])
+    def test_rejects_probs_that_are_no_sequence(self, probs, monkeypatch):
+        # once a TypeError from iterating a float, or from comparing the text's characters
+        def no_draws(*args):
+            raise AssertionError("drew before checking probs")
+
+        monkeypatch.setattr("tailtest.bryson.replicate_chunks", no_draws)
+        message = f"probs must be a sequence, got {probs!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            simulate_bryson_quantiles(EXP, 50, reps=1000, probs=probs)
 
     def test_custom_law(self):
         t = simulate_bryson_quantiles(parse_spec("gamma:2"), 30, reps=1500, seed=5)

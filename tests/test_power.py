@@ -6,7 +6,7 @@ import math
 import re
 import sys
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,7 @@ from tailtest.blocking import block_scores, block_sizes
 from tailtest.distributions import parse_spec, replicate_chunks
 from tailtest.power import CSV_HEADER, SMALLMAX_POLICIES, RateRow
 from tailtest.base import EQUAL, NONFINITE, REFUSED, SCORED, SHORT
-from tailtest.tail_test import spacing_rows, verdict
+from tailtest.blocking import spacing_rows, verdict
 from tailtest.distributions import sample as draw_sample
 from tailtest.rng import SeedSpec, erlang_criticals, erlang_tails, make_stream
 
@@ -79,6 +79,20 @@ class TestPlanValidation:
         # base seed's message names it as every command's option does: "seed"
         with pytest.raises(ValueError, match=f"^(each n of )?{field.removeprefix('base_')}"):
             small_plan(**{"n" if field == "n_grid" else field: value})
+
+    @pytest.mark.parametrize("n_grid", [100, "100", b"100", np.int64(100), np.array(100), None],
+                             ids=["int", "text", "bytes", "numpy_int", "numpy_0d", "none"])
+    def test_rejects_a_grid_that_is_no_sequence(self, n_grid):
+        # once a TypeError ("'int' object is not iterable"), or text read one character
+        # at a time: "each n of n_grid must be an integer, got '1'"
+        message = f"n_grid must be a sequence, got {n_grid!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SimulationPlan(spec=parse_spec("exp:1"), n_grid=n_grid)
+
+    @pytest.mark.parametrize("n_grid", [[50, 100], (n for n in (50, 100)), np.array([50, 100])],
+                             ids=["list", "generator", "numpy"])
+    def test_any_iterable_grid_is_stored_as_a_tuple(self, n_grid):
+        assert SimulationPlan(spec=parse_spec("exp:1"), n_grid=n_grid).n_grid == (50, 100)
 
     def test_numpy_integers_are_stored_as_int(self):
         plan = small_plan(n=(np.int64(50),), k_blocks=np.int32(2), reps=np.int64(200),
@@ -613,6 +627,12 @@ class TestEmitters:
         assert lines[1].count("---") == 5
         assert len(lines) == 4  # header, rule, n=50, n=100
         assert lines[3].split("|")[4].strip() == ""  # pareto has no n=100 row
+
+    def test_dist_is_read_from_the_plan(self):
+        # once a stored copy of the plan's law, which a report with another plan kept
+        report = run_plan(small_plan("pareto:1", reps=400))
+        assert report.dist == "pareto:1" and "dist" not in vars(report)
+        assert replace(report, plan=small_plan("loggamma:0.5,1", reps=400)).dist == "loggamma:0.5,1"
 
     @pytest.mark.parametrize("fmt", ["xml", "markdown", "CSV"])
     def test_unknown_format(self, fmt):

@@ -1,8 +1,10 @@
-"""Source hygiene of src/tailtest: no unused import, no unreferenced private name.
+"""Source hygiene of src/tailtest: no unused import, no unreferenced private name, no
+private name imported across modules, no package name that hides a submodule.
 
-No linter ships with the test dependencies, so these two checks stand in for one
-and keep code that nothing uses from lingering after a refactor. An import on a
-line marked `# noqa: F401` is kept for its side effect and is exempt.
+No linter ships with the test dependencies, so these checks stand in for one and
+keep code that nothing uses from lingering after a refactor. An import on a line
+marked `# noqa: F401` is kept for its side effect and is exempt. A private name
+belongs to its module: one another module needs is public, or lives with it.
 """
 import ast
 from pathlib import Path
@@ -65,6 +67,24 @@ def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
             if name.startswith("_") and not name.startswith("__") and name not in named]
 
 
+def private_imports(source: str) -> list[str]:
+    """The private names (one leading underscore) a module imports from another."""
+    return [alias.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+            if alias.name.startswith("_") and not alias.name.startswith("__")]
+
+
+def bound_names(source: str) -> set[str]:
+    """Every name a module binds at top level: imports, functions, classes, assignments."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        else:
+            names |= set(top_level_names(node))
+    return names
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -73,6 +93,31 @@ def test_module_uses_every_import(path):
 def test_every_private_name_is_referenced():
     sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
     assert unreferenced_private_names(sources) == []
+
+
+def test_no_module_imports_a_private_name():
+    imported = {path.name: private_imports(path.read_text(encoding="utf-8")) for path in MODULES}
+    assert {module: names for module, names in imported.items() if names} == {}
+
+
+def test_no_package_name_hides_a_submodule():
+    # `import tailtest.m` binds tailtest.m to the submodule until __init__ rebinds the
+    # name, so tailtest.m.anything fails where the package exports a function m
+    submodules = {path.stem for path in MODULES} - {"__init__", "__main__"}
+    assert bound_names((SRC / "__init__.py").read_text(encoding="utf-8")) & submodules == set()
+
+
+def test_import_checks_find_what_they_look_for():
+    source = (
+        "import os.path\n"
+        "from .base import _RULE, __version__, check\n"
+        "from . import _private as alias\n"
+        "_LIMIT, LIMIT = 3, 4\n"
+        "def tail_test():\n    return _RULE\n"
+    )
+    assert private_imports(source) == ["_RULE", "_private"]
+    assert bound_names(source) == {
+        "os", "_RULE", "__version__", "check", "alias", "_LIMIT", "LIMIT", "tail_test"}
 
 
 def test_checks_find_what_they_look_for():

@@ -19,7 +19,7 @@ from tailtest import (
 from tailtest.base import EQUAL, REFUSED, SCORED, SHORT, decide
 from tailtest.distributions import parse_spec, sample as draw
 from tailtest.rng import SeedSpec, erlang_criticals
-from tailtest.tail_test import spacing_rows, verdict
+from tailtest.blocking import spacing_rows, verdict
 
 from . import oracles
 
