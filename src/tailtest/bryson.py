@@ -155,8 +155,14 @@ def simulate_bryson_quantiles(
     [0, inf) are accepted, since T* needs nonnegative data.
     """
     probs = check_sequence("probs", probs)
+    if not probs:
+        raise ValueError("probs must name at least one quantile, got ()")
     for p in probs:
-        if not 0.0 < p < 1.0:
+        try:
+            inside = 0.0 < p < 1.0
+        except TypeError:
+            raise ValueError(f"probs must be numbers, got {p!r}") from None
+        if not inside:
             raise ValueError(f"quantile probs must lie in (0, 1), got {p}")
     stats = _null_stats(spec, n, reps, seed)
 

@@ -247,7 +247,7 @@ def main(argv=None) -> int:
         for name, read in args.read.items():  # each command's option texts, by their readers
             setattr(args, name, read_text(name, getattr(args, name), read))
         return args.func(args)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"tailtest: error: {exc}", file=sys.stderr)
         return 1
 

@@ -182,14 +182,22 @@ class TestQuantileTables:
         with pytest.raises(ValueError):
             simulate_bryson_quantiles(parse_spec("exp:1"), 50, reps=1000, probs=(0.0, 0.9))
 
-    @pytest.mark.parametrize("probs", [0.5, "0.5", np.float64(0.5)], ids=["float", "text", "numpy"])
-    def test_rejects_probs_that_are_no_sequence(self, probs, monkeypatch):
-        # once a TypeError from iterating a float, or from comparing the text's characters
+    @pytest.mark.parametrize(("probs", "message"), [
+        (0.5, "probs must be a sequence, got 0.5"),
+        ("0.5", "probs must be a sequence, got '0.5'"),
+        (np.float64(0.5), f"probs must be a sequence, got {np.float64(0.5)!r}"),
+        ((), "probs must name at least one quantile, got ()"),
+        (("0.5",), "probs must be numbers, got '0.5'"),
+        ((0.5, None), "probs must be numbers, got None"),
+        ((0.5, 1.0), "quantile probs must lie in (0, 1), got 1.0"),
+    ], ids=["float", "text", "numpy", "empty", "text-element", "none-element", "out-of-range"])
+    def test_rejects_bad_probs_before_any_draw(self, probs, message, monkeypatch):
+        # once a TypeError from iterating a float or from comparing text, and an empty
+        # table after every draw and bootstrap
         def no_draws(*args):
             raise AssertionError("drew before checking probs")
 
         monkeypatch.setattr("tailtest.bryson.replicate_chunks", no_draws)
-        message = f"probs must be a sequence, got {probs!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             simulate_bryson_quantiles(EXP, 50, reps=1000, probs=probs)
 

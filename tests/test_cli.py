@@ -824,6 +824,15 @@ class TestUsageErrors:
 
         assert set(_EXIT_CODE.values()) == {0, 2, 3}
 
+    def test_a_key_error_is_a_bug_and_keeps_its_traceback(self, monkeypatch):
+        # no command raises KeyError on purpose, so main does not turn one into exit 1
+        def lookup_fails(path):
+            raise KeyError("missing")
+
+        monkeypatch.setattr("tailtest.cli.read_dataset", lookup_fails)
+        with pytest.raises(KeyError, match="missing"):
+            main(["test", str(DATA / "fibers.txt")])
+
 
 def run_fresh(*args):
     """Run a fresh interpreter with src/ first on its path."""

@@ -11,17 +11,19 @@ from pathlib import Path
 
 import pytest
 
+import tailtest
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "tailtest"
 MODULES = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
-    """Names a module imports and never reads; a name listed in __all__ counts as read."""
+    """Names a module imports and never reads; a name listed in a literal __all__ counts as read."""
     tree = ast.parse(source)
     lines = source.splitlines()
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.List) and any(
                 isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets):
             read |= {elt.value for elt in node.value.elts}
     unused = []
@@ -74,15 +76,9 @@ def private_imports(source: str) -> list[str]:
             if alias.name.startswith("_") and not alias.name.startswith("__")]
 
 
-def bound_names(source: str) -> set[str]:
-    """Every name a module binds at top level: imports, functions, classes, assignments."""
-    names = set()
-    for node in ast.parse(source).body:
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            names |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
-        else:
-            names |= set(top_level_names(node))
-    return names
+def hiding_names(public, paths) -> set[str]:
+    """The package's public names that are also the names of its submodules."""
+    return set(public) & ({path.stem for path in paths} - {"__init__", "__main__"})
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
@@ -101,10 +97,9 @@ def test_no_module_imports_a_private_name():
 
 
 def test_no_package_name_hides_a_submodule():
-    # `import tailtest.m` binds tailtest.m to the submodule until __init__ rebinds the
-    # name, so tailtest.m.anything fails where the package exports a function m
-    submodules = {path.stem for path in MODULES} - {"__init__", "__main__"}
-    assert bound_names((SRC / "__init__.py").read_text(encoding="utf-8")) & submodules == set()
+    # `import tailtest.m` binds tailtest.m to the submodule, so a public name m would then
+    # read as the module, not the object __getattr__ loads from it
+    assert hiding_names(tailtest.__all__, MODULES) == set()
 
 
 def test_import_checks_find_what_they_look_for():
@@ -116,8 +111,8 @@ def test_import_checks_find_what_they_look_for():
         "def tail_test():\n    return _RULE\n"
     )
     assert private_imports(source) == ["_RULE", "_private"]
-    assert bound_names(source) == {
-        "os", "_RULE", "__version__", "check", "alias", "_LIMIT", "LIMIT", "tail_test"}
+    paths = [SRC / "__init__.py", SRC / "blocking.py", SRC / "tail_test.py"]
+    assert hiding_names(["blocked_test", "tail_test"], paths) == {"tail_test"}
 
 
 def test_checks_find_what_they_look_for():
@@ -136,5 +131,6 @@ def test_checks_find_what_they_look_for():
         "def _used():\n    return 1\n"
     )
     assert unused_imports(source) == ["math", "separator"]
+    assert unused_imports("import os\n__all__ = sorted(_NAMES)\n") == ["os"]
     assert unreferenced_private_names({"m.py": source}) == [
         "m.py:_SCALE", "m.py:_Unused", "m.py:_helper"]
