@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 
 import numpy as np
 
@@ -23,8 +24,8 @@ class TailClass(str, enum.Enum):
 
 
 def check_alpha(alpha: float) -> float:
-    """The one-sided level as a float; it must lie in (0, 0.5)."""
-    alpha = float(alpha)
+    """The one-sided level as a float (check_real); it must lie in (0, 0.5)."""
+    alpha = check_real("alpha", alpha)
     if not 0.0 < alpha < 0.5:
         raise ValueError(f"alpha must lie in (0, 0.5), got {alpha}")
     return alpha
@@ -38,6 +39,14 @@ def check_integer(name: str, value, least: int | None = None) -> int:
     if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
     return int(value)
+
+
+def check_real(name: str, value) -> float:
+    """value as a float; what is no real number, a str, bytes, None or a bool say, is refused
+    with an error naming it, as check_integer refuses a float (float() reads text and bools)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def check_sequence(name: str, values) -> tuple:

@@ -16,15 +16,14 @@ returns: Short, or the error verdict gives.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .base import BlockTooSmallError, DegenerateSampleError, MaxNotAboveOneError
-from .base import NonFiniteDrawError, TailClass, check_alpha, check_integer, decide
+from .base import NonFiniteDrawError, TailClass, check_alpha, check_integer, check_real, decide
 from .base import EQUAL, NONFINITE, REFUSED, SCORED, SHORT, listed
-from .rng import erlang_criticals, erlang_tails, make_stream
+from .rng import SeedSpec, erlang_criticals, erlang_tails, make_stream
 
 
 @dataclass(frozen=True)
@@ -40,8 +39,8 @@ def shift_sample(values, mode=None) -> Sample:
     """Build a Sample, optionally shifting: mode None (no shift), "min", or a real number.
 
     "min" subtracts the smallest observation (leaving it at exactly 0);
-    a number c subtracts c from every value. Any other str, and a bool, is refused:
-    cli._shift is the one reader of --shift's words.
+    a number c subtracts c from every value. Anything else check_real refuses, any
+    other str and a bool too: cli._shift is the one reader of --shift's words.
     """
     arr = np.asarray(values, dtype=float).reshape(-1)
     if arr.size == 0:
@@ -54,10 +53,8 @@ def shift_sample(values, mode=None) -> Sample:
         shift = 0.0
     elif mode == "min":
         shift = float(arr.min())
-    elif isinstance(mode, numbers.Real) and not isinstance(mode, bool):
-        shift = float(mode)
     else:
-        raise ValueError(f"shift must be None, 'min' or a real number, got {mode!r}")
+        shift = check_real("shift", mode)
 
     with np.errstate(over="ignore"):  # x - 0.0 is x, -0.0 included: a copy when unshifted
         shifted = arr - shift
@@ -199,10 +196,11 @@ def partition(sample, k: int, strategy: str = "shuffle", seed: int = 0) -> list[
 
 
 def _arrange(sample, k: int, strategy: str, seed: int, shuffle: bool = True):
-    """The Sample, its values in block order (read-only) and the block sizes; with
-    `shuffle` False the values stay in order under either strategy."""
+    """The Sample, its values in block order (read-only) and the block sizes; with `shuffle`
+    False the values stay in order under either strategy, and the seed is checked all the same."""
     s = as_sample(sample)
     sizes = block_sizes(s.n, k)
+    seed = SeedSpec(seed)
     if strategy not in ("sequential", "shuffle"):
         raise ValueError(f"unknown partition strategy {strategy!r}")
     if strategy == "shuffle" and shuffle:
@@ -285,11 +283,8 @@ def blocked_test(
 
 def tail_test(sample, alpha: float = 0.05) -> TailTestResult:
     """Run the spacing test on a sample (n >= 3, maximum > 1): blocked_test on one
-    block, in order, read as the plain result."""
-    try:
-        res = blocked_test(sample, 1, alpha, strategy="sequential")
-    except BlockTooSmallError:
-        raise ValueError(f"need at least 3 values to test, got n={as_sample(sample).n}") from None
+    block, in order, read as the plain result; it refuses what blocked_test does, n < 3 too."""
+    res = blocked_test(sample, 1, alpha, strategy="sequential")
     spacing = res.spacings[0]
     return TailTestResult(
         t_stat=res.sum_stat, theta_hat=res.theta_hats[0], spacing=spacing,

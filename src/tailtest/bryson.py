@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import NONFINITE, TailClass, check_alpha, check_integer, check_sequence, decide
+from .base import NONFINITE, TailClass, check_alpha, check_integer, check_real, check_sequence
+from .base import decide
 from .blocking import as_sample, verdict
 from .distributions import DistributionSpec, format_spec, nonnegative, replicate_chunks
 from .rng import SeedSpec, make_stream
@@ -154,15 +155,11 @@ def simulate_bryson_quantiles(
     the bootstrap holds 16 resamples of `reps` values, not 200. Only laws on
     [0, inf) are accepted, since T* needs nonnegative data.
     """
-    probs = check_sequence("probs", probs)
+    probs = tuple(check_real("probs", p) for p in check_sequence("probs", probs))
     if not probs:
         raise ValueError("probs must name at least one quantile, got ()")
     for p in probs:
-        try:
-            inside = 0.0 < p < 1.0
-        except TypeError:
-            raise ValueError(f"probs must be numbers, got {p!r}") from None
-        if not inside:
+        if not 0.0 < p < 1.0:
             raise ValueError(f"quantile probs must lie in (0, 1), got {p}")
     stats = _null_stats(spec, n, reps, seed)
 
@@ -184,7 +181,7 @@ def simulate_bryson_quantiles(
         n=int(n),
         reps=int(reps),
         seed=int(seed),
-        probs=tuple(float(p) for p in probs),
+        probs=probs,
         quantiles=tuple(float(q) for q in qs),
         stderrs=tuple(float(e) for e in errs),
     )

@@ -22,6 +22,7 @@ from .blocking import SMALLMAX_POLICIES, blocked_test, shift_sample, tail_test
 from .bryson import DEFAULT_PROBS, MIN_TABLE_REPS, bryson_test, simulate_bryson_quantiles
 from .distributions import parse_spec
 from .power import MIN_PLAN_REPS, PLAN_KEYS, emit_table, parse_plan_file, read_plan, run_plan
+from .rng import SeedSpec
 
 _EXIT_CODE = {TailClass.MEDIUM: 0, TailClass.SHORT: 2, TailClass.LONG: 3}
 
@@ -90,6 +91,7 @@ def _text(value) -> str:
 
 
 def _cmd_test(args) -> int:
+    SeedSpec(args.block_seed)  # at every --blocks: tail_test takes no seed
     values, skipped = read_dataset(args.path)
     if args.negate:
         values = -values

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .base import check_integer, float_label
+from .base import check_integer, check_real, check_sequence, float_label
 from .rng import SeedSpec, make_stream
 
 _EULER = 0.5772156649015329  # Euler-Mascheroni constant
@@ -32,7 +32,7 @@ class DistributionSpec:
     def __post_init__(self) -> None:
         fam = _lookup(self.family)
         object.__setattr__(self, "family", fam.key)
-        params = tuple(float(p) for p in self.params)
+        params = tuple(check_real("params", p) for p in check_sequence("params", self.params))
         object.__setattr__(self, "params", params)
         if len(params) != len(fam.param_names):
             names = ",".join(fam.param_names) or "none"

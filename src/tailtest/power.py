@@ -134,8 +134,15 @@ class SimulationReport:
         return format_spec(self.plan.spec)
 
 
-def _run_rows(plan: SimulationPlan):
-    """Each n's RateRow, and (n, replicate, maximum) of each n's first overflow, in grid order."""
+def run_plan(plan: SimulationPlan, threads: int = 1) -> SimulationReport:
+    """Run every (n, replicate) cell of the plan in one pass; deterministic in base_seed.
+
+    Once the pass ends, a draw that overflowed to inf raises NonFiniteDrawError from the
+    tally: for the first n in grid order that met one, at its first such replicate.
+    Replicates run one after another in the calling thread. `threads` is kept for callers
+    that pass it; it must be an integer >= 1 and changes neither the output nor the speed.
+    """
+    check_integer("threads", threads, 1)
     k, policy = plan.k_blocks, plan.smallmax_policy
     lower, upper = erlang_criticals(plan.alpha, k)
     top = max(plan.n_grid)
@@ -172,26 +179,14 @@ def _run_rows(plan: SimulationPlan):
             if filled[n]:
                 score(n, plan.reps - filled[n], buffer[:filled[n]])
 
-    rows = tuple(RateRow(n, *counts[n][SHORT:NONFINITE].tolist(),
-                         *(firsts[n].get(code, (None,))[0] for code in (EQUAL, REFUSED)))
-                 for n in plan.n_grid)
-    return rows, [(n, *firsts[n][NONFINITE]) for n in plan.n_grid if NONFINITE in firsts[n]]
-
-
-def run_plan(plan: SimulationPlan, threads: int = 1) -> SimulationReport:
-    """Run every (n, replicate) cell of the plan in one pass; deterministic in base_seed.
-
-    A draw that overflowed to inf raises NonFiniteDrawError once the pass ends, for the
-    first n in grid order that met one, at its first such replicate. Replicates run one
-    after another in the calling thread. `threads` is kept for callers that pass it; it
-    must be an integer >= 1 and changes neither the output nor the speed.
-    """
-    check_integer("threads", threads, 1)
-    rows, overflows = _run_rows(plan)
-    if overflows:
-        n, r, mx = overflows[0]
-        raise NonFiniteDrawError(f"n={n}, replicate {r}: {verdict(NONFINITE, mx)}")
-    return SimulationReport(plan=plan, rows=rows)
+    for n in plan.n_grid:
+        if NONFINITE in firsts[n]:
+            r, mx = firsts[n][NONFINITE]
+            raise NonFiniteDrawError(f"n={n}, replicate {r}: {verdict(NONFINITE, mx)}")
+    return SimulationReport(plan=plan, rows=tuple(
+        RateRow(n, *counts[n][SHORT:NONFINITE].tolist(),
+                *(firsts[n].get(code, (None,))[0] for code in (EQUAL, REFUSED)))
+        for n in plan.n_grid))
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +204,8 @@ def emit_table(reports, fmt: str = "csv") -> str:
     carries the full provenance: each row's tally fields and the rates derived from them.
     """
     reports = [reports] if isinstance(reports, SimulationReport) else list(reports)
-    emit = {"csv": _emit_csv, "json": _emit_json, "md": _emit_markdown}.get(fmt)
+    emitters = {"csv": _emit_csv, "json": _emit_json, "md": _emit_markdown}
+    emit = emitters.get(fmt) if isinstance(fmt, str) else None  # a list is unhashable
     if emit is None:
         raise ValueError(f"unknown format {fmt!r}; use csv, json, or md")
     return emit(reports)

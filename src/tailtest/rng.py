@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import check_alpha, check_integer
+from .base import check_alpha, check_integer, check_real
 
 _UINT64_MAX = 2**64 - 1
 
@@ -60,7 +60,7 @@ def erlang_tails(x: float, k: int) -> tuple[float, float]:
     tail is exp(-x) to the bit.
     """
     k = check_integer("shape k", k, 1)
-    x = float(x)
+    x = check_real("x", x)
     if math.isnan(x) or x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
     if x == 0.0:

@@ -187,8 +187,8 @@ class TestQuantileTables:
         ("0.5", "probs must be a sequence, got '0.5'"),
         (np.float64(0.5), f"probs must be a sequence, got {np.float64(0.5)!r}"),
         ((), "probs must name at least one quantile, got ()"),
-        (("0.5",), "probs must be numbers, got '0.5'"),
-        ((0.5, None), "probs must be numbers, got None"),
+        (("0.5",), "probs must be a real number, got '0.5'"),
+        ((0.5, None), "probs must be a real number, got None"),
         ((0.5, 1.0), "quantile probs must lie in (0, 1), got 1.0"),
     ], ids=["float", "text", "numpy", "empty", "text-element", "none-element", "out-of-range"])
     def test_rejects_bad_probs_before_any_draw(self, probs, message, monkeypatch):

@@ -237,6 +237,14 @@ class TestTestCommand:
         assert captured.err == (
             "tailtest: error: shift -1e+308 leaves non-finite values at position(s) 1\n")
 
+    @pytest.mark.parametrize("blocks", ["1", "2"])
+    def test_two_values_exit_one_in_one_message(self, blocks, write_dataset, capsys):
+        # block_sizes' words at every k; at k = 1 once "need at least 3 values to test, got n=2"
+        code = main(["test", write_dataset([5.0, 7.0]), "--blocks", blocks])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == "tailtest: error: n=2 is below the 3-point minimum of a block\n"
+
     def test_negate_tests_left_tail(self, write_dataset):
         negated = write_dataset([-v for v in LONG], name="neg.txt")
         plain = write_dataset(LONG, name="plain.txt")
@@ -568,6 +576,10 @@ def test_options_read_as_plan_keys(key, text, tmp_path, monkeypatch, capsys):
     ["simulate", "--dist", "exp:1", "--n", "50", "--seed", "-1"],
     ["simulate", "--plan", "PLAN"],
     ["test", str(DATA / "claims.txt"), "--blocks", "5", "--block-seed", "-1"],
+    # a block seed is checked whatever the strategy and k: these once exited 2 with a decision
+    ["test", str(DATA / "claims.txt"), "--blocks", "5", "--block-strategy", "sequential",
+     "--block-seed", "-1"],
+    ["test", str(DATA / "claims.txt"), "--block-seed", "-1"],
     ["bryson", str(DATA / "claims.txt"), "--seed", "-1"],
     ["bryson-quantiles", "--dist", "exp:1", "--n", "50", "--seed", "-1"],
 ])

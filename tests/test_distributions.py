@@ -107,6 +107,15 @@ class TestParseFormat:
         with pytest.raises(ValueError):
             parse_spec(bad)
 
+    @pytest.mark.parametrize("family,params", [
+        ("loggamma", "12"), ("pareto", b"1"), ("pareto", 2.0), ("exp", [True]), ("pareto", ("x",)),
+    ])
+    def test_spec_refuses_params_that_are_no_real_numbers(self, family, params):
+        # once read by float() one element at a time: "12" ran as loggamma:1,2, b"1" as
+        # pareto:49 (its byte), [True] as exp:1, and 2.0 raised TypeError
+        with pytest.raises(ValueError, match=r"^params must be a (sequence|real number), got "):
+            DistributionSpec(family, params)
+
     @pytest.mark.parametrize("x,label", [
         (0.05, "0.05"), (0.0123457, "0.0123457"), (0.0123456789, "0.0123456789"),
         (0.0250000001, "0.0250000001"), (123456789.0, "123456789.0"), (np.float64(0.1), "0.1"),

@@ -31,7 +31,7 @@ from tailtest import (
 )
 from tailtest.base import BlockTooSmallError, decide
 from tailtest.bryson import bryson_test, simulate_bryson_quantiles
-from tailtest.blocking import block_scores, block_sizes
+from tailtest.blocking import block_scores, block_sizes, partition, shift_sample
 from tailtest.distributions import parse_spec, replicate_chunks
 from tailtest.power import CSV_HEADER, SMALLMAX_POLICIES, RateRow
 from tailtest.base import EQUAL, NONFINITE, REFUSED, SCORED, SHORT
@@ -112,11 +112,11 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SimulationPlan(spec=spec, n_grid=(50,))
 
-    @pytest.mark.parametrize("alpha", [np.float32(0.05), "0.05", np.float64(0.05)],
-                             ids=["float32", "text", "float64"])
+    @pytest.mark.parametrize("alpha", [np.float32(0.05), np.float64(0.05)],
+                             ids=["float32", "float64"])
     def test_alpha_is_stored_as_the_float_it_checked(self, alpha):
-        # once kept as given: a float32 made the JSON emitter raise TypeError, and text
-        # was written to the JSON as the string "0.05"
+        # once kept as given: a float32 made the JSON emitter raise TypeError. Text, once
+        # written to the JSON as the string "0.05", is refused (test_real_arguments_...)
         plan = small_plan(alpha=alpha)
         assert type(plan.alpha) is float and plan.alpha == float(alpha)
         [report] = json.loads(emit_table(run_plan(plan), "json"))["reports"]
@@ -134,6 +134,12 @@ class TestPlanValidation:
     (lambda: SeedSpec(0, True), "stream_id must be an integer, got True$"),
     (lambda: small_plan(base_seed=True), "seed must be an integer, got True$"),
     (lambda: blocked_test(np.arange(1.0, 101.0), 5, seed=2.5), "seed must be an integer"),
+    (lambda: blocked_test(np.arange(1.0, 101.0), 5, strategy="sequential", seed=-1),
+     r"seed must be an integer from 0 to 2\*\*64 - 1, got -1$"),
+    (lambda: blocked_test(np.arange(1.0, 101.0), 1, seed=True),
+     "seed must be an integer, got True$"),
+    (lambda: partition(np.arange(1.0, 101.0), 2, "sequential", seed=1.5),
+     "seed must be an integer, got 1.5$"),
     (lambda: blocked_test(np.arange(1.0, 101.0), 5.0), "k must be an integer"),
     (lambda: block_sizes(100, 2.5), "k must be an integer"),
     (lambda: draw_sample(parse_spec("exp:1"), 2.5, 0), "n must be an integer"),
@@ -149,13 +155,41 @@ class TestPlanValidation:
     (lambda: recommend_blocks(100.5), "n must be an integer, got 100.5$"),
     (lambda: recommend_blocks(14), "n must be >= 15, got 14$"),
 ], ids=["make_stream", "make_stream_whole", "make_stream_bool", "seedspec_bool", "plan_seed_bool",
-        "blocked_test_seed", "blocked_test_k", "block_sizes", "sample", "replicate_chunks",
+        "blocked_test_seed", "blocked_test_sequential_seed", "blocked_test_one_block_seed",
+        "partition_sequential_seed", "blocked_test_k", "block_sizes", "sample", "replicate_chunks",
         "replicate_chunks_reps", "run_plan_threads", "block_sizes_bound", "erlang_tails_bound",
         "simulate_bryson_quantiles", "bryson_test", "recommend_blocks_whole",
         "recommend_blocks", "recommend_blocks_bound"])
 def test_entry_points_refuse_what_the_plan_refuses(call, message):
     with pytest.raises(ValueError, match=f"^{message}"):
         call()
+
+
+# each real-valued argument of the library, read by base.check_real: float() once read
+# text and bools as numbers (text alpha ran, erlang_tails(True, 1) as x = 1), or failed
+# with a TypeError (None) or in a comparison (a text element of probs)
+REAL_ARGUMENTS = {
+    "tail_test": ("alpha", lambda v: tail_test(np.arange(2.0, 12.0), v)),
+    "blocked_test": ("alpha", lambda v: blocked_test(np.arange(2.0, 12.0), 2, v)),
+    "bryson_test": ("alpha", lambda v: bryson_test(np.arange(2.0, 12.0), v, reps=1000)),
+    "SimulationPlan": ("alpha", lambda v: small_plan(alpha=v)),
+    "erlang_tails": ("x", lambda v: erlang_tails(v, 1)),
+    "DistributionSpec": ("params", lambda v: DistributionSpec("exp", (v,))),
+    "shift_sample": ("shift", lambda v: shift_sample([1.0, 2.0, 3.0], v)),
+    "probs": ("probs", lambda v: simulate_bryson_quantiles(parse_spec("exp:1"), 50, reps=1000,
+                                                           probs=(0.5, v))),
+}
+
+
+@pytest.mark.parametrize("entry,value", [
+    pytest.param(entry, value, id=f"{entry}-{kind}") for entry in REAL_ARGUMENTS
+    for kind, value in (("bool", True), ("text", "0.05"), ("bytes", b"1"), ("none", None))
+    if (entry, value) != ("shift_sample", None)])  # a shift of None is no shift
+def test_real_arguments_refuse_what_is_no_real_number(entry, value):
+    name, call = REAL_ARGUMENTS[entry]
+    message = f"{name} must be a real number, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
 
 
 class TestDeterminism:
@@ -634,10 +668,12 @@ class TestEmitters:
         assert report.dist == "pareto:1" and "dist" not in vars(report)
         assert replace(report, plan=small_plan("loggamma:0.5,1", reps=400)).dist == "loggamma:0.5,1"
 
-    @pytest.mark.parametrize("fmt", ["xml", "markdown", "CSV"])
+    @pytest.mark.parametrize("fmt", ["xml", "markdown", "CSV", ["csv"]])
     def test_unknown_format(self, fmt):
-        # the words --format offers, as written: the CLI reads them, emit_table does not
-        with pytest.raises(ValueError, match=f"^unknown format '{fmt}'"):
+        # the words --format offers, as written: the CLI reads them, emit_table does not.
+        # A list once raised TypeError: unhashable type: 'list'
+        message = f"unknown format {fmt!r}; use csv, json, or md"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             emit_table(run_plan(small_plan()), fmt)
 
 

@@ -54,8 +54,8 @@ class TestShiftSample:
     @pytest.mark.parametrize("mode", ["none", "MIN", "1.5", " min", True, False, np.True_, [1.0]])
     def test_reads_no_word_but_min(self, mode):
         # cli._shift reads --shift's words; the library takes None, "min" or a real number,
-        # and no bool, though float() takes text and bools alike
-        message = rf"^shift must be None, 'min' or a real number, got {re.escape(repr(mode))}$"
+        # and no bool, though float() takes text and bools alike: base.check_real refuses it
+        message = rf"^shift must be a real number, got {re.escape(repr(mode))}$"
         with pytest.raises(ValueError, match=message):
             shift_sample([1.0, 2.0], mode)
 
@@ -283,7 +283,8 @@ class TestKnownAnswers:
 
 class TestValidation:
     def test_needs_three_points(self):
-        with pytest.raises(ValueError):
+        # in block_sizes' words: once reworded as "need at least 3 values to test, got n=2"
+        with pytest.raises(ValueError, match=r"^n=2 is below the 3-point minimum of a block$"):
             tail_test([2.0, 3.0])
 
     def test_degenerate_sample(self):
