@@ -272,7 +272,7 @@ def blocked_test(
     lower, upper = erlang_criticals(alpha, k)
     p_short, p_long = erlang_tails(total, k)
     return BlockedTestResult(
-        k=k, block_sizes=sizes, block_stats=tuple(scores[0].tolist()),
+        k=len(sizes), block_sizes=sizes, block_stats=tuple(scores[0].tolist()),
         maxima=tuple(mx for _, mx in tops),
         spacings=tuple(mx - second for second, mx in tops),
         theta_hats=tuple(x for _, theta, _ in kernel for x in theta.tolist()),

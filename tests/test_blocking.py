@@ -179,6 +179,14 @@ class TestBlockedKnownAnswers:
         assert res.p_short == pytest.approx(oracles.erlang_cdf_ref(res.sum_stat, 2), abs=1e-12)
         assert res.p_long == pytest.approx(1 - res.p_short, abs=1e-12)
 
+    def test_numpy_count_gives_a_python_int_k(self):
+        # k is stored as an int, like every count the library returns, so the result
+        # dumps to JSON as the one at k = 5 does
+        values, _ = read_dataset(str(GOLDEN.parents[1] / "data/synthetic/fibers.txt"))
+        res = blocked_test(values, np.int64(5))
+        assert type(res.k) is int
+        assert json.dumps(vars(res)) == json.dumps(vars(blocked_test(values, 5)))
+
     def test_block_with_small_max_aborts_whole_test(self):
         # second block's maximum is 0.9, so the whole test must refuse
         x = [2.0, 3.0, 4.0, 0.1, 0.5, 0.9]

@@ -344,6 +344,20 @@ class TestSimulateCommand:
         assert out.startswith(CSV_HEADER)
         assert ",60,1," in out
 
+    @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
+    def test_plan_file_rows_count_every_replicate(self, bom, tmp_path, capsys):
+        # a plan saved with a byte-order mark runs as the same plan
+        plan = tmp_path / "plan.txt"
+        plan.write_text(bom + "dist = exp:1\nn = 50, 100\nreps = 300\nseed = 3\n",
+                        encoding="utf-8")
+        code = main(["simulate", "--plan", str(plan), "--format", "json"])
+        [report] = json.loads(capsys.readouterr().out)["reports"]
+        assert code == 0
+        assert report["reps"] == 300
+        assert [row["n"] for row in report["rows"]] == [50, 100]
+        for row in report["rows"]:
+            assert sum(row[f"{c}_count"] for c in ("short", "medium", "long", "error")) == 300
+
     def test_plan_conflicts_with_inline(self, tmp_path, capsys):
         plan = tmp_path / "plan.txt"
         plan.write_text("dist=exp:1\nn=60\n", encoding="utf-8")
@@ -421,15 +435,19 @@ class TestSimulateCommand:
         assert main(["simulate", "--dist", "nosuch", "--n", "50", "--reps", "200"]) == 1
         assert "unknown distribution" in capsys.readouterr().err
 
-    def test_smallmax_policy_flag(self, capsys):
-        code = main([
-            "simulate", "--dist", "uniform", "--n", "50", "--reps", "200",
-            "--smallmax-policy", "error",
-        ])
-        out = capsys.readouterr().out
+    @pytest.mark.parametrize("policy,counts", [
+        ("error", {"refused_count": 100, "error_count": 100, "equal_count": 0,
+                   "first_refused": 0, "short_count": 0}),
+        ("short", {"short_count": 100, "medium_count": 0, "long_count": 0, "error_count": 0}),
+    ], ids=["error", "short"])
+    def test_smallmax_policy_flag(self, policy, counts, capsys):
+        # every uniform maximum is below 1: under 'error' each replicate is refused, from
+        # replicate 0 on, and under 'short' each is Short by the rule
+        code = main(["simulate", "--dist", "uniform", "--n", "50", "--reps", "100",
+                     "--smallmax-policy", policy, "--format", "json"])
+        [row] = json.loads(capsys.readouterr().out)["reports"][0]["rows"]
         assert code == 0
-        reader = list(csv.reader(io.StringIO(out)))
-        assert reader[1][8] == "200"  # every replicate aborted
+        assert {key: row[key] for key in counts} == counts
 
     @pytest.mark.parametrize("dist", ["pareto:0.01", "loggamma:1,800"])
     @pytest.mark.parametrize("k", ["1", "5"])
@@ -454,6 +472,18 @@ class TestSimulateCommand:
         assert captured.out == ""
         assert captured.err == (
             "tailtest: error: n=10, replicate 27: "
+            "draw overflowed to inf; sample maximum must be finite\n"
+        )
+
+    def test_overflow_names_the_first_n_in_grid_order_that_met_one(self, capsys):
+        # seed 0: n = 3000 overflows first, at replicate 875, but the plan makes one pass
+        # and names n = 40, the first n of the grid that overflowed, at replicate 915
+        code = main(["simulate", "--dist", "pareto:0.02", "--n", "40,3000", "--reps", "1000",
+                     "--seed", "0"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == (
+            "tailtest: error: n=40, replicate 915: "
             "draw overflowed to inf; sample maximum must be finite\n"
         )
 
@@ -637,7 +667,7 @@ def test_reps_help_states_the_minimum_its_check_refuses(cmd, least, capsys):
         main([cmd, "--help"])
     assert f"at least {least}" in " ".join(capsys.readouterr().out.split())
     assert main([cmd, *COMMAND_ARGS[cmd], "--reps", str(least - 1)]) == 1
-    assert f"reps must be >= {least}" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"tailtest: error: reps must be >= {least}, got {least - 1}\n"
 
 
 class TestBrysonCommands:
@@ -891,6 +921,18 @@ def test_no_command_loads_numpy_ma():
     codes, loaded = json.loads(proc.stderr.splitlines()[-1])
     assert codes == [rc for _, rc in runs], proc.stderr
     assert not loaded, "a command loaded numpy.ma"
+
+
+def test_console_script_target_exits_with_the_decision():
+    # the [project.scripts] entry, called as the installed wrapper calls it; read as
+    # text, since tomllib is not in Python 3.10
+    pyproject = (DATA.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    [(module, func)] = re.findall(r'^\[project\.scripts\]\ntailtest = "([\w.]+):(\w+)"$',
+                                  pyproject, re.M)
+    code = f"import sys; from {module} import {func}; sys.exit({func}())"
+    proc = run_fresh("-c", code, "test", str(DATA / "fibers.txt"), "--json")
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(proc.stdout)["decision"] == "Short"
 
 
 def test_module_entry_point_exits_with_the_decision():
