@@ -18,8 +18,9 @@ from .base import check_integer, check_real, check_sequence, float_label
 from .rng import SeedSpec, make_stream
 
 _EULER = 0.5772156649015329  # Euler-Mascheroni constant
-# values per chunk of replicates scored together: 128 KB of float64, cache-sized
-_CHUNK_VALUES = 2**14
+# values per chunk of replicates scored together: 128 KB of float64, cache-sized; but at
+# least 8 replicates within 1 MB, so 8 share each kernel call's fixed cost at large n
+_CHUNK_VALUES, _MIN_ROWS, _MAX_VALUES = 2**14, 8, 2**17
 
 
 @dataclass(frozen=True)
@@ -71,6 +72,11 @@ def _copied(draw):
     return lambda g, row, p: np.copyto(row, draw(g, row.size, p))
 
 
+def _exp(x: np.ndarray, p: tuple[float, ...]) -> None:
+    if p[0] != 1.0:  # x / 1.0 is x bit for bit, so exp:1 runs no pass
+        np.divide(x, p[0], out=x)
+
+
 def _pareto(x: np.ndarray, p: tuple[float, ...]) -> None:
     # inverse transform on F-bar(x) = 1/(1 + x^gamma); 1 - u is the one temporary
     x /= 1.0 - x
@@ -90,7 +96,7 @@ def _loggamma(x: np.ndarray, p: tuple[float, ...]) -> None:
 _CATALOGUE = (
     _Family("exp", ("exponential",), ("theta",), nonnegative=True,
             fill=lambda g, row, p: g.standard_exponential(out=row),
-            transform=lambda x, p: np.divide(x, p[0], out=x)),
+            transform=_exp),
     _Family("logistic", (), (), nonnegative=False,
             fill=_copied(lambda g, n, p: g.logistic(0.0, 1.0, n))),
     _Family("gamma", (), ("shape",), nonnegative=True,
@@ -167,8 +173,10 @@ def sample(spec: DistributionSpec, n: int,
 
 
 def chunk_rows(n: int) -> int:
-    """Replicates of size n per chunk: 2**14 // n, at least one."""
-    return max(1, _CHUNK_VALUES // n)
+    """Replicates of size n per chunk: 2**14 // n, but no fewer than min(8, 2**17 // n)
+    and no fewer than one. So n <= 2048 keeps 2**14 // n (128 KB), n up to 16384 takes 8
+    (320 KB at n = 5000) and a larger n as many as fit in 2**17 values (1 MB)."""
+    return max(1, _CHUNK_VALUES // n, min(_MIN_ROWS, _MAX_VALUES // n))
 
 
 def replicate_chunks(spec: DistributionSpec, n: int, seed: int, reps: int):

@@ -2,8 +2,9 @@
 
 Replicate r draws from stream (base_seed, r) and is cut into k consecutive
 blocks, equal in law to any split of i.i.d. draws. It is drawn once per plan, at
-the grid's largest n, in the ~128 KB row chunks the T* table walks too
-(distributions.replicate_chunks). Its sample at a smaller n is the first n values
+the grid's largest n, in the row chunks the T* table walks too
+(distributions.replicate_chunks; 128 KB up to n = 2048, 8 rows and at most
+1 MB beyond). Its sample at a smaller n is the first n values
 of that draw, so each smaller n copies the prefixes into a chunk of its own size
 (distributions.chunk_rows) and scores it when full: every n is scored in the
 chunks a plan of that n alone has. One blocking.block_scores call scores every

@@ -780,7 +780,7 @@ class TestBrysonCommands:
         )
 
     def test_bryson_quantiles_overflow_past_the_first_chunk(self, capsys):
-        # at n=3000 a scoring chunk holds 5 replicates; 875 is in chunk 175
+        # at n=3000 a scoring chunk holds 8 replicates; 875 is in the 110th chunk
         code = main(["bryson-quantiles", "--dist", "pareto:0.02", "--n", "3000", "--reps", "1000"])
         captured = capsys.readouterr()
         assert code == 1

@@ -12,6 +12,7 @@ from tailtest.base import float_label
 from tailtest.distributions import (
     FAMILIES,
     DistributionSpec,
+    chunk_rows,
     format_spec,
     nonnegative,
     parse_spec,
@@ -252,16 +253,17 @@ class TestSampling:
 
     @pytest.mark.parametrize("seed", [13, 2**64 - 1])
     @pytest.mark.parametrize("n", [1, 3, 37, 257, 1000, 5000])
-    @pytest.mark.parametrize("text", CATALOGUE_SPECS + EXTREME_SPECS)
+    @pytest.mark.parametrize("text", CATALOGUE_SPECS + EXTREME_SPECS + ["exp:100", "exp:1e-300"])
     def test_rows_and_sample_equal_reference_draws(self, text, n, seed):
         # replicate r, as a chunk row and as sample() on stream (seed, r), is bit for bit
         # the law's one-expression sampler on a fresh Philox(key=[seed, r]): the raw fill
-        # plus the chunk-wide in-place transform change no bit. Sizes 1, 3, 37 and 257 leave
-        # part of Philox's four-word buffer unused, which replicate r+1 must not see; each
-        # call runs one replicate past the first chunk, and the replicates around its end
-        # are checked with the first few
+        # plus the chunk-wide in-place transform change no bit. exp:1 runs no transform
+        # pass and exp:100 and exp:1e-300 divide; the sampler always divides. Sizes 1, 3,
+        # 37 and 257 leave part of Philox's four-word buffer unused, which replicate r+1
+        # must not see; each call runs one replicate past the first chunk, and the
+        # replicates around its end are checked with the first few
         spec = parse_spec(text)
-        rows = max(1, 2**14 // n)
+        rows = chunk_rows(n)
         with np.errstate(over="ignore"):
             draws = _replicates(spec, n, seed, rows + 1)
             for r in sorted({*range(min(rows, 4)), rows - 1, rows}):
@@ -280,16 +282,17 @@ class TestSampling:
         # stream in order, so this is that loop's guard. One replicate past the small n's
         # first chunk crosses chunk boundaries of both sizes
         spec = parse_spec(text)
-        reps = 2**14 // small + 1
+        reps = chunk_rows(small) + 1
         with np.errstate(over="ignore"):
             prefixes = _replicates(spec, large, 13, reps)[:, :small]
             assert prefixes.tobytes() == _replicates(spec, small, 13, reps).tobytes()
 
     def test_chunks_are_contiguous_runs_of_replicates(self):
-        # 2**14 // 3000 = 5 replicates per chunk, so 12 make chunks of 5, 5 and 2
-        chunks = list(replicate_chunks(parse_spec("exp:1"), 3000, 7, 12))
+        # 8 replicates per chunk at n = 3000, so 20 make chunks of 8, 8 and 4
+        rows = chunk_rows(3000)
+        chunks = list(replicate_chunks(parse_spec("exp:1"), 3000, 7, 2 * rows + 4))
         assert [(first, chunk.shape) for first, chunk in chunks] == [
-            (0, (5, 3000)), (5, (5, 3000)), (10, (2, 3000))]
+            (0, (rows, 3000)), (rows, (rows, 3000)), (2 * rows, (4, 3000))]
         assert all(chunk.flags.c_contiguous for _, chunk in chunks)
 
     def test_interleaved_replicate_chunks_match_one_after_the_other(self):
@@ -298,8 +301,8 @@ class TestSampling:
         calls = [(parse_spec("pareto:1"), 3000, 7), (parse_spec("gamma:0.7"), 3001, 11)]
         alone = [_replicates(spec, n, seed, 20) for spec, n, seed in calls]
         first, second = (replicate_chunks(spec, n, seed, 20) for spec, n, seed in calls)
-        pairs = list(zip(first, second))  # four chunks of 5 replicates each
-        assert len(pairs) == 4
+        pairs = list(zip(first, second))  # chunks of 8, 8 and 4 replicates at both n
+        assert len(pairs) == 3
         for i, (spec, n, seed) in enumerate(calls):
             draws = np.concatenate([pair[i][1] for pair in pairs])
             for r, values in enumerate(draws):
@@ -323,7 +326,7 @@ class TestSampling:
         # makes its 1-D draw, then copies it), and for pareto its one chunk-sized 1 - u;
         # a kilobyte covers the array headers and the re-keyed state. A list of row draws
         # or an out-of-place transform costs at least one chunk more
-        chunks = replicate_chunks(parse_spec(text), n, 5, 10 * (2**14 // n))
+        chunks = replicate_chunks(parse_spec(text), n, 5, 10 * chunk_rows(n))
         next(chunks)  # the stream is made
         tracemalloc.start()
         try:
@@ -333,6 +336,14 @@ class TestSampling:
             tracemalloc.stop()
         temporaries = chunk.nbytes if text.startswith("pareto") else 0
         assert peak <= chunk.nbytes + temporaries + 2 * chunk[0].nbytes + 1024
+
+    def test_chunk_rows_boundaries(self):
+        # 2**14 // n replicates (128 KB) up to n = 2048; then 8, while 8 fit in 2**17
+        # values (1 MB); then as many as fit, and at least one
+        assert [chunk_rows(n) for n in (1, 1000, 2048, 2049, 5000, 16384, 16385, 2**17)] == [
+            2**14, 16, 8, 8, 8, 8, 7, 1]
+        assert chunk_rows(2**17 + 1) == 1
+        assert all(chunk_rows(n) * n <= 2**17 for n in range(2049, 2**17 + 1))
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_replicate_chunks_rejects_bad_seed_at_the_call(self, seed):

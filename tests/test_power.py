@@ -32,7 +32,7 @@ from tailtest import (
 from tailtest.base import BlockTooSmallError, decide
 from tailtest.bryson import bryson_test, simulate_bryson_quantiles
 from tailtest.blocking import block_scores, block_sizes, partition, shift_sample
-from tailtest.distributions import parse_spec, replicate_chunks
+from tailtest.distributions import chunk_rows, parse_spec, replicate_chunks
 from tailtest.power import CSV_HEADER, SMALLMAX_POLICIES, RateRow
 from tailtest.base import EQUAL, NONFINITE, REFUSED, SCORED, SHORT
 from tailtest.blocking import spacing_rows, verdict
@@ -450,6 +450,17 @@ class TestChunkedEngineMatchesReplicateLoop:
         plan = small_plan(dist, n=(1000,), k_blocks=k, reps=100, smallmax_policy=policy)
         assert run_plan(plan).rows == (_reference_row(plan, 1000),)
 
+    @pytest.mark.parametrize("policy", SMALLMAX_POLICIES)
+    @pytest.mark.parametrize("k", [1, 7, 25])
+    @pytest.mark.parametrize("n", [2049, 3001])
+    @pytest.mark.parametrize("dist", ["exp:100", "uniform", "cauchy", "pareto:1"])
+    def test_rows_past_2048_equal_reference_loop(self, dist, n, k, policy):
+        # past n = 2048 a chunk holds 8 replicates, so 100 leave a partial thirteenth;
+        # 2049 and 3001 are divisible by neither 7 nor 25
+        plan = small_plan(dist, n=(n,), k_blocks=k, reps=100, smallmax_policy=policy)
+        assert chunk_rows(n) == 8
+        assert run_plan(plan).rows == (_reference_row(plan, n),)
+
     def test_overflow_after_the_first_chunk_names_the_replicate(self):
         plan = small_plan("pareto:0.02", n=(1000,), k_blocks=5, reps=1000, base_seed=0)
         expected = _reference_row(plan, 1000)
@@ -519,9 +530,9 @@ class TestJointLoop:
         # chunks of 23, 162 and 409: 421 leave the last of each partial, and n = 40
         # fills its chunk once, from 18 chunks of n = 700 draws
         ((700, 101, 40), 421),
-        # the benchmark's largest n: chunks of 3, 65 and 16, and 200 leave the last of
+        # the benchmark's largest n: chunks of 8, 65 and 16, and 203 leave the last of
         # each partial, and n = 250 fills its chunk three times
-        ((5000, 250, 1000), 200),
+        ((5000, 250, 1000), 203),
     ], ids=["1000-100-250", "700-101-40", "5000-250-1000"])
     def test_rows_equal_reference_loop(self, n_grid, reps, dist, k, policy):
         plan = small_plan(dist, n=n_grid, k_blocks=k, reps=reps, smallmax_policy=policy)
@@ -596,11 +607,11 @@ def test_peak_memory_does_not_grow_with_reps():
 def test_joint_loop_adds_one_chunk_per_smaller_n():
     # the replicates are drawn one chunk at a time at the largest n, as a plan of that n
     # alone draws them, and each smaller n gathers its prefixes into one chunk of its
-    # own size (about 128 KB). So the peak is at most the highest peak of the grid's n's
+    # own size (about 128 KB here). So the peak is at most the highest peak of the grid's n's
     # alone plus those chunks, and it does not grow with reps
     grid = (100, 250, 500, 1000, 5000)
     alone = max(_peak_bytes(small_plan(n=(n,), reps=400)) for n in grid)
-    gathered = sum(max(1, 2**14 // n) * n * 8 for n in grid[:-1])
+    gathered = sum(chunk_rows(n) * n * 8 for n in grid[:-1])
     small = _peak_bytes(small_plan(n=grid, reps=400))
     large = _peak_bytes(small_plan(n=grid, reps=2000))
     assert small < alone + gathered + 32_000
