@@ -101,11 +101,14 @@ SMALLMAX_POLICIES = tuple(_RULE)  # the policy names smallmax takes
 
 def spacing_rows(blocks: np.ndarray, smallmax: str):
     """For a 2-D array with one block (>= 2 values) per row: each row's T and outcome
-    code, the partitioned rows, and each row's theta_hat and F_n(ln X_(n)).
+    code, each row's top two as a (rows, 2) array [X_(n-1), X_(n)], and each row's
+    theta_hat and F_n(ln X_(n)). `blocks` is only read, so it may be a read-only view.
 
-    The one place T is computed: a partition at kth = m - 2 puts X_(n-1) there and
-    X_(n) after it; one comparison counts the values above ln X_(n). Logs are math.log,
-    the rest is correctly rounded: T is the formula in Python floats to the bit.
+    The one place T is computed: argmax finds X_(n), the first of a tied maximum (a NaN
+    counts as largest), and the maximum of a copy with that one value set to -inf is
+    X_(n-1), equal to X_(n) when the maximum is tied; one comparison counts the values
+    above ln X_(n). Logs are math.log, the rest is correctly rounded: T is the formula
+    in Python floats to the bit.
 
     The one statement of the small-maximum rule too: the formula needs ln X_(n)
     defined and nonzero, and under `smallmax` a maximum <= 1 is REFUSED ('error'),
@@ -113,22 +116,27 @@ def spacing_rows(blocks: np.ndarray, smallmax: str):
     REFUSED. A row of equal values is EQUAL, one with a maximum not finite NONFINITE,
     and one whose top two tie SCORED with T = 0 if its maximum is. Only a SCORED T stands.
     """
-    m = blocks.shape[1]
-    part = np.partition(blocks, m - 2, axis=1)
-    second, mx = part[:, -2], part[:, -1]
+    reps, m = blocks.shape
+    knock = blocks.copy()
+    at = np.arange(reps), blocks.argmax(axis=1)
+    mx = knock[at]
+    knock[at] = -np.inf
+    second = knock.max(axis=1)
+    del knock  # before the survival count's array, so the two never coexist
+    tops = np.array([second, mx]).T
     code = _RULE[smallmax][np.searchsorted(_MAX_EDGES, mx)]
     if np.count_nonzero(tied := second == mx):  # row minima only where the top two tie
         rows = np.flatnonzero(tied)
-        code[rows[part[rows].min(axis=1) == mx[rows]]] = EQUAL
-    if not any(scored := (code == SCORED).tolist()):  # the rule decides every row, reading no T
-        return np.zeros(len(part)), code, part, None, None
+        code[rows[blocks[rows].min(axis=1) == mx[rows]]] = EQUAL
+    if not np.count_nonzero(scored := code == SCORED):  # the rule decides every row, reading no T
+        return np.zeros(reps), code, tops, None, None
     # ln X_(n) of a SCORED row, else NaN; X_(n) > ln X_(n) counts itself, a NaN row nothing
-    logs = np.array([math.log(x) if ok else math.nan for x, ok in zip(mx.tolist(), scored)])
+    logs = np.array(list(map(math.log, np.where(scored, mx, math.nan).tolist())))
     surv = np.maximum((blocks > logs[:, np.newaxis]).sum(axis=1, dtype=np.int32), 1) / m
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN, as Python floats give
         # survival 1 (nothing at or below ln X_(n)) gives theta 0; `0.0 -` clears a -0.0
         theta = 0.0 - np.array(list(map(math.log, surv.tolist()))) / logs
-        return theta * (mx - second), code, part, theta, surv
+        return theta * (mx - second), code, tops, theta, surv
 
 
 def verdict(code: int, mx: float, block: int = 0, k: int = 0) -> ValueError:
@@ -228,13 +236,13 @@ def block_scores(values: np.ndarray, k: int, smallmax: str):
     (reps, k) array, blocks in order, from one kernel call per block size (block_rows),
     and each row's total of them, added left to right. Then None when every block's
     outcome code is 0, else each row's first nonzero code (0 when all its T's stand),
-    that block's index and its maximum. Last, per block size, the kernel's partitioned
-    blocks, theta_hats and survivals (None where it read no T). Callers check k."""
+    that block's index and its maximum. Last, per block size, each block's top two,
+    theta_hat and survival from the kernel (None where it read no T). Callers check k."""
     columns, kernel = [], []
     for blocks in block_rows(values, k):
-        stats, code, part, theta, surv = spacing_rows(blocks, smallmax)
-        columns.append([a.reshape(len(values), -1) for a in (stats, code, part[:, -1])])
-        kernel.append((part, theta, surv))
+        stats, code, tops, theta, surv = spacing_rows(blocks, smallmax)
+        columns.append([a.reshape(len(values), -1) for a in (stats, code, tops[:, 1])])
+        kernel.append((tops, theta, surv))
     stats, codes, maxima = (np.concatenate(arrays, axis=1) for arrays in zip(*columns))
     # accumulate adds in order on every Python and numpy version (a reduce adds pairwise)
     totals = np.add.accumulate(stats, axis=1)[:, -1]
@@ -267,7 +275,7 @@ def blocked_test(
 
     # one row, so the kernel's rows are its blocks in order, each scored; the spacings
     # are Python floats' (numpy's subtraction warns where one overflows to inf)
-    tops = [row for part, _, _ in kernel for row in part[:, -2:].tolist()]
+    tops = [row for top2, _, _ in kernel for row in top2.tolist()]
     total = totals.item(0)
     lower, upper = erlang_criticals(alpha, k)
     p_short, p_long = erlang_tails(total, k)

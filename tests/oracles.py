@@ -121,6 +121,42 @@ def spacing_statistic_ref(values) -> float:
     return theta * (top - float(xs[-2]))
 
 
+# The outcome codes of spacing_partition_ref, by name; base.py numbers the package's.
+OUTCOMES = ("SCORED", "SHORT", "EQUAL", "REFUSED", "NONFINITE")
+_SCORED, _SHORT, _EQUAL, _REFUSED, _NONFINITE = range(len(OUTCOMES))
+_MAX_EDGES = np.array([0.0, np.nextafter(1.0, 0.0), 1.0, np.finfo(float).max])
+_RULE = {
+    "error": np.array([_REFUSED, _REFUSED, _REFUSED, _SCORED, _NONFINITE]),
+    "short": np.array([_REFUSED, _SHORT, _SHORT, _SCORED, _NONFINITE]),
+    "raw": np.array([_REFUSED, _SCORED, _REFUSED, _SCORED, _NONFINITE]),
+}
+
+
+def spacing_partition_ref(blocks: np.ndarray, smallmax: str):
+    """The spacing kernel with np.partition at kth = m - 2, as it stood before the top
+    two came from argmax: each row's T, outcome (a name of OUTCOMES), top two
+    [X_(n-1), X_(n)], theta_hat and F_n(ln X_(n)); the last two None when no row is
+    SCORED. The partition puts X_(n-1) at m - 2 and X_(n) after it, NaNs last; which of
+    a tied 0.0 and -0.0 lands on top is the sort kernel's choice.
+    """
+    m = blocks.shape[1]
+    part = np.partition(blocks, m - 2, axis=1)
+    second, mx = part[:, -2], part[:, -1]
+    code = _RULE[smallmax][np.searchsorted(_MAX_EDGES, mx)]
+    if np.count_nonzero(tied := second == mx):
+        rows = np.flatnonzero(tied)
+        code[rows[part[rows].min(axis=1) == mx[rows]]] = _EQUAL
+    names = [OUTCOMES[c] for c in code.tolist()]
+    tops = part[:, -2:].copy()
+    if not any(scored := (code == _SCORED).tolist()):
+        return np.zeros(len(part)), names, tops, None, None
+    logs = np.array([math.log(x) if ok else math.nan for x, ok in zip(mx.tolist(), scored)])
+    surv = np.maximum((blocks > logs[:, np.newaxis]).sum(axis=1, dtype=np.int32), 1) / m
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = 0.0 - np.array(list(map(math.log, surv.tolist()))) / logs
+        return theta * (mx - second), names, tops, theta, surv
+
+
 def bryson_statistic_ref(values) -> float:
     """Bryson's T* of one 1-D sample, one value at a time through numpy and libm.
 

@@ -397,9 +397,9 @@ class TestEngineMatchesSingleSampleTests:
         for policy in SMALLMAX_POLICIES:
             codes = []
             for block in blocks:
-                _, code, part, *_ = spacing_rows(block[np.newaxis], policy)
+                _, code, tops, *_ = spacing_rows(block[np.newaxis], policy)
                 assert code.tolist() == [_ref_code(oracles.block_statistics_ref(block, 1, policy))]
-                assert part[0, -1] == block.max()
+                assert tops[0, -1] == block.max()
                 codes.append(code.item(0))
             _, _, refused, _ = block_scores(values[np.newaxis], k, policy)
             if not any(codes):

@@ -164,8 +164,8 @@ POLICIES = ["error", "short", "raw"]
 
 def _row(values, policy):
     """spacing_rows on one block: its T, outcome code and maximum."""
-    stats, code, part, *_ = spacing_rows(np.array([values], dtype=float), policy)
-    return stats.item(0), int(code[0]), part[0, -1].item()
+    stats, code, tops, *_ = spacing_rows(np.array([values], dtype=float), policy)
+    return stats.item(0), int(code[0]), tops[0, -1].item()
 
 
 class TestKernel:
@@ -200,7 +200,7 @@ class TestKernel:
 
     @pytest.mark.parametrize("order", itertools.permutations([0.0, -0.0, -1.0]))
     def test_zero_maximum_prints_without_sign(self, order):
-        # either tied zero may land on top of the partition; both print as 0
+        # the maximum is the first tied zero, of either sign; both print as 0
         message = r"sample maximum 0 is not above 1"
         with pytest.raises(MaxNotAboveOneError, match=message):
             tail_test(list(order))
