@@ -135,12 +135,12 @@ def _cmd_test(args) -> int:
 
 def _cmd_simulate(args) -> int:
     given = {key: getattr(args, key) for key in PLAN_KEYS if getattr(args, key) is not None}
-    if args.plan and given:
+    if args.plan is not None and given:
         flags = "/".join("--" + key.replace("_", "-") for key in given)
         raise ValueError(f"--plan and {flags} are mutually exclusive")
-    if not (args.plan or (args.dist and args.n)):
+    if args.plan is None and not {"dist", "n"} <= given.keys():
         raise ValueError("simulate needs either --plan FILE or both --dist and --n")
-    plan = parse_plan_file(args.plan) if args.plan else read_plan(given)
+    plan = read_plan(given) if args.plan is None else parse_plan_file(args.plan)
     # the table's file is opened before the first replicate runs, as a redirection is
     with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
         fh.write(emit_table(run_plan(plan, threads=args.threads), args.format))
@@ -249,7 +249,7 @@ def main(argv=None) -> int:
         for name, read in args.read.items():  # each command's option texts, by their readers
             setattr(args, name, read_text(name, getattr(args, name), read))
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"tailtest: error: {exc}", file=sys.stderr)
         return 1
 

@@ -4,18 +4,17 @@ Replicate r draws from stream (base_seed, r) and is cut into k consecutive
 blocks, equal in law to any split of i.i.d. draws. It is drawn once per plan, at
 the grid's largest n, in the row chunks the T* table walks too
 (distributions.replicate_chunks; 128 KB up to n = 2048, 8 rows and at most
-1 MB beyond). Its sample at a smaller n is the first n values
-of that draw, so each smaller n copies the prefixes into a chunk of its own size
-(distributions.chunk_rows) and scores it when full: every n is scored in the
-chunks a plan of that n alone has. One blocking.block_scores call scores every
-block of a chunk once and adds each replicate's block T's. base.classify makes
-each total Short, Medium or Long, as it does for the single-sample tests. A
-replicate with a nonzero outcome code takes its first such code instead: Short,
-or an error. Each n keeps one tally: a bincount per chunk of the codes, and the
-first replicate of each error code with its maximum. After the one pass, run_plan
-raises blocking.verdict's overflow error for the first n, in grid order, that met
-a draw overflowed to inf. Every count is the one drawing and scoring each replicate
-alone at each n gives.
+1 MB beyond). Its sample at a smaller n is the first n values of that draw, so
+each smaller n copies the prefixes of whole chunks into a buffer of as many as fit
+in its own chunk_rows(n) rows, and scores it when full or after the last chunk.
+One blocking.block_scores call scores every block of a chunk once and adds each
+replicate's block T's. base.classify makes each total Short, Medium or Long, as it
+does for the single-sample tests. A replicate with a nonzero outcome code takes its
+first such code instead: Short, or an error. Each n keeps one tally: a bincount per
+chunk of the codes, and the first replicate of each error code with its maximum.
+After the one pass, run_plan raises blocking.verdict's overflow error for the first
+n, in grid order, that met a draw overflowed to inf. Every count is the one drawing
+and scoring each replicate alone at each n gives.
 """
 from __future__ import annotations
 
@@ -149,9 +148,10 @@ def run_plan(plan: SimulationPlan, threads: int = 1) -> SimulationReport:
     top = max(plan.n_grid)
     counts = {n: np.zeros(NONFINITE + 1, dtype=np.int64) for n in plan.n_grid}  # by outcome code
     firsts = {n: {} for n in plan.n_grid}  # error code: (its first replicate, that maximum)
-    # each smaller n gathers its replicates' prefixes into a chunk of its own size
-    buffers = {n: np.empty((chunk_rows(n), n)) for n in plan.n_grid if n < top}
-    filled = dict.fromkeys(buffers, 0)
+    # each smaller n gathers the prefixes of whole top-n chunks, as many as fit in
+    # chunk_rows(n) rows; chunk_rows never rises with n, so that is at least one
+    rows = chunk_rows(top)
+    buffers = {n: np.empty((chunk_rows(n) // rows * rows, n)) for n in plan.n_grid if n < top}
 
     def score(n, first, chunk):
         _, totals, refused, _ = block_scores(chunk, k, policy)
@@ -167,18 +167,13 @@ def run_plan(plan: SimulationPlan, threads: int = 1) -> SimulationReport:
     with np.errstate(over="ignore"):  # the rule names a draw that overflowed
         for first, chunk in replicate_chunks(plan.spec, top, plan.base_seed, plan.reps):
             score(top, first, chunk)
+            last = first + len(chunk) == plan.reps
             for n, buffer in buffers.items():
-                row = 0
-                while row < len(chunk):
-                    take = min(len(buffer) - filled[n], len(chunk) - row)
-                    buffer[filled[n]:filled[n] + take] = chunk[row:row + take, :n]
-                    filled[n], row = filled[n] + take, row + take
-                    if filled[n] == len(buffer):
-                        score(n, first + row - len(buffer), buffer)
-                        filled[n] = 0
-        for n, buffer in buffers.items():
-            if filled[n]:
-                score(n, plan.reps - filled[n], buffer[:filled[n]])
+                at = first % len(buffer)
+                end = at + len(chunk)
+                buffer[at:end] = chunk[:, :n]
+                if end == len(buffer) or last:
+                    score(n, first - at, buffer[:end])
 
     for n in plan.n_grid:
         if NONFINITE in firsts[n]:

@@ -377,6 +377,22 @@ class TestSimulateCommand:
         assert captured.out == ""
         assert captured.err == f"tailtest: error: --plan and {option[0]} are mutually exclusive\n"
 
+    @pytest.mark.parametrize("args, message", [
+        (["--plan", "", "--dist", "exp:1", "--n", "100", "--reps", "100"],
+         "--plan and --dist/--n/--reps are mutually exclusive"),
+        (["--dist", "exp:1", "--n", ""], "could not parse --n=''"),
+        (["--dist", "", "--n", "100"], "unknown distribution family ''; valid families: exp, "
+         "logistic, gamma, uniform, normal, lognormal, gumbel, cauchy, t, pareto, weibull, "
+         "loggamma"),
+    ], ids=["plan", "n", "dist"])
+    def test_an_empty_option_is_given(self, args, message, capsys):
+        # an empty text reaches its reader; it was once taken for an option not given
+        code = main(["simulate", *args])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"tailtest: error: {message}\n"
+
     def test_plan_refusal_names_every_option_given(self, tmp_path, capsys):
         plan = tmp_path / "plan.txt"
         plan.write_text("dist=exp:1\nn=60\n", encoding="utf-8")
@@ -865,6 +881,19 @@ class TestUsageErrors:
         from tailtest.cli import _EXIT_CODE
 
         assert set(_EXIT_CODE.values()) == {0, 2, 3}
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--dist", "exp:1", "--n", str(10**17), "--reps", "100"],
+        ["bryson-quantiles", "--dist", "exp:1", "--n", str(10**17), "--reps", "1000"],
+    ], ids=["simulate", "bryson-quantiles"])
+    def test_an_impossible_allocation_is_one_error_line(self, argv, capsys):
+        # one replicate of 10**17 values is 800 PB, which no allocator grants, so the
+        # first chunk's np.empty refuses it before anything is allocated
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert re.fullmatch(r"tailtest: error: Unable to allocate .+ with shape "
+                            rf"\(1, {10**17}\) and data type float64\n", captured.err)
 
     def test_a_key_error_is_a_bug_and_keeps_its_traceback(self, monkeypatch):
         # no command raises KeyError on purpose, so main does not turn one into exit 1

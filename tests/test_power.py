@@ -519,19 +519,21 @@ class TestChunkedEngineMatchesReplicateLoop:
 
 class TestJointLoop:
     """run_plan draws each replicate once, at the grid's largest n, and scores every
-    smaller n on the first n values of it, gathered into a chunk of that n's own size."""
+    smaller n on the first n values of it, gathered from whole chunks of the largest n
+    into a buffer of as many as fit in that n's chunk_rows(n) rows."""
 
     @pytest.mark.parametrize("policy", SMALLMAX_POLICIES)
     @pytest.mark.parametrize("k", [1, 7])
     @pytest.mark.parametrize("dist", FAMILY_SPECS)
     @pytest.mark.parametrize("n_grid, reps", [
-        # chunks of 16, 163 and 65 replicates: 200 leave the last of each partial
+        # chunks of 16 at n = 1000 and buffers of 160 and 64 replicates (10 and 4
+        # chunks): 200 leave the last of each partial
         ((1000, 100, 250), 200),
-        # chunks of 23, 162 and 409: 421 leave the last of each partial, and n = 40
-        # fills its chunk once, from 18 chunks of n = 700 draws
+        # chunks of 23 and buffers of 161 and 391 (7 and 17 chunks): 421 leave the last
+        # of each partial, and n = 40 fills its buffer once, from 17 chunks of n = 700
         ((700, 101, 40), 421),
-        # the benchmark's largest n: chunks of 8, 65 and 16, and 203 leave the last of
-        # each partial, and n = 250 fills its chunk three times
+        # the benchmark's largest n: chunks of 8 and buffers of 64 and 16, and 203 leave
+        # the last of each partial, and n = 250 fills its buffer three times
         ((5000, 250, 1000), 203),
     ], ids=["1000-100-250", "700-101-40", "5000-250-1000"])
     def test_rows_equal_reference_loop(self, n_grid, reps, dist, k, policy):
@@ -585,6 +587,52 @@ class TestJointLoop:
             run_plan(small_plan("pareto:0.02", n=(40, 3000), reps=1000, base_seed=0))
         assert len(calls) == 1
 
+    def test_chunk_rows_never_rises_with_n(self):
+        # the fill rests on it: chunk_rows(n) of a smaller n holds at least one top-n chunk
+        rows = [chunk_rows(n) for n in range(1, 2**18 + 1)]
+        assert all(a >= b for a, b in zip(rows, rows[1:]))
+
+    @pytest.mark.parametrize("n_grid, reps, expected", [
+        # chunks of 16 at n = 1000, so n = 250's 65 rows hold a buffer of 4 chunks
+        ((1000, 250), 400, {250: [64] * 6 + [16]}),
+        # chunks of 23 at n = 700; 162 rows at n = 101 hold 7, 409 at n = 40 hold 17
+        ((700, 101, 40), 421, {101: [161, 161, 99], 40: [391, 30]}),
+        # reps a whole number of buffers: the last chunk fills the last buffer
+        ((1000, 250), 128, {250: [64, 64]}),
+        # reps below one chunk of 109 at n = 150: one call at each n
+        ((150, 40), 100, {40: [100]}),
+    ], ids=["1000-250", "700-101-40", "whole-buffers", "below-one-chunk"])
+    def test_smaller_n_are_scored_in_whole_top_chunks(self, n_grid, reps, expected,
+                                                       monkeypatch):
+        calls = {n: [] for n in n_grid}
+
+        def recorded(chunk, *args):
+            calls[chunk.shape[1]].append(len(chunk))
+            return block_scores(chunk, *args)
+
+        monkeypatch.setattr("tailtest.power.block_scores", recorded)
+        run_plan(small_plan(n=n_grid, reps=reps))
+        top = max(n_grid)
+        rows = chunk_rows(top)
+        assert calls.pop(top) == [rows] * (reps // rows) + [reps % rows] * (reps % rows > 0)
+        assert calls == expected
+        for n, sizes in calls.items():  # each buffer once, and never an empty call
+            assert sum(sizes) == reps and min(sizes) > 0
+            assert max(sizes) <= chunk_rows(n)
+            assert all(size % rows == 0 for size in sizes[:-1])
+
+    @settings(max_examples=50, deadline=None)
+    @given(n_grid=st.lists(st.integers(9, 3000), min_size=2, max_size=4, unique=True),
+           reps=st.integers(100, 400), k=st.sampled_from([1, 3]),
+           policy=st.sampled_from(SMALLMAX_POLICIES),
+           dist=st.sampled_from(["exp:1", "uniform", "cauchy", "pareto:1"]))
+    def test_any_grid_equals_each_n_alone(self, n_grid, reps, k, policy, dist):
+        # any ratio of chunk sizes; a one-n plan makes no buffer, and none of these laws
+        # overflows
+        plan = small_plan(dist, n=n_grid, k_blocks=k, reps=reps, smallmax_policy=policy)
+        assert run_plan(plan).rows == tuple(
+            run_plan(replace(plan, n_grid=(n,))).rows[0] for n in n_grid)
+
 
 def _peak_bytes(plan):
     tracemalloc.start()
@@ -606,9 +654,9 @@ def test_peak_memory_does_not_grow_with_reps():
 
 def test_joint_loop_adds_one_chunk_per_smaller_n():
     # the replicates are drawn one chunk at a time at the largest n, as a plan of that n
-    # alone draws them, and each smaller n gathers its prefixes into one chunk of its
-    # own size (about 128 KB here). So the peak is at most the highest peak of the grid's n's
-    # alone plus those chunks, and it does not grow with reps
+    # alone draws them, and each smaller n gathers their prefixes into one buffer of at
+    # most its own chunk_rows(n) rows (about 128 KB here). So the peak is at most the
+    # highest peak of the grid's n's alone plus those buffers, and it does not grow with reps
     grid = (100, 250, 500, 1000, 5000)
     alone = max(_peak_bytes(small_plan(n=(n,), reps=400)) for n in grid)
     gathered = sum(chunk_rows(n) * n * 8 for n in grid[:-1])
