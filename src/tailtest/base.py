@@ -76,12 +76,13 @@ def listed(numbers) -> str:
 def text_lines(path) -> tuple[list[tuple[int, str]], int]:
     """The one reader of dataset and plan files: (number, stripped text) of each line but blank
     and # lines, and how many it skipped. UTF-8, less a byte-order mark on any line (utf-8-sig
-    takes ~0.4 ms to load); an unreadable file raises ValueError("{path}: {reason}")."""
+    takes ~0.4 ms to load); an unreadable file raises ValueError("{path}: {reason}"), with an
+    empty path written '' rather than left a bare colon."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path or repr(path)}: {exc}") from exc
     lines = []
     for lineno, line in enumerate(raw, start=1):
         line = line.lstrip("\ufeff").strip()

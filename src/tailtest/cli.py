@@ -182,12 +182,11 @@ def _shift(text: str):
     return {"none": None, "min": "min"}[word] if word in ("none", "min") else float(text)
 
 
-@functools.cache  # parsing leaves the parser as it was, and building it costs ~0.7 ms
-def build_parser() -> _Parser:
-    parser = _Parser(prog="tailtest", description=__doc__)
-    sub = parser.add_subparsers(dest="cmd", required=True)
+def _probs(text: str) -> tuple:
+    return tuple(map(float, text.split(",")))
 
-    p_test = sub.add_parser("test", help="classify the tail of a dataset file")
+
+def _test_options(p_test: _Parser) -> None:
     p_test.add_argument("path")
     p_test.add_argument("--alpha", default="0.05")
     p_test.add_argument(
@@ -206,7 +205,8 @@ def build_parser() -> _Parser:
     p_test.set_defaults(func=_cmd_test, read={"alpha": float, "shift": _shift, "blocks": int,
                                               "block_seed": int})
 
-    p_sim = sub.add_parser("simulate", help="run a Monte Carlo rejection-rate plan")
+
+def _simulate_options(p_sim: _Parser) -> None:
     p_sim.add_argument("--plan", help="plan file of key=value lines")
     p_sim.add_argument("--dist", help="distribution, e.g. exp:1, pareto:2, weibull:0.5")
     p_sim.add_argument("--n", help="comma-separated sample sizes")
@@ -221,7 +221,8 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--out", help="write the table here instead of stdout")
     p_sim.set_defaults(func=_cmd_simulate, read={"threads": int})
 
-    p_bry = sub.add_parser("bryson", help="Bryson T* with a simulated exponential null")
+
+def _bryson_options(p_bry: _Parser) -> None:
     p_bry.add_argument("path")
     p_bry.add_argument("--alpha", default="0.05")
     p_bry.add_argument("--reps", default="10000", help=f"replicates, at least {MIN_TABLE_REPS}")
@@ -229,22 +230,54 @@ def build_parser() -> _Parser:
     p_bry.add_argument("--json", action="store_true")
     p_bry.set_defaults(func=_cmd_bryson, read={"alpha": float, "reps": int, "seed": int})
 
-    p_bq = sub.add_parser(
-        "bryson-quantiles", help="simulate a T* quantile table for one law"
-    )
+
+def _bryson_quantiles_options(p_bq: _Parser) -> None:
     p_bq.add_argument("--dist", required=True)
     p_bq.add_argument("--n", required=True)
     p_bq.add_argument("--reps", default="10000", help=f"replicates, at least {MIN_TABLE_REPS}")
     p_bq.add_argument("--seed", default="0")
     p_bq.add_argument("--probs", default=",".join(map(float_label, DEFAULT_PROBS)))
-    p_bq.set_defaults(func=_cmd_bryson_quantiles, read={
-        "n": int, "reps": int, "seed": int, "probs": lambda t: tuple(map(float, t.split(",")))})
+    p_bq.set_defaults(func=_cmd_bryson_quantiles,
+                      read={"n": int, "reps": int, "seed": int, "probs": _probs})
 
+
+# each command's help line in the full parser, and the function that adds its options
+_COMMANDS = {
+    "test": ("classify the tail of a dataset file", _test_options),
+    "simulate": ("run a Monte Carlo rejection-rate plan", _simulate_options),
+    "bryson": ("Bryson T* with a simulated exponential null", _bryson_options),
+    "bryson-quantiles": ("simulate a T* quantile table for one law", _bryson_quantiles_options),
+}
+
+
+@functools.cache
+def command_parser(name: str) -> _Parser:
+    """The parser of command `name`'s arguments alone, the same as build_parser's subparser
+    `name`: the one parser main builds for a command line it runs."""
+    _, add_options = _COMMANDS[name]
+    parser = _Parser(prog=f"tailtest {name}")
+    add_options(parser)
+    return parser
+
+
+@functools.cache
+def build_parser() -> _Parser:
+    """The full parser, every command a subparser: built only to word a refusal or the
+    top-level help, as no command's parser alone can."""
+    parser = _Parser(prog="tailtest", description=__doc__)
+    sub = parser.add_subparsers(dest="cmd", required=True)
+    for name, (help_text, add_options) in _COMMANDS.items():
+        add_options(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = extra = None
+    if argv and argv[0] in _COMMANDS:
+        args, extra = command_parser(argv[0]).parse_known_args(argv[1:])
+    if args is None or extra:  # no command, or arguments left over: the full parser refuses
+        args = build_parser().parse_args(argv)
     try:
         for name, read in args.read.items():  # each command's option texts, by their readers
             setattr(args, name, read_text(name, getattr(args, name), read))

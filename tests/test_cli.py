@@ -1,4 +1,5 @@
 """Command-line behavior: exit codes, output schemas, preprocessing flags."""
+import argparse
 import csv
 import dataclasses
 import io
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from tailtest import BlockedTestResult, BrysonResult, DatasetError, TailTestResult
-from tailtest.cli import build_parser, main, read_dataset
+from tailtest.cli import build_parser, command_parser, main, read_dataset
 from tailtest.bryson import MIN_TABLE_REPS
 from tailtest.power import CSV_HEADER, MIN_PLAN_REPS, PLAN_KEYS
 
@@ -26,6 +27,8 @@ SHORT = [1.2, 1.5, 2.0]                                   # all above ln(max): T
 LONG = list(np.linspace(2.0, 100.0, 99)) + [1e8]          # giant extreme spacing
 HUGE = [-1.7e308, -1.6e308, 1.7e308]                      # the top spacing overflows to inf
 BLOCKED = ["--blocks", "2", "--block-strategy", "sequential"]
+# the full parser's usage line, which starts each refusal it words
+TREE_USAGE = "usage: tailtest [-h] {test,simulate,bryson,bryson-quantiles} ...\n"
 
 
 def field_names(result_type) -> set:
@@ -86,6 +89,16 @@ class TestReadDataset:
         prefix = "cannot read " if command == ["test"] else ""
         assert captured.err == (f"tailtest: error: {prefix}{path}: 'utf-8' codec can't decode "
                                 "byte 0xff in position 0: invalid start byte\n")
+
+    @pytest.mark.parametrize("command", [["test"], ["bryson"], ["simulate", "--plan"]])
+    def test_empty_path_is_quoted(self, command, capsys):
+        # an empty path once left a bare colon: "cannot read : [Errno 2] ..."
+        assert main([*command, ""]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        prefix = "" if command[0] == "simulate" else "cannot read "
+        assert captured.err == (f"tailtest: error: {prefix}'': "
+                                "[Errno 2] No such file or directory: ''\n")
 
     @pytest.mark.parametrize("command", [["test"], ["bryson", "--reps", "1000"]])
     def test_dataset_with_utf8_bom_reads_as_without(self, command, tmp_path, capsys):
@@ -517,8 +530,8 @@ class TestSimulateCommand:
         )
 
     def test_consecutive_calls_do_not_share_arguments(self, capsys):
-        # main builds its parser once per process; every call parses afresh
-        assert build_parser() is build_parser()
+        # main builds each command's parser once per process; every call parses afresh
+        assert command_parser("simulate") is command_parser("simulate")
         argv = ["simulate", "--dist", "exp:1", "--n", "100", "--reps", "100", "--format", "json"]
         assert main(argv + ["--k", "5", "--seed", "3", "--smallmax-policy", "short"]) == 0
         first = json.loads(capsys.readouterr().out)["reports"][0]
@@ -567,7 +580,8 @@ class TestSimulateCommand:
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--dist", "exp:1", "--n", "50", "--strategy", "shuffle"])
         assert exc.value.code == 1
-        assert "unrecognized arguments: --strategy shuffle" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"{TREE_USAGE}tailtest: error: unrecognized arguments: --strategy shuffle\n")
 
 
 class _Planned(Exception):
@@ -665,14 +679,83 @@ def test_every_option_is_refused_one_way(cmd, flag, text, capsys):
     assert captured.err == f"tailtest: error: could not parse {flag}={text!r}\n"
 
 
-def test_no_option_is_read_by_argparse():
-    # every option is text; main reads those each command lists, and all of them are above
+def tree_commands() -> dict:
+    """build_parser's subparser of each command, by name."""
     [commands] = [action.choices for action in build_parser()._actions
                   if isinstance(action.choices, dict)]
-    for cmd, parser in commands.items():
+    return commands
+
+
+def test_no_option_is_read_by_argparse():
+    # every option is text; main reads those each command lists, and all of them are above
+    assert list(tree_commands()) == list(COMMAND_ARGS)
+    for cmd in COMMAND_ARGS:
+        parser = command_parser(cmd)
         assert all(action.type is None for action in parser._actions)
         read = {"--" + name.replace("_", "-") for name in parser.get_default("read")}
         assert read <= {flag for c, flag, _ in BAD_OPTION_TEXTS if c == cmd}
+
+
+def action_fields(parser):
+    """What argparse knows of each of a parser's options, in order."""
+    return [(a.option_strings, a.dest, a.default, a.choices, a.required, a.nargs, a.metavar,
+             a.help) for a in parser._actions]
+
+
+# a good text for each option of BAD_OPTION_TEXTS; VALID_ARGVS also sets every flag that
+# takes no text, a choice of each option that has choices, and --out
+GOOD_OPTION_TEXTS = {"--alpha": "0.1", "--blocks": "2", "--block-seed": "3", "--shift": "min",
+                     "--n": "60,80", "--k": "2", "--reps": "2000", "--seed": "4",
+                     "--threads": "2", "--probs": "0.5,0.9"}
+VALID_ARGVS = [[cmd, *COMMAND_ARGS[cmd]] for cmd in COMMAND_ARGS] + [
+    [cmd, *COMMAND_ARGS[cmd], flag, GOOD_OPTION_TEXTS[flag]] for cmd, flag, _ in BAD_OPTION_TEXTS
+] + [
+    ["test", *COMMAND_ARGS["test"], "--json"], ["bryson", *COMMAND_ARGS["bryson"], "--json"],
+    ["test", *COMMAND_ARGS["test"], "--negate", "--abs", "--block-strategy", "sequential"],
+    ["simulate", *COMMAND_ARGS["simulate"], "--format", "md", "--out", "table.md"],
+]
+
+
+@pytest.mark.parametrize("cmd", COMMAND_ARGS)
+def test_command_parser_is_the_full_parsers_subparser(cmd):
+    # main parses a command line with the command's parser alone, and the full parser
+    # words its refusals, so the two must hold the same options and print the same help
+    alone, sub = command_parser(cmd), tree_commands()[cmd]
+    assert alone.format_usage() == sub.format_usage()
+    assert alone.format_help() == sub.format_help()
+    assert action_fields(alone) == action_fields(sub)
+
+
+@pytest.mark.parametrize("argv", VALID_ARGVS, ids=" ".join)
+def test_command_parser_parses_as_the_full_parser(argv):
+    from_tree = vars(build_parser().parse_args(argv))
+    assert from_tree.pop("cmd") == argv[0]
+    assert vars(command_parser(argv[0]).parse_args(argv[1:])) == from_tree
+
+
+@pytest.mark.parametrize("argv", [
+    ["test", str(DATA / "fibers.txt"), "--json"],
+    ["simulate", "--dist", "exp:1", "--n", "50", "--reps", "100"],
+    ["bryson", str(DATA / "fibers.txt"), "--reps", "1000"],
+    ["bryson-quantiles", "--dist", "exp:1", "--n", "50", "--reps", "1000"],
+], ids=lambda argv: argv[0])
+def test_a_valid_call_builds_one_parser(argv, monkeypatch, capsys):
+    # the full parser's five parsers took most of a fresh `test` call; a valid line needs
+    # only its command's
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    command_parser.cache_clear()
+    build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(argv) in (0, 2)
+    capsys.readouterr()
+    assert built == [f"tailtest {argv[0]}"]
+    assert build_parser.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("cmd,least", [
@@ -863,13 +946,31 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 1
-        capsys.readouterr()
+        assert capsys.readouterr() == (
+            "", f"{TREE_USAGE}tailtest: error: the following arguments are required: cmd\n")
 
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["frobnicate"])
+            main(["bogus"])
         assert exc.value.code == 1
-        capsys.readouterr()
+        assert capsys.readouterr() == ("", (
+            f"{TREE_USAGE}tailtest: error: argument cmd: invalid choice: 'bogus' "
+            "(choose from 'test', 'simulate', 'bryson', 'bryson-quantiles')\n"))
+
+    def test_an_argument_left_over_is_refused_by_the_full_parser(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["test", str(DATA / "fibers.txt"), "extra"])
+        assert exc.value.code == 1
+        assert capsys.readouterr() == (
+            "", f"{TREE_USAGE}tailtest: error: unrecognized arguments: extra\n")
+
+    @pytest.mark.parametrize("argv", [["-h"], ["test", "--help"]])
+    def test_help_is_the_full_parsers(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        parser = build_parser() if len(argv) == 1 else tree_commands()[argv[0]]
+        assert capsys.readouterr() == (parser.format_help(), "")
 
     def test_bad_flag_value(self, capsys):
         # read by the command's reader in main, before the file is opened
@@ -965,7 +1066,11 @@ def test_console_script_target_exits_with_the_decision():
 
 
 def test_module_entry_point_exits_with_the_decision():
-    # `python -m tailtest` goes through __main__.py, which no in-process test reaches
+    # `python -m tailtest` goes through __main__.py, which no in-process test reaches,
+    # and main reads the command line from sys.argv
     proc = run_fresh("-m", "tailtest", "test", str(DATA / "fibers.txt"), "--json")
     assert proc.returncode == 2, proc.stderr
     assert json.loads(proc.stdout)["decision"] == "Short"
+    proc = run_fresh("-m", "tailtest", "test", str(DATA / "fibers.txt"), "extra")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"{TREE_USAGE}tailtest: error: unrecognized arguments: extra\n"
