@@ -37,9 +37,10 @@ def _check_size(n: int) -> None:
                          "with 2 it is 1/4 for any data, so it cannot tell tails apart")
 
 
-def _t_star(rows: np.ndarray) -> np.ndarray:
+def _t_star(rows: np.ndarray, first: int | None = None) -> np.ndarray:
     """T* of each row of a C-contiguous (rows, n) array, n >= 2 (callers check), with no
-    scan for non-finite values; the first row it cannot score raises, with its index as `row`."""
+    scan for non-finite values; the first row i it cannot score raises, naming replicate
+    first + i when `first` is given."""
     n = rows.shape[1]
     mx, mn = rows.max(axis=1), rows.min(axis=1)
     # with a nonnegative minimum every shifted value is > 0 unless the maximum is 0; the
@@ -57,8 +58,7 @@ def _t_star(rows: np.ndarray) -> np.ndarray:
             )
         else:
             exc = ValueError(f"smallest value is {mn[i]:g}; T* needs nonnegative data")
-        exc.row = i
-        raise exc
+        raise exc if first is None else type(exc)(f"n={n}, replicate {first + i}: {exc}")
     # T* is scale-invariant: a row whose maximum lies outside [2**-480, 2**495] is scored
     # as row / max, so that for n < 2**31 no product below overflows or goes subnormal
     if (far := (mx > 2.0**495) | (mx < 2.0**-480)).any():
@@ -112,10 +112,7 @@ def _null_stats(spec: DistributionSpec, n: int, reps: int, seed: int) -> np.ndar
     stats = np.empty(reps)
     with np.errstate(over="ignore"):  # _t_star names a draw that overflowed to inf
         for first, chunk in chunks:
-            try:
-                stats[first:first + len(chunk)] = _t_star(chunk)
-            except ValueError as exc:  # every refusal of _t_star names its row, and keeps its type
-                raise type(exc)(f"n={n}, replicate {first + exc.row}: {exc}") from exc
+            stats[first:first + len(chunk)] = _t_star(chunk, first)
     return stats
 
 

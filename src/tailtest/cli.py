@@ -241,7 +241,7 @@ def _bryson_quantiles_options(p_bq: _Parser) -> None:
                       read={"n": int, "reps": int, "seed": int, "probs": _probs})
 
 
-# each command's help line in the full parser, and the function that adds its options
+# each command's help line in the command index, and the function that adds its options
 _COMMANDS = {
     "test": ("classify the tail of a dataset file", _test_options),
     "simulate": ("run a Monte Carlo rejection-rate plan", _simulate_options),
@@ -252,8 +252,8 @@ _COMMANDS = {
 
 @functools.cache
 def command_parser(name: str) -> _Parser:
-    """The parser of command `name`'s arguments alone, the same as build_parser's subparser
-    `name`: the one parser main builds for a command line it runs."""
+    """The parser of command `name`'s arguments, the only parser that holds its options:
+    the one parser main builds for a command line it runs."""
     _, add_options = _COMMANDS[name]
     parser = _Parser(prog=f"tailtest {name}")
     add_options(parser)
@@ -262,22 +262,23 @@ def command_parser(name: str) -> _Parser:
 
 @functools.cache
 def build_parser() -> _Parser:
-    """The full parser, every command a subparser: built only to word a refusal or the
-    top-level help, as no command's parser alone can."""
+    """The command index, each command a subparser of its help line alone: it words the
+    top-level help, a line that names no command first, and arguments left over."""
     parser = _Parser(prog="tailtest", description=__doc__)
     sub = parser.add_subparsers(dest="cmd", required=True)
-    for name, (help_text, add_options) in _COMMANDS.items():
-        add_options(sub.add_parser(name, help=help_text))
+    for name, (help_text, _) in _COMMANDS.items():
+        sub.add_parser(name, help=help_text)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run a line that starts with its command, read by that command's parser alone."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = extra = None
-    if argv and argv[0] in _COMMANDS:
-        args, extra = command_parser(argv[0]).parse_known_args(argv[1:])
-    if args is None or extra:  # no command, or arguments left over: the full parser refuses
-        args = build_parser().parse_args(argv)
+    if not argv or argv[0] not in _COMMANDS:  # the index prints its help or refuses, and exits
+        build_parser().parse_args(argv[:1])
+    args, extra = command_parser(argv[0]).parse_known_args(argv[1:])
+    if extra:
+        build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         for name, read in args.read.items():  # each command's option texts, by their readers
             setattr(args, name, read_text(name, getattr(args, name), read))

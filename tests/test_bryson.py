@@ -134,16 +134,15 @@ class TestBatchedStatistic:
         rows[:, -1] = 3.0
         rows[2, 0] = -0.5  # refused for its sign
         rows[4, 0] = np.inf
-        with pytest.raises(ValueError, match="smallest value is -0.5") as info:
-            _t_star(rows)
-        assert info.value.row == 2
-        with pytest.raises(NonFiniteDrawError, match="overflowed to inf") as info:
-            _t_star(rows[3:])
-        assert info.value.row == 1
+        with pytest.raises(ValueError, match=r"^n=4, replicate 12: smallest value is -0\.5"):
+            _t_star(rows, 10)
+        with pytest.raises(NonFiniteDrawError, match="^n=4, replicate 4: .*overflowed to inf"):
+            _t_star(rows[3:], 3)
         rows[1] = 0.0  # the geometric-mean check comes before the later rows
-        with pytest.raises(ValueError, match="geometric mean") as info:
+        with pytest.raises(ValueError, match="^n=4, replicate 1: .*geometric mean"):
+            _t_star(rows, 0)
+        with pytest.raises(ValueError, match="^smallest value plus"):  # no first: no prefix
             _t_star(rows)
-        assert info.value.row == 1
 
 
 EXP = parse_spec("exp:1")

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from tailtest import BlockedTestResult, BrysonResult, DatasetError, TailTestResult
-from tailtest.cli import build_parser, command_parser, main, read_dataset
+from tailtest.cli import _COMMANDS, build_parser, command_parser, main, read_dataset
 from tailtest.bryson import MIN_TABLE_REPS
 from tailtest.power import CSV_HEADER, MIN_PLAN_REPS, PLAN_KEYS
 
@@ -27,7 +27,7 @@ SHORT = [1.2, 1.5, 2.0]                                   # all above ln(max): T
 LONG = list(np.linspace(2.0, 100.0, 99)) + [1e8]          # giant extreme spacing
 HUGE = [-1.7e308, -1.6e308, 1.7e308]                      # the top spacing overflows to inf
 BLOCKED = ["--blocks", "2", "--block-strategy", "sequential"]
-# the full parser's usage line, which starts each refusal it words
+# the command index's usage line, which starts each refusal it words
 TREE_USAGE = "usage: tailtest [-h] {test,simulate,bryson,bryson-quantiles} ...\n"
 
 
@@ -696,43 +696,6 @@ def test_no_option_is_read_by_argparse():
         assert read <= {flag for c, flag, _ in BAD_OPTION_TEXTS if c == cmd}
 
 
-def action_fields(parser):
-    """What argparse knows of each of a parser's options, in order."""
-    return [(a.option_strings, a.dest, a.default, a.choices, a.required, a.nargs, a.metavar,
-             a.help) for a in parser._actions]
-
-
-# a good text for each option of BAD_OPTION_TEXTS; VALID_ARGVS also sets every flag that
-# takes no text, a choice of each option that has choices, and --out
-GOOD_OPTION_TEXTS = {"--alpha": "0.1", "--blocks": "2", "--block-seed": "3", "--shift": "min",
-                     "--n": "60,80", "--k": "2", "--reps": "2000", "--seed": "4",
-                     "--threads": "2", "--probs": "0.5,0.9"}
-VALID_ARGVS = [[cmd, *COMMAND_ARGS[cmd]] for cmd in COMMAND_ARGS] + [
-    [cmd, *COMMAND_ARGS[cmd], flag, GOOD_OPTION_TEXTS[flag]] for cmd, flag, _ in BAD_OPTION_TEXTS
-] + [
-    ["test", *COMMAND_ARGS["test"], "--json"], ["bryson", *COMMAND_ARGS["bryson"], "--json"],
-    ["test", *COMMAND_ARGS["test"], "--negate", "--abs", "--block-strategy", "sequential"],
-    ["simulate", *COMMAND_ARGS["simulate"], "--format", "md", "--out", "table.md"],
-]
-
-
-@pytest.mark.parametrize("cmd", COMMAND_ARGS)
-def test_command_parser_is_the_full_parsers_subparser(cmd):
-    # main parses a command line with the command's parser alone, and the full parser
-    # words its refusals, so the two must hold the same options and print the same help
-    alone, sub = command_parser(cmd), tree_commands()[cmd]
-    assert alone.format_usage() == sub.format_usage()
-    assert alone.format_help() == sub.format_help()
-    assert action_fields(alone) == action_fields(sub)
-
-
-@pytest.mark.parametrize("argv", VALID_ARGVS, ids=" ".join)
-def test_command_parser_parses_as_the_full_parser(argv):
-    from_tree = vars(build_parser().parse_args(argv))
-    assert from_tree.pop("cmd") == argv[0]
-    assert vars(command_parser(argv[0]).parse_args(argv[1:])) == from_tree
-
-
 @pytest.mark.parametrize("argv", [
     ["test", str(DATA / "fibers.txt"), "--json"],
     ["simulate", "--dist", "exp:1", "--n", "50", "--reps", "100"],
@@ -964,13 +927,47 @@ class TestUsageErrors:
         assert capsys.readouterr() == (
             "", f"{TREE_USAGE}tailtest: error: unrecognized arguments: extra\n")
 
-    @pytest.mark.parametrize("argv", [["-h"], ["test", "--help"]])
-    def test_help_is_the_full_parsers(self, argv, capsys):
+    @pytest.mark.parametrize("argv", [["-h"], ["test", "--help"]], ids=" ".join)
+    def test_help_is_the_reading_parsers(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 0
-        parser = build_parser() if len(argv) == 1 else tree_commands()[argv[0]]
+        parser = build_parser() if len(argv) == 1 else command_parser(argv[0])
         assert capsys.readouterr() == (parser.format_help(), "")
+
+    @pytest.mark.parametrize("argv", [
+        ["--json", "test", str(DATA / "fibers.txt")], ["--json", "test"],
+        ["--", "test", str(DATA / "fibers.txt")],
+    ], ids=["--json test FILE", "--json test", "-- test FILE"])
+    def test_a_line_must_start_with_its_command(self, argv, capsys):
+        # the index reads only the first word, so an option before the command names none
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert capsys.readouterr() == (
+            "", f"{TREE_USAGE}tailtest: error: the following arguments are required: cmd\n")
+
+    def test_an_argument_left_over_builds_only_its_commands_options(self, monkeypatch, capsys):
+        called = []
+
+        def wrapped(name, add_options):
+            def add(parser):
+                called.append(name)
+                add_options(parser)
+            return add
+
+        for name, (help_text, add_options) in list(_COMMANDS.items()):
+            monkeypatch.setitem(_COMMANDS, name, (help_text, wrapped(name, add_options)))
+        command_parser.cache_clear()
+        build_parser.cache_clear()
+        with pytest.raises(SystemExit):
+            main(["test", str(DATA / "fibers.txt"), "extra"])
+        assert called == ["test"]
+        assert capsys.readouterr().err.endswith("error: unrecognized arguments: extra\n")
+
+    def test_the_index_holds_no_option(self):
+        for name, sub in tree_commands().items():
+            assert [action.dest for action in sub._actions] == ["help"], name
 
     def test_bad_flag_value(self, capsys):
         # read by the command's reader in main, before the file is opened
