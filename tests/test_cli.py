@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from tailtest import BlockedTestResult, BrysonResult, DatasetError, TailTestResult
+from tailtest.base import read_text
 from tailtest.cli import _COMMANDS, build_parser, command_parser, main, read_dataset
 from tailtest.bryson import MIN_TABLE_REPS
 from tailtest.power import CSV_HEADER, MIN_PLAN_REPS, PLAN_KEYS
@@ -696,6 +697,39 @@ def test_no_option_is_read_by_argparse():
         assert read <= {flag for c, flag, _ in BAD_OPTION_TEXTS if c == cmd}
 
 
+# a good text for each option of BAD_OPTION_TEXTS; VALID_ARGVS also sets every flag that
+# takes no text, a choice of each option that has choices, and --out
+GOOD_OPTION_TEXTS = {"--alpha": "0.1", "--blocks": "2", "--block-seed": "3", "--shift": "min",
+                     "--n": "60", "--k": "2", "--reps": "2000", "--seed": "4",
+                     "--threads": "2", "--probs": "0.5,0.9"}
+VALID_ARGVS = [[cmd, *COMMAND_ARGS[cmd]] for cmd in COMMAND_ARGS] + [
+    [cmd, *COMMAND_ARGS[cmd], flag, GOOD_OPTION_TEXTS[flag]] for cmd, flag, _ in BAD_OPTION_TEXTS
+] + [
+    ["test", *COMMAND_ARGS["test"], "--json"], ["bryson", *COMMAND_ARGS["bryson"], "--json"],
+    ["test", *COMMAND_ARGS["test"], "--negate", "--abs", "--block-strategy", "sequential"],
+    ["simulate", *COMMAND_ARGS["simulate"], "--format", "md", "--out", "table.md"],
+]
+
+
+@pytest.mark.parametrize("argv", VALID_ARGVS, ids=" ".join)
+def test_every_valid_line_is_read_whole_by_its_commands_parser(argv):
+    # the command's parser is the only one that holds its options: it must leave nothing
+    # over, keep each option's text as given, and every text it reads must pass its reader
+    args, extra = command_parser(argv[0]).parse_known_args(argv[1:])
+    assert extra == []
+    words = argv[1 + len(COMMAND_ARGS[argv[0]]):]
+    for i, word in enumerate(words):
+        if not word.startswith("--"):
+            continue
+        held = getattr(args, word[2:].replace("-", "_"))
+        if i + 1 < len(words) and not words[i + 1].startswith("--"):
+            assert held == words[i + 1], word
+        else:
+            assert held is True, word
+    for name, read in args.read.items():
+        read_text(name, getattr(args, name), read)
+
+
 @pytest.mark.parametrize("argv", [
     ["test", str(DATA / "fibers.txt"), "--json"],
     ["simulate", "--dist", "exp:1", "--n", "50", "--reps", "100"],
@@ -964,6 +998,27 @@ class TestUsageErrors:
             main(["test", str(DATA / "fibers.txt"), "extra"])
         assert called == ["test"]
         assert capsys.readouterr().err.endswith("error: unrecognized arguments: extra\n")
+
+    @pytest.mark.parametrize("argv", [["--he"], ["-h", "test"]], ids=" ".join)
+    def test_a_help_option_first_prints_the_indexs_help(self, argv, capsys):
+        # the index reads only the first word, so help before a command is the top-level help
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr() == (build_parser().format_help(), "")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--"], "the following arguments are required: cmd"),
+        (["-x"], "the following arguments are required: cmd"),
+        (["bogus", "x", "y"], "argument cmd: invalid choice: 'bogus' "
+                              "(choose from 'test', 'simulate', 'bryson', 'bryson-quantiles')"),
+    ], ids=["--", "-x", "bogus x y"])
+    def test_a_first_word_that_names_no_command_is_refused_by_the_index(self, argv, message,
+                                                                         capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert capsys.readouterr() == ("", f"{TREE_USAGE}tailtest: error: {message}\n")
 
     def test_the_index_holds_no_option(self):
         for name, sub in tree_commands().items():
