@@ -107,7 +107,8 @@ _CLASS = np.array([SHORT, MEDIUM, LONG, MEDIUM])  # by the number of edges below
 def classify(stats, lower: float, upper: float):
     """SHORT below `lower`, LONG above `upper`, MEDIUM on or between them and for NaN:
     the code of a float, or an array of codes, for a finite `lower` <= `upper`. The one
-    place a statistic meets its critical values. searchsorted counts the edges below a
+    place a statistic meets its critical values, for the plain, blocked and Bryson tests
+    (through decide) and for each replicate in run_plan. searchsorted counts the edges below a
     statistic: none below `lower`, one up to `upper`, two above it, three for NaN."""
     edges = np.array([math.nextafter(lower, -math.inf), upper, math.inf])
     return _CLASS[np.searchsorted(edges, stats)]

@@ -107,8 +107,8 @@ def spacing_rows(blocks: np.ndarray, smallmax: str):
     The one place T is computed: argmax finds X_(n), the first of a tied maximum (a NaN
     counts as largest), and the maximum of a copy with that one value set to -inf is
     X_(n-1), equal to X_(n) when the maximum is tied; one comparison counts the values
-    above ln X_(n). Logs are math.log, the rest is correctly rounded: T is the formula
-    in Python floats to the bit.
+    above ln X_(n). Logs are math.log, taken for SCORED rows only, and the rest is
+    correctly rounded: T is the formula in Python floats to the bit.
 
     The one statement of the small-maximum rule too: the formula needs ln X_(n)
     defined and nonzero, and under `smallmax` a maximum <= 1 is REFUSED ('error'),
@@ -234,10 +234,13 @@ def block_rows(values: np.ndarray, k: int) -> list[np.ndarray]:
 def block_scores(values: np.ndarray, k: int, smallmax: str):
     """Each block's T (spacing_rows) for every row of a (reps, n) array: a
     (reps, k) array, blocks in order, from one kernel call per block size (block_rows),
-    and each row's total of them, added left to right. Then None when every block's
+    and each row's total of them, added left to right by np.add.accumulate: the same
+    float on every Python and numpy version, where Python's sum compensates from 3.12
+    on and its last digit can differ. Then None when every block's
     outcome code is 0, else each row's first nonzero code (0 when all its T's stand),
     that block's index and its maximum. Last, per block size, each block's top two,
-    theta_hat and survival from the kernel (None where it read no T). Callers check k."""
+    theta_hat and survival from the kernel (None where it read no T), which the engine
+    ignores and blocked_test reads. Callers check k."""
     columns, kernel = [], []
     for blocks in block_rows(values, k):
         stats, code, tops, theta, surv = spacing_rows(blocks, smallmax)
@@ -265,6 +268,9 @@ def blocked_test(
     blocks would silently change k and with it the null law); when k > 1 the
     error message names the offending block, and at k = 1 it is tail_test's. At k = 1
     the sample is read in order under either strategy: no statistic depends on it.
+    The one single-sample path: block_scores under 'error', which calls no block Short,
+    so every block is scored or verdict's error for the first refused one is raised;
+    each block's maximum, spacing, theta_hat and survival come from the kernel.
     """
     alpha = check_alpha(alpha)
     _, values, sizes = _arrange(sample, k, strategy, seed, k > 1)

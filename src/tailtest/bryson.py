@@ -124,7 +124,9 @@ def _sorted_quantiles(values: np.ndarray, probs) -> np.ndarray:
     Like numpy's lerp: v = (n - 1) * p, g = v - floor(v), then a + (b - a) * g, or
     b - (b - a) * (1 - g) when g >= 0.5, with a and b the order statistics either
     side of v. Once v reaches n - 1 both are the largest, read at index -1 as numpy
-    does, so g = v + 1 there too (it decides the sign of a zero at n = 1).
+    does, so g = v + 1 there too (it decides the sign of a zero at n = 1). Every T*
+    quantile is read here, not by np.quantile: it, np.percentile and np.unique import
+    numpy.ma, which no command loads.
     """
     n = values.shape[-1]
     v = (n - 1) * np.asarray(probs, dtype=float)
@@ -148,8 +150,9 @@ def simulate_bryson_quantiles(
 
     Quantiles use linear interpolation of order statistics, as
     numpy.quantile(method="linear"); standard errors come from 200 bootstrap
-    resamples of the replicate statistics, drawn and sorted 16 at a time, so
-    the bootstrap holds 16 resamples of `reps` values, not 200. Only laws on
+    resamples of the replicate statistics, drawn from stream (seed, reps) and sorted
+    16 at a time, so the bootstrap holds 16 resamples of `reps` values, not 200, and
+    draws the same indices as one (200, reps) draw. Only laws on
     [0, inf) are accepted, since T* needs nonnegative data.
     """
     probs = tuple(check_real("probs", p) for p in check_sequence("probs", probs))

@@ -3,15 +3,18 @@
 Replicate r draws from stream (base_seed, r) and is cut into k consecutive
 blocks, equal in law to any split of i.i.d. draws. It is drawn once per plan, at
 the grid's largest n, in the row chunks the T* table walks too
-(distributions.replicate_chunks; 128 KB up to n = 2048, 8 rows and at most
-1 MB beyond). Its sample at a smaller n is the first n values of that draw, so
-each smaller n copies the prefixes of whole chunks into a buffer of as many as fit
-in its own chunk_rows(n) rows, and scores it when full or after the last chunk.
+(distributions.replicate_chunks, distributions.chunk_rows(n) rows each). Its sample
+at a smaller n is the first n values of that draw, because the fill reads the stream
+in order and the transform acts value by value; so each smaller n copies the
+prefixes of whole chunks into a buffer of as many as fit in its own chunk_rows(n)
+rows, and scores it when full or after the last chunk. Memory grows by that one
+buffer per smaller n, not with reps.
 One blocking.block_scores call scores every block of a chunk once and adds each
 replicate's block T's. base.classify makes each total Short, Medium or Long, as it
 does for the single-sample tests. A replicate with a nonzero outcome code takes its
 first such code instead: Short, or an error. Each n keeps one tally: a bincount per
-chunk of the codes, and the first replicate of each error code with its maximum.
+chunk of the codes, Medium counted too rather than left over, and the first
+replicate of each error code with its maximum; no statistic outlives its chunk.
 After the one pass, run_plan raises blocking.verdict's overflow error for the first
 n, in grid order, that met a draw overflowed to inf. Every count is the one drawing
 and scoring each replicate alone at each n gives.
@@ -138,7 +141,8 @@ def run_plan(plan: SimulationPlan, threads: int = 1) -> SimulationReport:
     """Run every (n, replicate) cell of the plan in one pass; deterministic in base_seed.
 
     Once the pass ends, a draw that overflowed to inf raises NonFiniteDrawError from the
-    tally: for the first n in grid order that met one, at its first such replicate.
+    tally: for the first n in grid order that met one, at its first such replicate, the
+    message a plan of that n alone gives; nothing is rerun.
     Replicates run one after another in the calling thread. `threads` is kept for callers
     that pass it; it must be an integer >= 1 and changes neither the output nor the speed.
     """

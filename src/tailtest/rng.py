@@ -1,8 +1,8 @@
 """Seeded random streams plus the Erlang tails and critical values the tests rely on.
 
 Counter-based Philox streams are keyed by (base_seed, stream_id), so replicate r
-sees the same variates in any order. Monte Carlo loops re-key one bit generator per
-replicate to (base_seed, r), counter 0: bit-identical to make_stream(SeedSpec(base_seed, r)).
+sees the same variates in any order. distributions.replicate_chunks makes the streams
+of Monte Carlo replicates, each bit-identical to make_stream(SeedSpec(base_seed, r)).
 """
 from __future__ import annotations
 

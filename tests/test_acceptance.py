@@ -181,8 +181,10 @@ def test_known_value_bryson_statistic():
 
 def test_known_value_gamma_quantile():
     """gamma(2,1) 0.95 quantile, the upper critical value at alpha 0.05, equals the
-    published 4.7439 to 1e-4."""
-    assert abs(erlang_criticals(0.05, 2)[1] - 4.7439) <= 1e-4
+    published 4.7439 to 1e-4, and the 40-digit oracle to 1e-12 relative."""
+    upper = erlang_criticals(0.05, 2)[1]
+    assert abs(upper - 4.7439) <= 1e-4
+    assert upper == pytest.approx(oracles.GAMMA2_Q95, rel=1e-12, abs=0)
 
 
 # --- Property suites ----------------------------------------------------------

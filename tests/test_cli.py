@@ -1118,11 +1118,12 @@ def test_console_script_target_exits_with_the_decision():
 
 
 def test_module_entry_point_exits_with_the_decision():
-    # `python -m tailtest` goes through __main__.py, which no in-process test reaches,
-    # and main reads the command line from sys.argv
-    proc = run_fresh("-m", "tailtest", "test", str(DATA / "fibers.txt"), "--json")
-    assert proc.returncode == 2, proc.stderr
-    assert json.loads(proc.stdout)["decision"] == "Short"
-    proc = run_fresh("-m", "tailtest", "test", str(DATA / "fibers.txt"), "extra")
-    assert (proc.returncode, proc.stdout) == (1, "")
-    assert proc.stderr == f"{TREE_USAGE}tailtest: error: unrecognized arguments: extra\n"
+    # `python -m tailtest` goes through __main__.py and `python -m tailtest.cli` through
+    # cli.py's __main__ guard, which no in-process test reaches; main reads sys.argv
+    for module in ("tailtest", "tailtest.cli"):
+        proc = run_fresh("-m", module, "test", str(DATA / "fibers.txt"), "--json")
+        assert proc.returncode == 2, (module, proc.stderr)
+        assert json.loads(proc.stdout)["decision"] == "Short"
+        proc = run_fresh("-m", module, "test", str(DATA / "fibers.txt"), "extra")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"{TREE_USAGE}tailtest: error: unrecognized arguments: extra\n"

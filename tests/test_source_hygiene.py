@@ -1,5 +1,6 @@
 """Source hygiene of src/tailtest: no unused import, no unreferenced private name, no
-private name imported across modules, no package name that hides a submodule.
+private name imported across modules, no package name that hides a submodule. And of
+the tests: no public name of tests/oracles.py that no test module reads.
 
 No linter ships with the test dependencies, so these checks stand in for one and
 keep code that nothing uses from lingering after a refactor. An import on a line
@@ -15,6 +16,7 @@ import tailtest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tailtest"
 MODULES = sorted(SRC.glob("*.py"))
+TESTS = Path(__file__).resolve().parent
 
 
 def unused_imports(source: str) -> list[str]:
@@ -49,14 +51,13 @@ def top_level_names(node: ast.stmt) -> list[str]:
     else:
         return []
     return [name.id for target in targets for name in ast.walk(target)
-            if isinstance(name, ast.Name)]
+            if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)]
 
 
-def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
-    """'module:name' of each top-level private function, class or constant that no module reads."""
-    trees = {module: ast.parse(source) for module, source in sources.items()}
+def read_names(trees) -> set[str]:
+    """Every name the trees read: a loaded name, an attribute, or a name imported."""
     named = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 named.add(node.id)
@@ -64,9 +65,23 @@ def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
                 named.add(node.attr)
             elif isinstance(node, ast.alias):
                 named.add(node.name)
+    return named
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """'module:name' of each top-level private function, class or constant that no module reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    named = read_names(trees.values())
     return [f"{module}:{name}" for module, tree in trees.items() for node in tree.body
             for name in top_level_names(node)
             if name.startswith("_") and not name.startswith("__") and name not in named]
+
+
+def unread_public_names(source: str, readers) -> list[str]:
+    """Each top-level public name `source` binds that none of the `readers` sources reads."""
+    named = read_names(ast.parse(reader) for reader in readers)
+    return [name for node in ast.parse(source).body for name in top_level_names(node)
+            if not name.startswith("_") and name not in named]
 
 
 def private_imports(source: str) -> list[str]:
@@ -94,6 +109,13 @@ def test_every_private_name_is_referenced():
 def test_no_module_imports_a_private_name():
     imported = {path.name: private_imports(path.read_text(encoding="utf-8")) for path in MODULES}
     assert {module: names for module, names in imported.items() if names} == {}
+
+
+def test_every_oracle_is_read_by_a_test():
+    # an oracle no test reads checks nothing, and reads as if it did
+    readers = [path.read_text(encoding="utf-8") for path in sorted(TESTS.glob("*.py"))
+               if path.name != "oracles.py"]
+    assert unread_public_names((TESTS / "oracles.py").read_text(encoding="utf-8"), readers) == []
 
 
 def test_no_package_name_hides_a_submodule():
@@ -134,3 +156,5 @@ def test_checks_find_what_they_look_for():
     assert unused_imports("import os\n__all__ = sorted(_NAMES)\n") == ["os"]
     assert unreferenced_private_names({"m.py": source}) == [
         "m.py:_SCALE", "m.py:_Unused", "m.py:_helper"]
+    readers = ["from .m import Public\n", "import m\nm._helper()\nprint(m.LIMIT)\n"]
+    assert unread_public_names("LIMIT = 3\nCAP = 4\nm.attr = 5\n" + source, readers) == ["CAP"]
