@@ -1,4 +1,5 @@
-"""Shared vocabulary: tail classes, outcome codes, the three-way rule and the error types."""
+"""Shared vocabulary: tail classes, outcome codes, the three-way rule, the error types and
+the base of a record that checks its fields."""
 from __future__ import annotations
 
 import enum
@@ -21,6 +22,19 @@ class TailClass(str, enum.Enum):
 
     def __str__(self) -> str:  # "Short", not "TailClass.SHORT"
         return self.value
+
+
+class Validated:
+    """The first base of a record whose __new__ checks its fields, before its functional
+    NamedTuple: `_make`, and with it `_replace`, calls the constructor, so no way of
+    building the record skips the checks. The record sets `__slots__ = ()` too, so that
+    it keeps no instance dict and stays immutable."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def check_alpha(alpha: float) -> float:

@@ -16,7 +16,7 @@ returns: Short, or the error verdict gives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +26,7 @@ from .base import EQUAL, NONFINITE, REFUSED, SCORED, SHORT, listed
 from .rng import SeedSpec, erlang_criticals, erlang_tails, make_stream
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(NamedTuple):
     """A validated dataset: `values`, a read-only array of the data less `shift`."""
 
     values: np.ndarray
@@ -71,8 +70,7 @@ def as_sample(values) -> Sample:
     return values if isinstance(values, Sample) else shift_sample(values, None)
 
 
-@dataclass(frozen=True)
-class TailTestResult:
+class TailTestResult(NamedTuple):
     """Everything the test computed, plus the three-way decision at `alpha`."""
 
     t_stat: float
@@ -155,8 +153,7 @@ def verdict(code: int, mx: float, block: int = 0, k: int = 0) -> ValueError:
 MIN_BLOCK = 3  # a block needs X_(n), X_(n-1) and a nondegenerate survival
 
 
-@dataclass(frozen=True)
-class BlockedTestResult:
+class BlockedTestResult(NamedTuple):
     """The block T's, the facts behind each (its maximum, spacing X_(n) - X_(n-1), 0 at a
     tie, theta_hat and F_n(ln X_(n))), their sum and its critical values; the CLI's text
     lists them in this order."""

@@ -8,7 +8,7 @@ reference quantiles are simulated at the exact sample size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,8 +72,7 @@ def _t_star(rows: np.ndarray, first: int | None = None) -> np.ndarray:
     return np.array([m * x / ((n - 1) * g * g) for m, x, g in zip(means, mx.tolist(), geos)])
 
 
-@dataclass(frozen=True)
-class BrysonQuantileTable:
+class BrysonQuantileTable(NamedTuple):
     """Simulated reference quantiles of T* under a given law at one n."""
 
     dist: str
@@ -85,8 +84,7 @@ class BrysonQuantileTable:
     stderrs: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class BrysonResult:
+class BrysonResult(NamedTuple):
     """T*, its simulated null and critical values; the CLI's text lists them in this order."""
 
     n: int

@@ -118,11 +118,11 @@ def _cmd_test(args) -> int:
             "negate": args.negate,
             "abs": args.abs,
             "mode": mode,
-            **vars(res),
+            **res._asdict(),
         })
     else:
         rows = [("n", sample.n), ("shift", _text(sample.shift))]
-        for key, value in vars(res).items():
+        for key, value in res._asdict().items():
             if key == "t_stat":
                 rows.append(("T", _text(value)))
                 if res.tied_max:
@@ -152,10 +152,11 @@ def _cmd_bryson(args) -> int:
     sample = shift_sample(values, None)
     res = bryson_test(sample, alpha=args.alpha, reps=args.reps, seed=args.seed)
     if args.json:
-        _print_json({"command": "bryson", "path": args.path, "skipped_lines": skipped, **vars(res)})
+        _print_json({"command": "bryson", "path": args.path, "skipped_lines": skipped,
+                     **res._asdict()})
     else:
         rows = []
-        for key, value in vars(res).items():
+        for key, value in res._asdict().items():
             if key == "null_dist":
                 rows.append(("null", f"{value} ({res.reps} reps, seed {res.seed})"))
             elif key not in ("reps", "seed", "decision", "alpha"):

@@ -9,12 +9,11 @@ parse from strings of the form ``family:param[,param]`` (e.g. ``pareto:2``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .base import check_integer, check_real, check_sequence, float_label
+from .base import Validated, check_integer, check_real, check_sequence, float_label
 from .rng import SeedSpec, make_stream
 
 _EULER = 0.5772156649015329  # Euler-Mascheroni constant
@@ -23,18 +22,15 @@ _EULER = 0.5772156649015329  # Euler-Mascheroni constant
 _CHUNK_VALUES, _MIN_ROWS, _MAX_VALUES = 2**14, 8, 2**17
 
 
-@dataclass(frozen=True)
-class DistributionSpec:
+class DistributionSpec(Validated, NamedTuple("DistributionSpec", [
+        ("family", str), ("params", tuple[float, ...])])):
     """One catalogue member: a family name and its (strictly positive) parameters."""
 
-    family: str
-    params: tuple[float, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        fam = _lookup(self.family)
-        object.__setattr__(self, "family", fam.key)
-        params = tuple(check_real("params", p) for p in check_sequence("params", self.params))
-        object.__setattr__(self, "params", params)
+    def __new__(cls, family: str, params: tuple[float, ...] = ()):
+        fam = _lookup(family)
+        params = tuple(check_real("params", p) for p in check_sequence("params", params))
         if len(params) != len(fam.param_names):
             names = ",".join(fam.param_names) or "none"
             raise ValueError(
@@ -44,6 +40,7 @@ class DistributionSpec:
         for name, p in zip(fam.param_names, params):
             if not math.isfinite(p) or p <= 0:
                 raise ValueError(f"{fam.key}: {name} must be finite and > 0, got {p}")
+        return super().__new__(cls, fam.key, params)
 
     def __str__(self) -> str:
         return format_spec(self)
@@ -53,8 +50,7 @@ def _raw(x: np.ndarray, p: tuple[float, ...]) -> None:
     """The transform of a law whose fill draws it as it is."""
 
 
-@dataclass(frozen=True)
-class _Family:
+class _Family(NamedTuple):
     """A law as a raw fill plus a transform, together its one sampler. `fill(stream, row,
     params)` writes n raw variates into a 1-D row; `transform(values, params)` maps raw
     variates of any shape to the law in place, so a chunk of rows takes one call."""

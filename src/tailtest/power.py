@@ -25,11 +25,11 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .base import EQUAL, NONFINITE, REFUSED, SHORT, NonFiniteDrawError, check_alpha
+from .base import EQUAL, NONFINITE, REFUSED, SHORT, NonFiniteDrawError, Validated, check_alpha
 from .base import check_integer, check_sequence, classify, float_label, read_text, text_lines
 from .blocking import SMALLMAX_POLICIES, block_scores, block_sizes, verdict
 from .distributions import DistributionSpec, chunk_rows, format_spec, parse_spec
@@ -39,8 +39,9 @@ from .rng import SeedSpec, erlang_criticals
 MIN_PLAN_REPS = 100  # fewer replicates give no usable rejection rate
 
 
-@dataclass(frozen=True)
-class SimulationPlan:
+class SimulationPlan(Validated, NamedTuple("SimulationPlan", [
+        ("spec", DistributionSpec), ("n_grid", tuple[int, ...]), ("k_blocks", int),
+        ("alpha", float), ("reps", int), ("base_seed", int), ("smallmax_policy", str)])):
     """What to simulate: a law, sample sizes, and the test on k consecutive blocks.
 
     smallmax_policy is passed to blocking.spacing_rows, which states the
@@ -48,39 +49,35 @@ class SimulationPlan:
     as an error, one it calls Short as Short. 'raw' is the default.
     """
 
-    spec: DistributionSpec
-    n_grid: tuple[int, ...]
-    k_blocks: int = 1
-    alpha: float = 0.05
-    reps: int = 10_000
-    base_seed: int = 0
-    smallmax_policy: str = "raw"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.spec, DistributionSpec):
-            raise ValueError(f"spec must be a DistributionSpec, got {self.spec!r}")
+    def __new__(cls, spec: DistributionSpec, n_grid: tuple[int, ...], k_blocks: int = 1,
+                alpha: float = 0.05, reps: int = 10_000, base_seed: int = 0,
+                smallmax_policy: str = "raw"):
+        if not isinstance(spec, DistributionSpec):
+            raise ValueError(f"spec must be a DistributionSpec, got {spec!r}")
         n_grid = tuple(check_integer("each n of n_grid", n)
-                       for n in check_sequence("n_grid", self.n_grid))
-        object.__setattr__(self, "n_grid", n_grid)
-        object.__setattr__(self, "k_blocks", check_integer("k_blocks", self.k_blocks))
-        object.__setattr__(self, "reps", check_integer("reps", self.reps, MIN_PLAN_REPS))
-        object.__setattr__(self, "base_seed", int(SeedSpec(self.base_seed).base_seed))
-        if not self.n_grid:
+                       for n in check_sequence("n_grid", n_grid))
+        k_blocks = check_integer("k_blocks", k_blocks)
+        reps = check_integer("reps", reps, MIN_PLAN_REPS)
+        base_seed = int(SeedSpec(base_seed).base_seed)
+        if not n_grid:
             raise ValueError("n_grid is empty")
-        object.__setattr__(self, "alpha", check_alpha(self.alpha))
-        if self.smallmax_policy not in SMALLMAX_POLICIES:
+        alpha = check_alpha(alpha)
+        if smallmax_policy not in SMALLMAX_POLICIES:
             raise ValueError(
                 f"smallmax_policy must be one of {SMALLMAX_POLICIES}, "
-                f"got {self.smallmax_policy!r}"
+                f"got {smallmax_policy!r}"
             )
-        for i, n in enumerate(self.n_grid):
-            if n in self.n_grid[:i]:  # each n is one row, and md keys its rows by n
+        for i, n in enumerate(n_grid):
+            if n in n_grid[:i]:  # each n is one row, and md keys its rows by n
                 raise ValueError(f"sample size n={n} is repeated")
-            block_sizes(n, self.k_blocks)  # raises BlockTooSmallError if infeasible
+            block_sizes(n, k_blocks)  # raises BlockTooSmallError if infeasible
+        return super().__new__(cls, spec, n_grid, k_blocks, alpha, reps, base_seed,
+                               smallmax_policy)
 
 
-@dataclass(frozen=True)
-class RateRow:
+class RateRow(NamedTuple):
     """One sample size's tally: the count of each outcome and, for each error (all
     values equal, maximum refused), the first replicate that took it, None if none
     did. Every other number is derived; k, alpha and the seed are the plan's."""
@@ -125,8 +122,7 @@ class RateRow:
         return math.sqrt(p * (1.0 - p) / self.reps)
 
 
-@dataclass(frozen=True)
-class SimulationReport:
+class SimulationReport(NamedTuple):
     """The rows run_plan gave for a plan, one per n of its grid, in grid order."""
 
     plan: SimulationPlan
@@ -238,7 +234,7 @@ def _emit_json(reports) -> str:
                 "reps": report.plan.reps,
                 "seed": report.plan.base_seed,
                 "smallmax_policy": report.plan.smallmax_policy,
-                "rows": [{**vars(row), **{key: getattr(row, key) for key in _DERIVED}}
+                "rows": [{**row._asdict(), **{key: getattr(row, key) for key in _DERIVED}}
                          for row in report.rows],
             }
             for report in reports

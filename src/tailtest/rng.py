@@ -7,27 +7,26 @@ of Monte Carlo replicates, each bit-identical to make_stream(SeedSpec(base_seed,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .base import check_alpha, check_integer, check_real
+from .base import Validated, check_alpha, check_integer, check_real
 
 _UINT64_MAX = 2**64 - 1
 
 
-@dataclass(frozen=True)
-class SeedSpec:
+class SeedSpec(Validated, NamedTuple("SeedSpec", [("base_seed", int), ("stream_id", int)])):
     """Key of one reproducible stream: a base seed and a stream (replicate) id."""
 
-    base_seed: int
-    stream_id: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, base_seed: int, stream_id: int = 0):
         # base_seed is what every command's seed option and a plan's seed key set
-        for name, v in (("seed", self.base_seed), ("stream_id", self.stream_id)):
+        for name, v in (("seed", base_seed), ("stream_id", stream_id)):
             if not 0 <= check_integer(name, v) <= _UINT64_MAX:
                 raise ValueError(f"{name} must be an integer from 0 to 2**64 - 1, got {v!r}")
+        return super().__new__(cls, base_seed, stream_id)
 
 
 def make_stream(seed: SeedSpec | int) -> np.random.Generator:

@@ -185,7 +185,7 @@ class TestBlockedKnownAnswers:
         values, _ = read_dataset(str(GOLDEN.parents[1] / "data/synthetic/fibers.txt"))
         res = blocked_test(values, np.int64(5))
         assert type(res.k) is int
-        assert json.dumps(vars(res)) == json.dumps(vars(blocked_test(values, 5)))
+        assert json.dumps(res._asdict()) == json.dumps(blocked_test(values, 5)._asdict())
 
     def test_block_with_small_max_aborts_whole_test(self):
         # second block's maximum is 0.9, so the whole test must refuse

@@ -1,7 +1,6 @@
 """Command-line behavior: exit codes, output schemas, preprocessing flags."""
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -33,7 +32,7 @@ TREE_USAGE = "usage: tailtest [-h] {test,simulate,bryson,bryson-quantiles} ...\n
 
 
 def field_names(result_type) -> set:
-    return {field.name for field in dataclasses.fields(result_type)}
+    return set(result_type._fields)
 
 
 def strict_json(text: str):

@@ -58,6 +58,12 @@ def test_a_name_loads_only_its_module_and_what_that_imports():
         "numpy", "tailtest.base", "tailtest.blocking", "tailtest.rng"]
 
 
+def test_cli_import_leaves_dataclasses_out():
+    # the records are NamedTuples: @dataclass ran exec six times a class at each start-up
+    proc = run_fresh("-c", "import sys, tailtest.cli; sys.exit('dataclasses' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr or "importing tailtest.cli loaded dataclasses"
+
+
 def test_cli_loads_every_module():
     # cli imports its commands at module level, so a CLI run loads what an eager package did
     assert [m for m in loaded_after("import tailtest.cli") if m != "numpy"] == [

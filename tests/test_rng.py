@@ -1,12 +1,18 @@
-"""Seeded streams, draws from them, and the hand-rolled Erlang tails and critical values."""
+"""Seeded streams, draws from them, the hand-rolled Erlang tails and critical values, and
+the immutability of the package's records, SeedSpec among them."""
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailtest.distributions import DistributionSpec, parse_spec, sample
+from tailtest import base, blocking, bryson, distributions, power, rng
+from tailtest.blocking import blocked_test, shift_sample, tail_test
+from tailtest.bryson import BrysonQuantileTable, BrysonResult
+from tailtest.distributions import _CATALOGUE, DistributionSpec, parse_spec, sample
+from tailtest.power import RateRow, SimulationPlan, SimulationReport
 from tailtest.rng import (
     SeedSpec,
     erlang_criticals,
@@ -15,6 +21,21 @@ from tailtest.rng import (
 )
 
 from .oracles import erlang_cdf_ref, erlang_quantile_ref, erlang_tail_quantile_ref, erlang_tails_ref
+
+EXP = DistributionSpec("exp", (1.0,))
+PLAN = SimulationPlan(EXP, (50,), reps=100)
+ROW = RateRow(50, 10, 80, 10, 0, 0, None, None)
+# one of each record the package defines
+RECORDS = [
+    SeedSpec(1, 2), EXP, _CATALOGUE[0], PLAN, ROW, SimulationReport(PLAN, (ROW,)),
+    shift_sample([math.e, math.e**2, math.e**3]), tail_test([math.e, math.e**2, math.e**3]),
+    blocked_test([2.0, 3.0, 5.0, 7.0, 11.0, 13.0], 2, strategy="sequential"),
+    BrysonQuantileTable("exp:1", 50, 1000, 0, (0.5,), (0.25,), (0.01,)),
+    BrysonResult(50, 0.25, "exp:1", 1000, 0, 0.2, 0.3, base.TailClass.MEDIUM, 0.05),
+]
+# each record whose constructor checks its fields, and one field value it refuses
+VALIDATED = [(SeedSpec(1, 2), {"base_seed": -1}), (EXP, {"params": (0.0,)}),
+             (PLAN, {"reps": 5})]
 
 
 class TestSeedSpec:
@@ -29,10 +50,37 @@ class TestSeedSpec:
         with pytest.raises(ValueError):
             SeedSpec(0, bad)
 
-    def test_frozen(self):
-        spec = SeedSpec(1, 2)
+
+class TestRecords:
+    def test_every_record_is_listed(self):
+        defined = {obj for module in (base, blocking, bryson, distributions, power, rng)
+                   for obj in vars(module).values() if isinstance(obj, type)
+                   and issubclass(obj, tuple) and obj.__module__ == module.__name__}
+        assert defined == {type(record) for record in RECORDS} and len(defined) == 11
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda record: type(record).__name__)
+    def test_frozen(self, record):
+        # a validated record without __slots__ = () would take a new attribute in its dict
         with pytest.raises(AttributeError):
-            spec.base_seed = 3
+            setattr(record, record._fields[0], record[0])
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        with pytest.raises(TypeError):
+            vars(record)
+
+    @pytest.mark.parametrize("record, bad", VALIDATED,
+                             ids=[type(record).__name__ for record, _ in VALIDATED])
+    def test_every_way_of_building_refuses_a_bad_value(self, record, bad):
+        # _replace builds with _make, which on a bare NamedTuple skips __new__ and its checks
+        assert type(record._replace()) is type(record) and record._replace() == record
+        fields = {**record._asdict(), **bad}
+        with pytest.raises(ValueError) as refused:
+            type(record)(**fields)
+        message = f"^{re.escape(str(refused.value))}$"
+        with pytest.raises(ValueError, match=message):
+            type(record)._make(fields.values())
+        with pytest.raises(ValueError, match=message):
+            record._replace(**bad)
 
 
 class TestMakeStream:
