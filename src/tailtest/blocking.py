@@ -103,10 +103,11 @@ def spacing_rows(blocks: np.ndarray, smallmax: str):
     theta_hat and F_n(ln X_(n)). `blocks` is only read, so it may be a read-only view.
 
     The one place T is computed: argmax finds X_(n), the first of a tied maximum (a NaN
-    counts as largest), and the maximum of a copy with that one value set to -inf is
-    X_(n-1), equal to X_(n) when the maximum is tied; one comparison counts the values
-    above ln X_(n). Logs are math.log, taken for SCORED rows only, and the rest is
-    correctly rounded: T is the formula in Python floats to the bit.
+    counts as largest), and the value at the argmax of a copy with that one value set to
+    -inf is X_(n-1), equal to X_(n) when the maximum is tied; one comparison counts the
+    values above ln X_(n). Logs are math.log: ln X_(n) is taken for SCORED rows only, and
+    ln F_n(ln X_(n)) = math.log(c / m) is read from survival_logs by the clipped count c.
+    The rest is correctly rounded: T is the formula in Python floats to the bit.
 
     The one statement of the small-maximum rule too: the formula needs ln X_(n)
     defined and nonzero, and under `smallmax` a maximum <= 1 is REFUSED ('error'),
@@ -119,7 +120,7 @@ def spacing_rows(blocks: np.ndarray, smallmax: str):
     at = np.arange(reps), blocks.argmax(axis=1)
     mx = knock[at]
     knock[at] = -np.inf
-    second = knock.max(axis=1)
+    second = knock[at[0], knock.argmax(axis=1)]
     del knock  # before the survival count's array, so the two never coexist
     tops = np.array([second, mx]).T
     code = _RULE[smallmax][np.searchsorted(_MAX_EDGES, mx)]
@@ -129,12 +130,39 @@ def spacing_rows(blocks: np.ndarray, smallmax: str):
     if not np.count_nonzero(scored := code == SCORED):  # the rule decides every row, reading no T
         return np.zeros(reps), code, tops, None, None
     # ln X_(n) of a SCORED row, else NaN; X_(n) > ln X_(n) counts itself, a NaN row nothing
-    logs = np.array(list(map(math.log, np.where(scored, mx, math.nan).tolist())))
-    surv = np.maximum((blocks > logs[:, np.newaxis]).sum(axis=1, dtype=np.int32), 1) / m
+    logs = np.fromiter(map(math.log, np.where(scored, mx, math.nan).tolist()), float, reps)
+    count = np.maximum((blocks > logs[:, np.newaxis]).sum(axis=1, dtype=np.int32), 1)
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN, as Python floats give
         # survival 1 (nothing at or below ln X_(n)) gives theta 0; `0.0 -` clears a -0.0
-        theta = 0.0 - np.array(list(map(math.log, surv.tolist()))) / logs
-        return theta * (mx - second), code, tops, theta, surv
+        theta = 0.0 - survival_logs(count, m) / logs
+        return theta * (mx - second), code, tops, theta, count / m
+
+
+# block size m: math.log(max(c, 1) / m) by count c, empty after the first call at m
+_SURVIVAL_LOGS: dict[int, np.ndarray] = {}
+_NO_COUNTS = np.empty(0)
+
+
+def survival_logs(count: np.ndarray, m: int) -> np.ndarray:
+    """math.log(c / m) for each survival count c of `count` (1 <= c <= m), bit for bit.
+
+    A block of m values has only m survivals, so from the second call at m on they are
+    read from a table per m, built with math.log, not taken row by row. The first call
+    at m takes math.log of each row's c / m and builds no table: a single-sample test
+    calls once per block size, and building costs more than its few rows. The table ends
+    at the largest count met so far and, when a count lies past its end, is rebuilt at
+    least twice as long (at most m + 1)."""
+    table = _SURVIVAL_LOGS.get(m)
+    if table is None:
+        _SURVIVAL_LOGS[m] = _NO_COUNTS
+        return np.array(list(map(math.log, (count / m).tolist())))
+    try:
+        return table[count]
+    except IndexError:  # a count past the table's end: grow it
+        top = min(m, max(max(count.tolist()), 2 * len(table)))
+        table = _SURVIVAL_LOGS[m] = np.fromiter(
+            (math.log(max(c, 1) / m) for c in range(top + 1)), float, top + 1)
+        return table[count]
 
 
 def verdict(code: int, mx: float, block: int = 0, k: int = 0) -> ValueError:

@@ -66,10 +66,12 @@ def _t_star(rows: np.ndarray, first: int | None = None) -> np.ndarray:
         rows, mx = rows / scale[:, np.newaxis], mx / scale
     shift = mx / (n - 1)
     # geometric mean via mean of logs; a product of n terms would overflow. A row's mean
-    # is the same pairwise sum as a 1-D mean, and math.exp keeps libm's rounding.
-    geos = map(math.exp, np.log(rows + shift[:, None]).mean(axis=1).tolist())
-    means = rows.mean(axis=1).tolist()
-    return np.array([m * x / ((n - 1) * g * g) for m, x, g in zip(means, mx.tolist(), geos)])
+    # is the same pairwise sum as a 1-D mean, and math.exp keeps libm's rounding. The last
+    # step is the Python formula m * x / ((n - 1) * g * g) per row: the same operations in
+    # the same order, each correctly rounded, so the same float.
+    geos = np.fromiter(map(math.exp, np.log(rows + shift[:, None]).mean(axis=1).tolist()),
+                       float, len(rows))
+    return rows.mean(axis=1) * mx / ((n - 1) * geos * geos)
 
 
 class BrysonQuantileTable(NamedTuple):

@@ -17,11 +17,12 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from .base import DatasetError, TailClass, float_label, listed, read_text, text_lines
+from .base import DatasetError, TailClass, check_integer, float_label, listed, read_text
+from .base import text_lines
 from .blocking import SMALLMAX_POLICIES, blocked_test, shift_sample, tail_test
 from .bryson import DEFAULT_PROBS, MIN_TABLE_REPS, bryson_test, simulate_bryson_quantiles
 from .distributions import parse_spec
-from .power import MIN_PLAN_REPS, PLAN_KEYS, emit_table, parse_plan_file, read_plan, run_plan
+from .power import MIN_PLAN_REPS, PLAN_KEYS, emit_table, parse_plan_file, read_plans, run_plans
 from .rng import SeedSpec
 
 _EXIT_CODE = {TailClass.MEDIUM: 0, TailClass.SHORT: 2, TailClass.LONG: 3}
@@ -140,10 +141,11 @@ def _cmd_simulate(args) -> int:
         raise ValueError(f"--plan and {flags} are mutually exclusive")
     if args.plan is None and not {"dist", "n"} <= given.keys():
         raise ValueError("simulate needs either --plan FILE or both --dist and --n")
-    plan = read_plan(given) if args.plan is None else parse_plan_file(args.plan)
+    plans = read_plans(given) if args.plan is None else parse_plan_file(args.plan)
     # the table's file is opened before the first replicate runs, as a redirection is
     with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
-        fh.write(emit_table(run_plan(plan, threads=args.threads), args.format))
+        check_integer("threads", args.threads, 1)
+        fh.write(emit_table(run_plans(plans), args.format))
     return 0
 
 
@@ -211,8 +213,8 @@ def _simulate_options(p_sim: _Parser) -> None:
     p_sim.add_argument("--plan", help="plan file of key=value lines")
     p_sim.add_argument("--dist", help="distribution, e.g. exp:1, pareto:2, weibull:0.5")
     p_sim.add_argument("--n", help="comma-separated sample sizes")
-    # read as a plan file's keys are (power.read_plan); unset ones take the plan's defaults
-    p_sim.add_argument("--k")
+    # read as a plan file's keys are (power.read_plans); unset ones take the plan's defaults
+    p_sim.add_argument("--k", help="comma-separated block counts, one table each")
     p_sim.add_argument("--alpha")
     p_sim.add_argument("--reps", help=f"replicates per sample size, at least {MIN_PLAN_REPS}")
     p_sim.add_argument("--seed")

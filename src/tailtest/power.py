@@ -1,23 +1,26 @@
 """Monte Carlo engine: rejection-rate tables for the plain and blocked tail test.
 
-Replicate r draws from stream (base_seed, r) and is cut into k consecutive
-blocks, equal in law to any split of i.i.d. draws. It is drawn once per plan, at
-the grid's largest n, in the row chunks the T* table walks too
-(distributions.replicate_chunks, distributions.chunk_rows(n) rows each). Its sample
-at a smaller n is the first n values of that draw, because the fill reads the stream
-in order and the transform acts value by value; so each smaller n copies the
-prefixes of whole chunks into a buffer of as many as fit in its own chunk_rows(n)
-rows, and scores it when full or after the last chunk. Memory grows by that one
-buffer per smaller n, not with reps.
-One blocking.block_scores call scores every block of a chunk once and adds each
+Replicate r draws from stream (base_seed, r) and is cut into k consecutive blocks,
+equal in law to any split of i.i.d. draws. Its draw depends on the law and the seed
+alone, not on k, alpha or the policy, so run_plans serves every plan that shares
+(spec, base_seed, reps) with one pass: each replicate is drawn once, at the largest n
+of the union of their grids, in the row chunks the T* table walks too
+(distributions.replicate_chunks, distributions.chunk_rows(n) rows each), and every
+(plan, n) cell scores it. Its sample at a smaller n is the first n values of that draw,
+because the fill reads the stream in order and the transform acts value by value; so
+each smaller n copies the prefixes of whole chunks into a buffer of as many as fit in
+its own chunk_rows(n) rows, and scores it, once per plan of that n, when full or after
+the last chunk. Memory grows by that one buffer per smaller n, not with reps or plans.
+One blocking.block_scores call per cell scores every block of a chunk once and adds each
 replicate's block T's. base.classify makes each total Short, Medium or Long, as it
 does for the single-sample tests. A replicate with a nonzero outcome code takes its
-first such code instead: Short, or an error. Each n keeps one tally: a bincount per
+first such code instead: Short, or an error. Each cell keeps one tally: a bincount per
 chunk of the codes, Medium counted too rather than left over, and the first
 replicate of each error code with its maximum; no statistic outlives its chunk.
-After the one pass, run_plan raises blocking.verdict's overflow error for the first
-n, in grid order, that met a draw overflowed to inf. Every count is the one drawing
-and scoring each replicate alone at each n gives.
+After the one pass, run_plans raises blocking.verdict's overflow error for the first
+plan, in the order given, and the first n of its grid that met a draw overflowed to
+inf. Every count is the one drawing and scoring each replicate alone at each n and k
+gives; run_plan is run_plans on one plan.
 """
 from __future__ import annotations
 
@@ -134,40 +137,64 @@ class SimulationReport(NamedTuple):
 
 
 def run_plan(plan: SimulationPlan, threads: int = 1) -> SimulationReport:
-    """Run every (n, replicate) cell of the plan in one pass; deterministic in base_seed.
+    """run_plans on the one plan: its report, deterministic in base_seed.
 
-    Once the pass ends, a draw that overflowed to inf raises NonFiniteDrawError from the
-    tally: for the first n in grid order that met one, at its first such replicate, the
-    message a plan of that n alone gives; nothing is rerun.
     Replicates run one after another in the calling thread. `threads` is kept for callers
     that pass it; it must be an integer >= 1 and changes neither the output nor the speed.
     """
     check_integer("threads", threads, 1)
-    k, policy = plan.k_blocks, plan.smallmax_policy
-    lower, upper = erlang_criticals(plan.alpha, k)
-    top = max(plan.n_grid)
-    counts = {n: np.zeros(NONFINITE + 1, dtype=np.int64) for n in plan.n_grid}  # by outcome code
-    firsts = {n: {} for n in plan.n_grid}  # error code: (its first replicate, that maximum)
+    return run_plans((plan,))[0]
+
+
+def run_plans(plans) -> tuple[SimulationReport, ...]:
+    """Run every (plan, n, replicate) cell of plans that share spec, base_seed and reps
+    in one pass, and give each plan's report, in the order given.
+
+    Each replicate is drawn once, at the largest n of the union of the plans' grids, and
+    each (plan, n) cell scores it with that plan's k, alpha and policy; a plan's report is
+    the one it gives run alone. Once the pass ends, a draw that overflowed to inf raises
+    NonFiniteDrawError from the tally: for the first plan, in the order given, and the first
+    n of its grid that met one, at its first such replicate, the message a plan of that n
+    alone gives; nothing is rerun.
+    """
+    plans = tuple(plans)
+    if not plans:
+        raise ValueError("run_plans needs at least one plan")
+    spec, seed, reps = plans[0].spec, plans[0].base_seed, plans[0].reps
+    if any((plan.spec, plan.base_seed, plan.reps) != (spec, seed, reps) for plan in plans):
+        raise ValueError("plans run in one pass must share spec, base_seed and reps")
+    # per plan and n: the count of each outcome code, and each error code's first
+    # replicate with that maximum
+    tallies = [{n: (np.zeros(NONFINITE + 1, dtype=np.int64), {}) for n in plan.n_grid}
+               for plan in plans]
+    cells = {}  # n: (k, policy, lower, upper, counts, firsts) of each plan of that n
+    for plan, tally in zip(plans, tallies):
+        lower, upper = erlang_criticals(plan.alpha, plan.k_blocks)
+        for n in plan.n_grid:
+            cells.setdefault(n, []).append(
+                (plan.k_blocks, plan.smallmax_policy, lower, upper, *tally[n]))
+    top = max(cells)
     # each smaller n gathers the prefixes of whole top-n chunks, as many as fit in
     # chunk_rows(n) rows; chunk_rows never rises with n, so that is at least one
     rows = chunk_rows(top)
-    buffers = {n: np.empty((chunk_rows(n) // rows * rows, n)) for n in plan.n_grid if n < top}
+    buffers = {n: np.empty((chunk_rows(n) // rows * rows, n)) for n in cells if n < top}
 
     def score(n, first, chunk):
-        _, totals, refused, _ = block_scores(chunk, k, policy)
-        codes = classify(totals, lower, upper)
-        if refused is not None:
-            reasons, _, maxima = refused
-            for code in set(reasons[reasons >= EQUAL].tolist()) - firsts[n].keys():
-                r = int((reasons == code).argmax())
-                firsts[n][code] = (first + r, maxima.item(r))
-            codes = np.where(reasons, reasons, codes)  # a refused or rule-Short replicate
-        counts[n] += np.bincount(codes, minlength=NONFINITE + 1)
+        for k, policy, lower, upper, counts, firsts in cells[n]:
+            _, totals, refused, _ = block_scores(chunk, k, policy)
+            codes = classify(totals, lower, upper)
+            if refused is not None:
+                reasons, _, maxima = refused
+                for code in set(reasons[reasons >= EQUAL].tolist()) - firsts.keys():
+                    r = int((reasons == code).argmax())
+                    firsts[code] = (first + r, maxima.item(r))
+                codes = np.where(reasons, reasons, codes)  # a refused or rule-Short replicate
+            counts += np.bincount(codes, minlength=NONFINITE + 1)
 
     with np.errstate(over="ignore"):  # the rule names a draw that overflowed
-        for first, chunk in replicate_chunks(plan.spec, top, plan.base_seed, plan.reps):
+        for first, chunk in replicate_chunks(spec, top, seed, reps):
             score(top, first, chunk)
-            last = first + len(chunk) == plan.reps
+            last = first + len(chunk) == reps
             for n, buffer in buffers.items():
                 at = first % len(buffer)
                 end = at + len(chunk)
@@ -175,14 +202,15 @@ def run_plan(plan: SimulationPlan, threads: int = 1) -> SimulationReport:
                 if end == len(buffer) or last:
                     score(n, first - at, buffer[:end])
 
-    for n in plan.n_grid:
-        if NONFINITE in firsts[n]:
-            r, mx = firsts[n][NONFINITE]
-            raise NonFiniteDrawError(f"n={n}, replicate {r}: {verdict(NONFINITE, mx)}")
-    return SimulationReport(plan=plan, rows=tuple(
-        RateRow(n, *counts[n][SHORT:NONFINITE].tolist(),
-                *(firsts[n].get(code, (None,))[0] for code in (EQUAL, REFUSED)))
-        for n in plan.n_grid))
+    for tally in tallies:
+        for n, (_, firsts) in tally.items():
+            if NONFINITE in firsts:
+                r, mx = firsts[NONFINITE]
+                raise NonFiniteDrawError(f"n={n}, replicate {r}: {verdict(NONFINITE, mx)}")
+    return tuple(SimulationReport(plan=plan, rows=tuple(
+        RateRow(n, *counts[SHORT:NONFINITE].tolist(),
+                *(firsts.get(code, (None,))[0] for code in (EQUAL, REFUSED)))
+        for n, (counts, firsts) in tally.items())) for plan, tally in zip(plans, tallies))
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +273,12 @@ def _emit_json(reports) -> str:
 
 def _emit_markdown(reports) -> str:
     all_n = sorted({row.n for report in reports for row in report.rows})
-    headers = ["n"] + [f"{report.dist} {side}" for report in reports for side in "SL"]
+    # a column names its k only where the reports differ in k, as two k of one law would
+    # otherwise share a header
+    k_differs = len({report.plan.k_blocks for report in reports}) > 1
+    names = [f"{report.dist} k={report.plan.k_blocks}" if k_differs else report.dist
+             for report in reports]
+    headers = ["n"] + [f"{name} {side}" for name in names for side in "SL"]
     lines = [
         "| " + " | ".join(headers) + " |",
         "|" + "|".join("---" for _ in headers) + "|",
@@ -260,12 +293,16 @@ def _emit_markdown(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _integers(text: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in text.split(","))
+
+
 # plan-file key, which is also simulate's option: the SimulationPlan field it sets
-# and the reading of its text
+# and the reading of its text; k reads a list, one plan per k
 PLAN_KEYS = {
     "dist": ("spec", parse_spec),
-    "n": ("n_grid", lambda text: tuple(int(tok) for tok in text.split(","))),
-    "k": ("k_blocks", int),
+    "n": ("n_grid", _integers),
+    "k": ("k_blocks", _integers),
     "alpha": ("alpha", float),
     "reps": ("reps", int),
     "seed": ("base_seed", int),
@@ -273,21 +310,28 @@ PLAN_KEYS = {
 }
 
 
-def read_plan(texts: dict[str, str], path=None) -> SimulationPlan:
-    """The plan some PLAN_KEYS' texts give, from a plan file at `path` or simulate's options
-    (path None); base.read_text reads each text but dist's, whose parse_spec message names it."""
+def read_plans(texts: dict[str, str], path=None) -> tuple[SimulationPlan, ...]:
+    """The plans some PLAN_KEYS' texts give, one per k of the k list in its order (one
+    plan at the default k when k is not given), from a plan file at `path` or simulate's
+    options (path None); base.read_text reads each text but dist's, whose parse_spec
+    message names it."""
     fields = {}
     for key, text in texts.items():
         field, read = PLAN_KEYS[key]
         fields[field] = read(text) if key == "dist" else read_text(key, text, read, path)
-    return SimulationPlan(**fields)
+    ks = fields.pop("k_blocks", ())
+    for i, k in enumerate(ks):
+        if k in ks[:i]:  # each k is one report, and md keys its columns by law and k
+            raise ValueError(f"block count k={k} is repeated")
+    return tuple(SimulationPlan(**fields, k_blocks=k) for k in ks) or (SimulationPlan(**fields),)
 
 
-def parse_plan_file(path) -> SimulationPlan:
-    """Read a flat key=value plan file from the lines base.text_lines keeps.
+def parse_plan_file(path) -> tuple[SimulationPlan, ...]:
+    """Read a flat key=value plan file from the lines base.text_lines keeps: its plans,
+    one per k.
 
-    Keys: dist (required), n (required, comma-separated sizes), k, alpha,
-    reps, seed, smallmax_policy; read_plan reads their values.
+    Keys: dist (required), n (required, comma-separated sizes), k (comma-separated
+    block counts), alpha, reps, seed, smallmax_policy; read_plans reads their values.
     """
     entries: dict[str, str] = {}
     for lineno, line in text_lines(path)[0]:
@@ -307,4 +351,4 @@ def parse_plan_file(path) -> SimulationPlan:
     for required in ("dist", "n"):
         if required not in entries:
             raise ValueError(f"{path}: missing required plan key {required!r}")
-    return read_plan(entries, path)
+    return read_plans(entries, path)

@@ -124,6 +124,17 @@ class TestBatchedStatistic:
         got = _t_star(rows)
         assert got.tolist() == [oracles.bryson_statistic_ref(row) for row in rows]
 
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 20), n=st.integers(2, 300),
+           scales=st.lists(st.sampled_from([1.0, 2.0**-500, 2.0**-480, 1e-160, 1e160,
+                                            2.0**495, 2.0**520]), min_size=1, max_size=20))
+    @settings(max_examples=100, deadline=None)
+    def test_random_chunks_equal_the_python_formula(self, seed, rows, n, scales):
+        # the last step m * x / ((n - 1) * g * g), on arrays and per row in Python floats,
+        # rows whose maximum lies outside [2**-480, 2**495] scored as row / max
+        chunk = np.random.default_rng(seed).standard_exponential((rows, n))
+        chunk *= np.resize(np.array(scales), rows)[:, np.newaxis]
+        assert _t_star(chunk).tolist() == [oracles.bryson_statistic_ref(row) for row in chunk]
+
     def test_one_row(self):
         row = np.random.default_rng(5).standard_exponential(100)
         assert _t_star(row[None, :]).tolist() == [oracles.bryson_statistic_ref(row)]

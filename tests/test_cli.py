@@ -460,6 +460,30 @@ class TestSimulateCommand:
         assert code == 0
         assert out.startswith("| n | exp:1 S | exp:1 L |")
 
+    @pytest.mark.parametrize("plan_file", [False, True], ids=["options", "plan-file"])
+    def test_k_list_csv_is_each_k_alone(self, plan_file, tmp_path, capsys):
+        # one pass draws each replicate once for every k; each k is its own report, so the
+        # CSV is the header and then the data rows of each k alone, in k order
+        args = ["--dist", "pareto:1", "--n", "500,250", "--reps", "200", "--seed", "3"]
+        alone = []
+        for k in ("10", "25"):
+            assert main(["simulate", *args, "--k", k]) == 0
+            alone.append(capsys.readouterr().out.split("\n", 1)[1])
+        if plan_file:
+            path = tmp_path / "plan.txt"
+            path.write_text("dist = pareto:1\nn = 500, 250\nreps = 200\nseed = 3\n"
+                            "k = 10, 25\n", encoding="utf-8")
+            args = ["--plan", str(path)]
+        else:
+            args += ["--k", "10,25"]
+        assert main(["simulate", *args]) == 0
+        assert capsys.readouterr().out == CSV_HEADER + "\n" + "".join(alone)
+
+    def test_repeated_k_exits_one(self, capsys):
+        code = main(["simulate", "--dist", "exp:1", "--n", "50", "--k", "1,5,1"])
+        assert (code, capsys.readouterr()) == (
+            1, ("", "tailtest: error: block count k=1 is repeated\n"))
+
     def test_bad_dist_exits_one(self, capsys):
         assert main(["simulate", "--dist", "nosuch", "--n", "50", "--reps", "200"]) == 1
         assert "unknown distribution" in capsys.readouterr().err
@@ -565,10 +589,10 @@ class TestSimulateCommand:
 
     def test_unwritable_out_fails_before_any_replicate(self, tmp_path, monkeypatch, capsys):
         # the table's file is opened as a shell redirection would, before the plan runs
-        def never(plan, threads=1):
-            raise AssertionError("run_plan ran before --out was opened")
+        def never(plans):
+            raise AssertionError("run_plans ran before --out was opened")
 
-        monkeypatch.setattr("tailtest.cli.run_plan", never)
+        monkeypatch.setattr("tailtest.cli.run_plans", never)
         out = tmp_path / "missing" / "table.csv"
         code = main(["simulate", "--dist", "exp:1", "--n", "50", "--out", str(out)])
         captured = capsys.readouterr()
@@ -585,16 +609,16 @@ class TestSimulateCommand:
 
 
 class _Planned(Exception):
-    """Raised by a stand-in run_plan to hand back the plan `simulate` built."""
+    """Raised by a stand-in run_plans to hand back the plans `simulate` built."""
 
 
 def simulate_plan(argv, monkeypatch, capsys):
-    """(plan, None) for the plan `simulate argv` builds, without running it, or
-    (None, stderr) when it exits 1 before running."""
-    def stop(plan, threads=1):
-        raise _Planned(plan)
+    """(plans, None) for the plans `simulate argv` builds, one per k, without running
+    them, or (None, stderr) when it exits 1 before running."""
+    def stop(plans):
+        raise _Planned(plans)
 
-    monkeypatch.setattr("tailtest.cli.run_plan", stop)
+    monkeypatch.setattr("tailtest.cli.run_plans", stop)
     try:
         code = main(["simulate", *argv])
     except _Planned as planned:
@@ -606,7 +630,7 @@ def simulate_plan(argv, monkeypatch, capsys):
 # one readable and one unreadable text for every plan key
 PLAN_KEY_TEXTS = [
     ("dist", "pareto:2"), ("dist", "nosuch"), ("n", "50, 100"), ("n", "ten"),
-    ("k", "2"), ("k", "two"), ("alpha", "0.1"), ("alpha", "5%"), ("reps", "500"),
+    ("k", "2"), ("k", "two"), ("k", "5, 2"), ("k", "5,2,"), ("alpha", "0.1"), ("alpha", "5%"), ("reps", "500"),
     ("reps", "1e4"), ("seed", "9"), ("seed", "-1"), ("smallmax_policy", "short"),
     ("smallmax_policy", "ignore"),
 ]

@@ -61,6 +61,15 @@ def blocked_simulate_commands():
     ]
 
 
+def k_list_commands():
+    # blocked_simulate_commands' table at both k in one pass, one report per k
+    return [
+        ["simulate", "--dist", "exp:1", "--n", "5000,5003", "--k", "10,25",
+         "--reps", "200", "--format", fmt]
+        for fmt in ("csv", "json", "md")
+    ]
+
+
 # the catalogue laws on [0, inf), the only ones T* accepts
 NONNEGATIVE_SPECS = (
     "exp:1", "gamma:2", "uniform", "lognormal", "pareto:1", "weibull:2", "loggamma:0.5,1",
@@ -116,6 +125,7 @@ CASES = {
     "bryson.json": bryson_commands,
     "simulate.json": simulate_commands,
     "simulate_blocked.json": blocked_simulate_commands,
+    "simulate_k_list.json": k_list_commands,
     "test_command.json": decision_commands,
 }
 
@@ -127,6 +137,16 @@ def test_outputs_match_golden(name):
     assert [r["argv"] for r in got] == [r["argv"] for r in expected]
     for g, e in zip(got, expected):
         assert g == e, f"output of {' '.join(g['argv'])} changed"
+
+
+def test_k_list_json_holds_each_k_alone():
+    # the reports of the k list's frozen JSON are those frozen for each k alone
+    def reports(name, fmt):
+        records = json.loads((GOLDEN / name).read_text(encoding="utf-8"))
+        return [report for record in records if record["argv"][-1] == fmt
+                for report in json.loads(record["stdout"])["reports"]]
+
+    assert reports("simulate_k_list.json", "json") == reports("simulate_blocked.json", "json")
 
 
 if __name__ == "__main__":

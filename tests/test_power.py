@@ -29,6 +29,7 @@ from tailtest import (
     run_plan,
     tail_test,
 )
+from tailtest.power import run_plans
 from tailtest.base import BlockTooSmallError, decide
 from tailtest.bryson import bryson_test, simulate_bryson_quantiles
 from tailtest.blocking import block_scores, block_sizes, partition, shift_sample
@@ -623,15 +624,88 @@ class TestJointLoop:
 
     @settings(max_examples=50, deadline=None)
     @given(n_grid=st.lists(st.integers(9, 3000), min_size=2, max_size=4, unique=True),
-           reps=st.integers(100, 400), k=st.sampled_from([1, 3]),
+           reps=st.integers(100, 400),
+           ks=st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=3, unique=True),
            policy=st.sampled_from(SMALLMAX_POLICIES),
            dist=st.sampled_from(["exp:1", "uniform", "cauchy", "pareto:1"]))
-    def test_any_grid_equals_each_n_alone(self, n_grid, reps, k, policy, dist):
-        # any ratio of chunk sizes; a one-n plan makes no buffer, and none of these laws
-        # overflows
-        plan = small_plan(dist, n=n_grid, k_blocks=k, reps=reps, smallmax_policy=policy)
-        assert run_plan(plan).rows == tuple(
-            run_plan(plan._replace(n_grid=(n,))).rows[0] for n in n_grid)
+    def test_any_grid_equals_each_n_alone(self, n_grid, reps, ks, policy, dist):
+        # any ratio of chunk sizes and any k list; a one-n plan makes no buffer, and none
+        # of these laws overflows
+        plans = [small_plan(dist, n=n_grid, k_blocks=k, reps=reps, smallmax_policy=policy)
+                 for k in ks]
+        assert run_plans(plans) == tuple(
+            SimulationReport(plan, tuple(run_plan(plan._replace(n_grid=(n,))).rows[0]
+                                         for n in n_grid))
+            for plan in plans)
+
+
+class TestSharedPass:
+    """run_plans draws each replicate once for plans that share a law, seed and reps,
+    and scores it for every (plan, n) cell: each report is the one its plan gives alone."""
+
+    @pytest.mark.parametrize("policy", SMALLMAX_POLICIES)
+    @pytest.mark.parametrize("dist, n_grids, ks", [
+        ("exp:1", [(100, 101)], (1, 5, 25)),
+        ("uniform", [(100, 101)], (25, 1, 5)),  # every policy tallies its own small maxima
+        ("normal", [(250, 40, 1000)], (1, 3)),
+        ("lognormal", [(1000, 100), (250,), (40, 1000)], (1, 5, 10)),  # grids differ by plan
+    ], ids=["exp", "uniform", "normal", "lognormal-grids"])
+    def test_each_report_equals_its_plan_alone(self, dist, n_grids, ks, policy):
+        plans = [small_plan(dist, n=n_grids[i % len(n_grids)], k_blocks=k, reps=300,
+                            smallmax_policy=policy) for i, k in enumerate(ks)]
+        reports = run_plans(plans)
+        assert [report.plan for report in reports] == plans
+        for plan, report in zip(plans, reports):
+            assert report == run_plan(plan)  # counts and the first replicate of each error
+        if dist == "uniform" and policy != "raw":
+            assert all(row.short_count + row.error_count for r in reports for row in r.rows)
+
+    def test_one_pass_serves_every_plan(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return replicate_chunks(*args)
+
+        monkeypatch.setattr("tailtest.power.replicate_chunks", counted)
+        run_plans([small_plan(n=(40, 250), k_blocks=k, reps=200) for k in (1, 5, 10)])
+        assert [args[1] for args in calls] == [250]
+
+    @pytest.mark.parametrize("policy", SMALLMAX_POLICIES)
+    @pytest.mark.parametrize("ks", [(1, 25), (25, 1), (5, 25, 1)])
+    @pytest.mark.parametrize("dist, n_grid, seed", [
+        # under 'short' and 'error' a block before the overflowing one decides some
+        # replicates at k = 25: its first abort is replicate 20, k = 1's replicate 2
+        ("pareto:0.01", (100, 75), 2),
+        # and here k = 25 meets no abort in 200 replicates, k = 1 one at replicate 63
+        ("pareto:0.012", (100, 75), 6),
+        ("pareto:0.02", (3000, 100), 0),
+    ], ids=lambda case: ",".join(map(str, case)) if isinstance(case, tuple) else str(case))
+    def test_overflow_raises_what_the_first_plan_raises_alone(self, dist, n_grid, seed, ks,
+                                                               policy):
+        # until an overflowing draw is tallied, a pass raises the abort of the first plan,
+        # in the order given, whose run alone aborts
+        plans = [small_plan(dist, n=n_grid, k_blocks=k, reps=200 if seed else 1000,
+                            base_seed=seed, smallmax_policy=policy) for k in ks]
+        messages = []
+        for plan in plans:
+            try:
+                run_plan(plan)
+            except NonFiniteDrawError as error:
+                messages.append(str(error))
+        with pytest.raises(NonFiniteDrawError) as info:
+            run_plans(plans)
+        assert str(info.value) == messages[0]
+
+    def test_refuses_plans_that_do_not_share_a_draw(self):
+        plan = small_plan(n=(50,))
+        for other in (plan._replace(base_seed=8), plan._replace(reps=500),
+                      plan._replace(spec=parse_spec("exp:2"))):
+            with pytest.raises(ValueError, match="^plans run in one pass must share spec, "
+                                                 "base_seed and reps$"):
+                run_plans([plan, other])
+        with pytest.raises(ValueError, match="^run_plans needs at least one plan$"):
+            run_plans([])
 
 
 def _peak_bytes(plan):
@@ -720,6 +794,17 @@ class TestEmitters:
         assert lines[1].count("---") == 5
         assert len(lines) == 4  # header, rule, n=50, n=100
         assert lines[3].split("|")[4].strip() == ""  # pareto has no n=100 row
+
+    def test_markdown_names_k_where_reports_differ_in_it(self):
+        plans = [small_plan("exp:1", n=(50, 100), k_blocks=k) for k in (1, 5)]
+        reports = [*run_plans(plans), run_plan(small_plan("pareto:1", n=(50,), k_blocks=5))]
+        lines = emit_table(reports, "md").strip().split("\n")
+        assert lines[0] == ("| n | exp:1 k=1 S | exp:1 k=1 L | exp:1 k=5 S | exp:1 k=5 L "
+                            "| pareto:1 k=5 S | pareto:1 k=5 L |")
+        one_k = emit_table(reports[1:], "md").split("\n")[0]  # all at k = 5: no k
+        assert one_k == "| n | exp:1 S | exp:1 L | pareto:1 S | pareto:1 L |"
+        assert [line.split(" | ")[1:3] for line in lines[2:]] == [
+            [f"{row.short_rate:.4f}", f"{row.long_rate:.4f}"] for row in reports[0].rows]
 
     def test_dist_is_read_from_the_plan(self):
         # once a stored copy of the plan's law, which a report with another plan kept
@@ -852,7 +937,7 @@ class TestPlanFiles:
             "smallmax_policy = short\n",
             encoding="utf-8",
         )
-        plan = parse_plan_file(str(path))
+        (plan,) = parse_plan_file(str(path))
         assert plan.spec == parse_spec("pareto:2")
         assert plan.n_grid == (50, 100)
         assert plan.k_blocks == 2
@@ -864,12 +949,32 @@ class TestPlanFiles:
     def test_defaults_fill_in(self, tmp_path):
         path = tmp_path / "plan.txt"
         path.write_text("dist=exp:1\nn=100\n", encoding="utf-8")
-        plan = parse_plan_file(str(path))
+        (plan,) = parse_plan_file(str(path))
         assert plan.k_blocks == 1
         assert plan.alpha == 0.05
         assert plan.reps == 10_000
         assert plan.base_seed == 0
         assert plan.smallmax_policy == "raw"
+
+    def test_k_list_gives_one_plan_per_k_in_order(self, tmp_path):
+        path = tmp_path / "plan.txt"
+        path.write_text("dist = exp:1\nn = 500, 250\nk = 25, 1, 10\nreps = 200\n",
+                        encoding="utf-8")
+        plan = SimulationPlan(parse_spec("exp:1"), (500, 250), reps=200)
+        assert parse_plan_file(str(path)) == tuple(
+            plan._replace(k_blocks=k) for k in (25, 1, 10))
+
+    @pytest.mark.parametrize("text, message", [
+        ("10, 25, 10", "block count k=10 is repeated"),
+        ("5, 200", "k=200 leaves blocks of fewer than 3 points for n=500; "
+                   "largest feasible k is 166"),
+        ("5,", "could not parse k='5,'"),
+    ])
+    def test_k_list_refusals(self, tmp_path, text, message):
+        path = tmp_path / "plan.txt"
+        path.write_text(f"dist=exp:1\nn=500\nk = {text}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            parse_plan_file(str(path))
 
     def test_byte_order_marks_are_dropped(self, tmp_path):
         # a plan saved with a BOM reads as the same file without one, on any line
@@ -945,4 +1050,4 @@ class TestPlanFiles:
         block = readme.split("### Plan files", 1)[1].split("```", 2)[1]
         path = tmp_path / "plan.txt"
         path.write_text(block, encoding="utf-8")
-        assert parse_plan_file(str(path)) == SimulationPlan(parse_spec("exp:1"), (250, 1000))
+        assert parse_plan_file(str(path)) == (SimulationPlan(parse_spec("exp:1"), (250, 1000)),)

@@ -13,12 +13,14 @@ from tailtest import (
     DegenerateSampleError,
     MaxNotAboveOneError,
     TailClass,
+    blocked_test,
     shift_sample,
     tail_test,
 )
 from tailtest.base import EQUAL, REFUSED, SCORED, SHORT, decide
 from tailtest.distributions import parse_spec, sample as draw
 from tailtest.rng import SeedSpec, erlang_criticals
+from tailtest import blocking
 from tailtest.blocking import spacing_rows, verdict
 
 from . import oracles
@@ -227,6 +229,39 @@ class TestKernel:
         block = np.array([[E**3, E, E**2]])
         for got, expected in zip(spacing_rows(block, policy), spacing_rows(block, "error")):
             assert got.tolist() == expected.tolist()
+
+
+class TestSurvivalLogs:
+    """The kernel reads ln F_n(ln X_(n)) = math.log(c / m) per block size m: directly at
+    its first call at m, from a table from the second on."""
+
+    @pytest.mark.parametrize("m", [2, 3, 63, 500, 5000])
+    def test_table_is_math_log_bit_for_bit(self, m, monkeypatch):
+        monkeypatch.setattr(blocking, "_SURVIVAL_LOGS", {})
+        counts = np.arange(1, m + 1, dtype=np.int32)
+        expected = [math.log(c / m) for c in range(1, m + 1)]
+        # the first call, then the table grown count by count, then read whole
+        for c in (1, 1, m // 2 + 1, m):
+            assert blocking.survival_logs(counts[:c], m).tolist() == expected[:c]
+        assert blocking.survival_logs(counts[::-1], m).tolist() == expected[::-1]
+        assert blocking._SURVIVAL_LOGS[m].tolist() == [math.log(1 / m)] + expected
+
+    def test_a_small_sample_builds_no_table(self, monkeypatch):
+        # a single-sample test calls once per block size; a table ends at the largest
+        # count met, or twice its old length
+        monkeypatch.setattr(blocking, "_SURVIVAL_LOGS", {})
+        tail_test(np.arange(2.0, 373.0))
+        blocked_test(np.arange(2.0, 373.0), 5)  # blocks of 75 and 74
+        assert {m: len(table) for m, table in blocking._SURVIVAL_LOGS.items()} == {
+            371: 0, 75: 0, 74: 0}
+        counts = np.array([40, 7], dtype=np.int32)
+        assert blocking.survival_logs(counts, 371).tolist() == [
+            math.log(40 / 371), math.log(7 / 371)]
+        assert len(blocking._SURVIVAL_LOGS[371]) == 41
+        blocking.survival_logs(np.array([41], dtype=np.int32), 371)
+        assert len(blocking._SURVIVAL_LOGS[371]) == 83
+        blocking.survival_logs(np.array([371], dtype=np.int32), 371)
+        assert len(blocking._SURVIVAL_LOGS[371]) == 372
 
 
 class TestKnownAnswers:
